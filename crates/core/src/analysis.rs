@@ -168,16 +168,6 @@ pub struct GpoReport {
     /// op-cache eviction (0 under explicit, and 0 until a cache first
     /// fills its capacity).
     pub op_cache_evictions: u64,
-    /// What the structural reduction pre-pass did, when the caller ran
-    /// one before this analysis (`julie check --reduce`); `None` for
-    /// unreduced runs. The analysis itself never reduces.
-    pub reduction: Option<petri::ReductionReport>,
-    /// The property this analysis answered. The GPN exploration itself
-    /// only decides the default `EF deadlock` (its states are set-families
-    /// whose multiple firings skip the interleavings a marking predicate
-    /// could observe); callers checking other properties fall back to
-    /// visible-transition stubborn sets and record that property here.
-    pub property: petri::Property,
 }
 
 impl GpoReport {
@@ -372,8 +362,6 @@ fn run<F: SetFamily>(
         unique_hits: stats.unique_hits,
         op_cache_hits: stats.op_cache_hits,
         op_cache_evictions: stats.op_cache_evictions,
-        reduction: None,
-        property: petri::Property::deadlock(),
     };
 
     extract_witnesses(net, &explored, opts.max_witnesses, &mut report);

@@ -9,7 +9,7 @@
 //! julie serve --data-dir=DIR       crash-safe verification service (HTTP/1.1)
 //!
 //! options:
-//!   --engine=full|po|gpo|pdr|auto  verification engine (default: gpo);
+//!   --engine=ENGINE                full|po|gpo|pdr|bdd|unfold|auto (default: gpo);
 //!                                  auto races engines, first sound verdict wins
 //!   --zdd                          ZDD-backed families for the gpo engine
 //!   --property=PROP                property to verify (default: `EF deadlock`)
@@ -52,8 +52,8 @@ use petri::{
 };
 use unfolding::{UnfoldOptions, Unfolding};
 
-use julie::engine::{self, RunSpec};
-use julie::portfolio::{self, PortfolioOptions};
+use julie::engine::{self, RunSpec, DEFAULT_ENGINE, ENGINES};
+use julie::portfolio::{self, PortfolioOptions, AUTO};
 use julie::{flag, option, positional, serve, signals};
 
 /// Exit code for usage, I/O, parse and engine errors (0–2 are verdicts).
@@ -169,7 +169,7 @@ usage:
                                --checkpoint-every, --drain-secs flags)
 
 options:
-  --engine=full|po|gpo|pdr|bdd|unfold|classes|auto
+  --engine=full|po|gpo|pdr|bdd|unfold|auto
                                verification engine (default: gpo).
                                auto races several engines under the one
                                shared budget: the first sound verdict
@@ -504,7 +504,9 @@ fn portfolio_options_from_args(args: &[String]) -> Result<PortfolioOptions, Stri
 }
 
 fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
-    let engine = option(args, "engine").unwrap_or("gpo");
+    // an unknown engine fails before any property or reduction work
+    let engine = option(args, "engine").unwrap_or(DEFAULT_ENGINE);
+    engine::check_selector(engine)?;
     let json_mode = flag(args, "json");
     let budget = budget_from_args(args)?;
     let witnesses: usize = option(args, "witnesses")
@@ -530,11 +532,17 @@ fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
         property: property.clone(),
     };
     if !spec.supports_checkpoint() && (!ckpt.is_disabled() || resume.is_some()) {
+        let capable: Vec<&str> = ENGINES
+            .iter()
+            .filter(|e| e.checkpoint)
+            .map(|e| e.name)
+            .collect();
         return Err(format!(
-            "engine `{engine}` does not support --checkpoint/--resume (use full, po, gpo, or auto)"
+            "engine `{engine}` does not support --checkpoint/--resume (use {}, or {AUTO})",
+            capable.join(", ")
         ));
     }
-    if engine != "auto" {
+    if engine != AUTO {
         for f in ["legs", "stage-delay-ms", "watchdog-secs"] {
             if option(args, f).is_some() {
                 return Err(format!("--{f} requires --engine=auto"));
@@ -544,7 +552,7 @@ fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
     // engine-stamp direction check: a solo run must not resume a
     // portfolio snapshot, and --engine=auto must not resume a solo one
     if let Some(snap) = &resume {
-        portfolio::check_resume_engine(snap, engine == "auto")?;
+        portfolio::check_resume_engine(snap, engine == AUTO)?;
     }
 
     // Structural reduction pre-pass: every engine below explores `target`
@@ -613,7 +621,7 @@ fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
     // the run exits 2 (inconclusive) instead of dying mid-write
     signals::cancel_on_termination(budget.cancel.clone());
 
-    let report = if engine == "auto" {
+    let report = if engine == AUTO {
         let opts = portfolio_options_from_args(args)?;
         let outcome = portfolio::run_portfolio(
             original,

@@ -34,13 +34,23 @@ use petri::{
     Budget, CheckpointConfig, EngineStamp, ExhaustionReason, PetriNet, Reduction, Snapshot, Verdict,
 };
 
-use crate::engine::{run_engine, RunSpec};
+use crate::engine::{self, run_engine, RunSpec, ENGINES};
 use crate::report::{CheckReport, LegReport};
 
-/// Engines the portfolio may race (in escalation order of the default
-/// schedule). `classes` is excluded: it has no budget hooks, so it cannot
-/// be cancelled when it loses.
-pub const RACEABLE: [&str; 6] = ["po", "gpo", "pdr", "bdd", "unfold", "full"];
+/// The `--engine` selector of the portfolio.
+pub const AUTO: &str = "auto";
+
+/// Engines the portfolio may race: every row of [`ENGINES`], in table
+/// (escalation) order.
+pub const RACEABLE: [&str; ENGINES.len()] = {
+    let mut names = [""; ENGINES.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = ENGINES[i].name;
+        i += 1;
+    }
+    names
+};
 
 /// Supervisor knobs of one `--engine=auto` run.
 #[derive(Debug, Clone)]
@@ -72,11 +82,10 @@ pub struct PortfolioOptions {
 impl Default for PortfolioOptions {
     fn default() -> Self {
         PortfolioOptions {
-            stages: vec![
-                vec!["po".into(), "gpo".into(), "pdr".into()],
-                vec!["bdd".into(), "unfold".into()],
-                vec!["full".into()],
-            ],
+            stages: ENGINES
+                .chunk_by(|a, b| a.stage == b.stage)
+                .map(|stage| stage.iter().map(|e| e.name.to_string()).collect())
+                .collect(),
             stage_delay: Duration::from_millis(250),
             watchdog: None,
             retry: true,
@@ -290,7 +299,7 @@ fn leg_body(
 
 /// Races the schedule's legs and resolves the first sound verdict.
 ///
-/// `spec.engine` must be `"auto"`; each leg runs with the leg's engine
+/// `spec.engine` must be [`AUTO`]; each leg runs with the leg's engine
 /// substituted and everything else (property, threads, witnesses, zdd)
 /// shared. `budget` carries the shared limits and deadline; each leg gets
 /// a derived budget with its own cancel flag, and a cancel raised on the
@@ -311,7 +320,7 @@ pub fn run_portfolio(
     resume: Option<&Snapshot>,
     opts: &PortfolioOptions,
 ) -> Result<PortfolioOutcome, String> {
-    debug_assert_eq!(spec.engine, "auto");
+    debug_assert_eq!(spec.engine, AUTO);
     let names = opts.leg_names();
     if names.is_empty() {
         return Err("portfolio schedule has no legs".into());
@@ -343,11 +352,7 @@ pub fn run_portfolio(
         resumed_engine.clone().or_else(|| {
             names
                 .iter()
-                .find(|n| {
-                    let mut s = spec.clone();
-                    s.engine = (*n).clone();
-                    s.supports_checkpoint()
-                })
+                .find(|n| engine::find(n).is_ok_and(|e| e.checkpoint))
                 .cloned()
         })
     };

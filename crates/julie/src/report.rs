@@ -59,7 +59,7 @@ impl ReductionSummary {
 /// the race.
 #[derive(Debug, Clone)]
 pub struct LegReport {
-    /// Leg engine name (`full`, `po`, `gpo`, `bdd`, `unfold`).
+    /// Leg engine name (`po`, `gpo`, `pdr`, `bdd`, `unfold`, `full`).
     pub engine: String,
     /// `won`, `lost`, `partial`, `panicked`, `error`, or `not-launched`.
     pub outcome: String,

@@ -7,7 +7,7 @@
 //! * `spec.job` — the admitted submission, journaled *before* the server
 //!   acknowledges it. A restarted server re-queues every job that has a
 //!   spec but no result.
-//! * `run.ckpt` — the engine's periodic snapshot (full/po/gpo only),
+//! * `run.ckpt` — the engine's periodic snapshot (checkpointing engines only),
 //!   stamped with a [`JobStamp`] so a snapshot is only resumed inside the
 //!   job it belongs to.
 //! * `result.job` — the terminal state plus the final report, written
@@ -20,6 +20,7 @@ use std::sync::Arc;
 use petri::checkpoint::{read_checkpoint, write_checkpoint};
 use petri::{parse_net, EngineKind, JobStamp, PetriNet, Snapshot};
 
+use crate::engine::{check_selector, DEFAULT_ENGINE};
 use crate::json::Json;
 
 /// Section tag for the serialized job spec inside `spec.job`.
@@ -38,8 +39,7 @@ pub struct JobSpec {
     pub net_name: String,
     /// Net fingerprint — results-cache key and snapshot validation.
     pub fingerprint: u64,
-    /// Engine selector (`full`, `po`, `gpo`, `pdr`, `bdd`, `unfold`,
-    /// `classes`).
+    /// Engine selector: a name from [`crate::engine::ENGINES`], or `auto`.
     pub engine: String,
     /// ZDD-backed families for the gpo engine.
     pub zdd: bool,
@@ -81,13 +81,8 @@ impl JobSpec {
                     .ok_or("field `engine` must be a string")
             })
             .transpose()?
-            .unwrap_or_else(|| "gpo".to_string());
-        if !matches!(
-            engine.as_str(),
-            "full" | "po" | "gpo" | "pdr" | "bdd" | "unfold" | "classes" | "auto"
-        ) {
-            return Err(format!("unknown engine `{engine}`"));
-        }
+            .unwrap_or_else(|| DEFAULT_ENGINE.to_string());
+        check_selector(&engine)?;
         let uint = |key: &str, default: usize| -> Result<usize, String> {
             match body.get(key) {
                 None => Ok(default),
@@ -118,12 +113,6 @@ impl JobSpec {
                 parsed
             }
         };
-        if engine == "classes" && !property.is_default() {
-            return Err(format!(
-                "engine `classes` supports only the default property `EF deadlock` \
-                 (got `{property}`)"
-            ));
-        }
         let spec = JobSpec {
             id,
             net_name: net.name().to_string(),

@@ -281,10 +281,9 @@ fn wait(id: &str, stream: &mut TcpStream, store: &Store) -> io::Result<()> {
     }
     let mut w = ChunkedWriter::start(stream, 200)?;
     loop {
-        let Some(doc) = store.status_json(id) else {
+        let Some((doc, terminal)) = store.status(id) else {
             return Ok(());
         };
-        let terminal = store.state_of(id).is_some_and(|s| s.is_terminal());
         if let Err(e) = w.send(&doc.render()) {
             let _ = store.cancel(id);
             return Err(e);

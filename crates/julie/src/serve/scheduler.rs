@@ -12,7 +12,7 @@ use petri::checkpoint::read_checkpoint_with_fallback;
 use petri::{CheckpointConfig, ExhaustionReason, JobStamp, Snapshot};
 
 use crate::engine::{run_engine, RunSpec};
-use crate::portfolio::{run_portfolio, PortfolioOptions};
+use crate::portfolio::{run_portfolio, PortfolioOptions, AUTO};
 
 use super::job::{self, JobResult, JobSpec, JobState};
 use super::store::Store;
@@ -120,7 +120,7 @@ fn run_job(
     // report is the winner's solo-shaped report, journaled exactly as a
     // solo run of that engine would have been — recovery after a crash or
     // a cache replay reproduces it byte-for-byte
-    let (ran, winner) = if spec.engine == "auto" {
+    let (ran, winner) = if spec.engine == AUTO {
         let opts = PortfolioOptions::default();
         match run_portfolio(&net, None, "", &run, &budget, &ckpt, resume.as_ref(), &opts) {
             Ok(outcome) => {

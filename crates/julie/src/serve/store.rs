@@ -449,10 +449,17 @@ impl Store {
 
     /// The wire status document for one job, if it exists.
     pub fn status_json(&self, id: &str) -> Option<Json> {
+        self.status(id).map(|(doc, _)| doc)
+    }
+
+    /// The wire status document for one job, if it exists, and whether
+    /// its `state` is terminal. Both come from one lock acquisition, so
+    /// the flag always describes the document it is returned with.
+    pub fn status(&self, id: &str) -> Option<(Json, bool)> {
         let inner = self.lock();
         let jb = inner.jobs.get(id)?;
         let checkpointed = job::ckpt_path(&job::job_dir(&self.data_dir, id)).exists();
-        Some(Json::Obj(vec![
+        let doc = Json::Obj(vec![
             ("id".into(), Json::str(id)),
             ("state".into(), Json::str(jb.state.as_str())),
             ("net".into(), Json::str(&jb.spec.net_name)),
@@ -473,7 +480,8 @@ impl Store {
                     None => Json::Null,
                 },
             ),
-        ]))
+        ]);
+        Some((doc, jb.state.is_terminal()))
     }
 
     /// The wire listing of all jobs.
@@ -496,5 +504,74 @@ impl Store {
                     .collect(),
             ),
         )])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A small job; its wall-clock budget keeps it out of the results
+    /// cache, so every submission queues.
+    fn spec(store: &Store) -> JobSpec {
+        let body =
+            Json::parse(r#"{"net": "net n\npl p *\npl q\ntr go : p -> q\n", "timeout_secs": 60}"#)
+                .unwrap();
+        JobSpec::from_submission(&body, store.assign_id(), 100)
+            .unwrap()
+            .0
+    }
+
+    fn assert_consistent(store: &Store, id: &str) {
+        let (doc, terminal) = store.status(id).expect("job exists");
+        let state = doc.get("state").and_then(Json::as_str).unwrap().to_string();
+        let want = matches!(state.as_str(), "done" | "failed" | "cancelled");
+        assert_eq!(
+            terminal, want,
+            "state `{state}` with terminal flag {terminal}"
+        );
+    }
+
+    /// The `/wait` loop stops on the terminal flag, so a flag read apart
+    /// from its document could end the stream on a `running` document.
+    #[test]
+    fn status_terminal_flag_matches_the_document_state() {
+        let dir = std::env::temp_dir().join(format!("julie-store-status-{}", std::process::id()));
+        let store = Arc::new(Store::new(dir.clone(), 64, 1));
+        for round in 0..50 {
+            let Admission::Accepted { id, .. } = store.submit(spec(&store)).unwrap() else {
+                panic!("admission refused");
+            };
+            assert_consistent(&store, &id);
+            // cancel every fifth job while it is still queued
+            if round % 5 == 0 {
+                store.cancel(&id).unwrap();
+                assert_consistent(&store, &id);
+                continue;
+            }
+            let (claimed, _, _) = store.next_job().unwrap();
+            assert_eq!(claimed, id);
+            // a worker finishes the job while this thread keeps polling
+            let finisher = {
+                let store = store.clone();
+                let id = id.clone();
+                std::thread::spawn(move || {
+                    let result = JobResult {
+                        state: JobState::Done,
+                        report_json: Some("{}".into()),
+                        error: None,
+                        winner: None,
+                    };
+                    store.finish(&id, result).unwrap();
+                })
+            };
+            while !finisher.is_finished() {
+                assert_consistent(&store, &id);
+            }
+            finisher.join().unwrap();
+            assert_consistent(&store, &id);
+            assert!(store.status(&id).unwrap().1, "finished jobs are terminal");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,7 +1,8 @@
 //! End-to-end tests of the `julie` binary: every command, every engine,
 //! and the error paths, exercised through the real executable.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::process::{Command, Output, Stdio};
 
 fn julie(args: &[&str]) -> Output {
@@ -355,17 +356,15 @@ fn unfold_dot_output() {
 }
 
 #[test]
-fn unfold_and_classes_engines_in_check() {
-    for engine in ["unfold", "classes"] {
-        let out = julie_stdin(&["check", "-", &format!("--engine={engine}")], STUCK);
-        assert_eq!(
-            out.status.code(),
-            Some(1),
-            "{engine}: deadlock exits 1: {}",
-            stderr(&out)
-        );
-        assert!(stdout(&out).contains("DEADLOCK possible"), "{engine}");
-    }
+fn unfold_engine_in_check() {
+    let out = julie_stdin(&["check", "-", "--engine=unfold"], STUCK);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "deadlock exits 1: {}",
+        stderr(&out)
+    );
+    assert!(stdout(&out).contains("DEADLOCK possible"));
 }
 
 fn temp_dir(label: &str) -> std::path::PathBuf {
@@ -918,7 +917,7 @@ fn sigint_writes_the_final_checkpoint_and_exits_2() {
 /// stdout, same exit code, for every engine, in prose and JSON alike.
 #[test]
 fn explicit_default_property_is_byte_identical_to_propertyless_runs() {
-    for engine in ["full", "po", "gpo", "bdd", "unfold", "classes"] {
+    for engine in ["full", "po", "gpo", "bdd", "unfold", "pdr"] {
         let eng = format!("--engine={engine}");
         for net in [STUCK, CYCLE] {
             let plain = julie_stdin(&["check", "-", &eng], net);
@@ -1045,18 +1044,50 @@ fn bad_properties_are_rejected_with_flag_precise_diagnostics() {
     assert!(err.contains("nowhere"), "names the offender: {err}");
 }
 
+/// `classes` left the engine table: `julie check` and serve admission,
+/// which both read the table, reject it like any unknown engine.
 #[test]
-fn classes_engine_supports_only_the_default_property() {
-    let out = julie_stdin(
-        &["check", "-", "--engine=classes", "--property=EF m(q) >= 1"],
-        STUCK,
-    );
+fn classes_engine_is_unknown_to_check_and_serve() {
+    let out = julie_stdin(&["check", "-", "--engine=classes"], STUCK);
     assert_eq!(out.status.code(), Some(3));
-    assert!(
-        stderr(&out).contains("supports only the default property"),
-        "{}",
-        stderr(&out)
+    assert!(stderr(&out).contains("unknown engine"), "{}", stderr(&out));
+
+    let dir = temp_dir("classes-serve");
+    let mut server = Command::new(env!("CARGO_BIN_EXE_julie"))
+        .arg("serve")
+        .arg(format!("--data-dir={}", dir.display()))
+        .arg("--addr=127.0.0.1:0")
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("server spawns");
+    let mut lines = BufReader::new(server.stdout.take().expect("stdout piped")).lines();
+    let port: u16 = loop {
+        let line = lines
+            .next()
+            .expect("server listens before exiting")
+            .unwrap();
+        if let Some(addr) = line.strip_prefix("listening on ") {
+            break addr.rsplit(':').next().unwrap().parse().unwrap();
+        }
+    };
+    let body = format!(
+        "{{\"net\":\"{}\",\"engine\":\"classes\"}}",
+        STUCK.replace('\n', "\\n")
     );
+    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connects");
+    write!(
+        stream,
+        "POST /jobs HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    server.kill().ok();
+    server.wait().ok();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+    assert!(response.contains("unknown engine"), "{response}");
 }
 
 /// Property/resume mismatches fail closed exactly like `--reduce` ones: a

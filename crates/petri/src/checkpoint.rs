@@ -568,10 +568,7 @@ impl ReductionStamp {
         w.u64(self.original_fingerprint);
         w.usize(self.places);
         w.usize(self.transitions);
-        w.usize(self.rules.len());
-        for b in self.rules.bytes() {
-            w.u8(b);
-        }
+        w.str(&self.rules);
         w.into_bytes()
     }
 
@@ -590,18 +587,7 @@ impl ReductionStamp {
         let original_fingerprint = r.u64()?;
         let places = r.usize()?;
         let transitions = r.usize()?;
-        let len = r.usize()?;
-        if len > 1024 {
-            return Err(r.malformed("implausible rule list length"));
-        }
-        let mut bytes = Vec::with_capacity(len);
-        for _ in 0..len {
-            bytes.push(r.u8()?);
-        }
-        let rules = String::from_utf8(bytes).map_err(|_| CheckpointError::Malformed {
-            section: REDUCTION_SECTION,
-            detail: "rule list is not UTF-8".into(),
-        })?;
+        let rules = r.str(1024, "rule list")?;
         r.finish()?;
         Ok(ReductionStamp {
             rules,
@@ -655,10 +641,7 @@ impl PropertyStamp {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u8(1); // stamp layout version
-        w.usize(self.property.len());
-        for b in self.property.bytes() {
-            w.u8(b);
-        }
+        w.str(&self.property);
         w.into_bytes()
     }
 
@@ -674,18 +657,7 @@ impl PropertyStamp {
         if version != 1 {
             return Err(r.malformed(format!("unknown property stamp version {version}")));
         }
-        let len = r.usize()?;
-        if len > 64 * 1024 {
-            return Err(r.malformed("implausible property length"));
-        }
-        let mut bytes = Vec::with_capacity(len);
-        for _ in 0..len {
-            bytes.push(r.u8()?);
-        }
-        let property = String::from_utf8(bytes).map_err(|_| CheckpointError::Malformed {
-            section: PROPERTY_SECTION,
-            detail: "property text is not UTF-8".into(),
-        })?;
+        let property = r.str(64 * 1024, "property text")?;
         r.finish()?;
         Ok(PropertyStamp { property })
     }
@@ -741,10 +713,7 @@ impl JobStamp {
         w.u64(self.max_states);
         w.u64(self.max_bytes);
         w.u64(self.timeout_secs);
-        w.usize(self.id.len());
-        for b in self.id.bytes() {
-            w.u8(b);
-        }
+        w.str(&self.id);
         w.into_bytes()
     }
 
@@ -763,18 +732,7 @@ impl JobStamp {
         let max_states = r.u64()?;
         let max_bytes = r.u64()?;
         let timeout_secs = r.u64()?;
-        let len = r.usize()?;
-        if len > 256 {
-            return Err(r.malformed("implausible job id length"));
-        }
-        let mut bytes = Vec::with_capacity(len);
-        for _ in 0..len {
-            bytes.push(r.u8()?);
-        }
-        let id = String::from_utf8(bytes).map_err(|_| CheckpointError::Malformed {
-            section: JOB_SECTION,
-            detail: "job id is not UTF-8".into(),
-        })?;
+        let id = r.str(256, "job id")?;
         r.finish()?;
         Ok(JobStamp {
             id,
@@ -832,10 +790,7 @@ impl EngineStamp {
         let mut w = ByteWriter::new();
         w.u8(1); // stamp layout version
         w.u8(u8::from(self.portfolio));
-        w.usize(self.engine.len());
-        for b in self.engine.bytes() {
-            w.u8(b);
-        }
+        w.str(&self.engine);
         w.into_bytes()
     }
 
@@ -856,18 +811,7 @@ impl EngineStamp {
             1 => true,
             other => return Err(r.malformed(format!("bad portfolio flag {other}"))),
         };
-        let len = r.usize()?;
-        if len > 64 {
-            return Err(r.malformed("implausible engine name length"));
-        }
-        let mut bytes = Vec::with_capacity(len);
-        for _ in 0..len {
-            bytes.push(r.u8()?);
-        }
-        let engine = String::from_utf8(bytes).map_err(|_| CheckpointError::Malformed {
-            section: ENGINE_SECTION,
-            detail: "engine name is not UTF-8".into(),
-        })?;
+        let engine = r.str(64, "engine name")?;
         r.finish()?;
         Ok(EngineStamp { engine, portfolio })
     }
@@ -1022,6 +966,13 @@ impl ByteWriter {
         self.u64(v as u64);
     }
 
+    /// Appends a string as its byte length (a usize) followed by its
+    /// UTF-8 bytes.
+    pub fn str(&mut self, s: &str) {
+        self.usize(s.len());
+        self.buf.extend_from_slice(s.as_bytes());
+    }
+
     /// Appends a bit set as its block words (the capacity is implied by
     /// the context reading it back).
     pub fn bits(&mut self, bits: &BitSet) {
@@ -1128,6 +1079,23 @@ impl<'a> ByteReader<'a> {
     /// the value does not fit a usize.
     pub fn usize(&mut self) -> Result<usize, CheckpointError> {
         usize::try_from(self.u64()?).map_err(|_| self.malformed("count does not fit usize"))
+    }
+
+    /// Reads a string written by [`ByteWriter::str`]; `field` names it in
+    /// the error.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CheckpointError::Malformed`] on truncation, a length above
+    /// `max`, or bytes that are not UTF-8.
+    pub fn str(&mut self, max: usize, field: &str) -> Result<String, CheckpointError> {
+        let len = self.usize()?;
+        if len > max {
+            return Err(self.malformed(format!("implausible {field} length")));
+        }
+        let bytes = self.take(len)?;
+        String::from_utf8(bytes.to_vec())
+            .map_err(|_| self.malformed(format!("{field} is not UTF-8")))
     }
 
     /// Reads a bit set over the universe `0..capacity`.
@@ -1501,6 +1469,57 @@ mod tests {
         .encode();
         good.push(0); // trailing byte
         assert!(EngineStamp::decode(&good).is_err());
+    }
+
+    /// Pins every stamp's payload bytes. The round-trip tests cannot catch
+    /// a layout drift that changes `encode` and `decode` together, yet
+    /// such a drift would strand every snapshot already on disk.
+    #[test]
+    fn stamp_payloads_keep_their_bytes() {
+        let reduction = ReductionStamp {
+            rules: "sp,rp".into(),
+            original_fingerprint: 0x0102_0304_0506_0708,
+            places: 3,
+            transitions: 2,
+        };
+        let want: &[&[u8]] = &[
+            &[1],
+            &[8, 7, 6, 5, 4, 3, 2, 1],
+            &[3, 0, 0, 0, 0, 0, 0, 0],
+            &[2, 0, 0, 0, 0, 0, 0, 0],
+            &[5, 0, 0, 0, 0, 0, 0, 0],
+            b"sp,rp",
+        ];
+        assert_eq!(reduction.encode(), want.concat());
+
+        let property = PropertyStamp {
+            property: "EF deadlock".into(),
+        };
+        let want: &[&[u8]] = &[&[1], &[11, 0, 0, 0, 0, 0, 0, 0], b"EF deadlock"];
+        assert_eq!(property.encode(), want.concat());
+
+        let job = JobStamp {
+            id: "j000007".into(),
+            max_states: 500,
+            max_bytes: u64::MAX,
+            timeout_secs: 30,
+        };
+        let want: &[&[u8]] = &[
+            &[1],
+            &[244, 1, 0, 0, 0, 0, 0, 0],
+            &[255; 8],
+            &[30, 0, 0, 0, 0, 0, 0, 0],
+            &[7, 0, 0, 0, 0, 0, 0, 0],
+            b"j000007",
+        ];
+        assert_eq!(job.encode(), want.concat());
+
+        let engine = EngineStamp {
+            engine: "pdr".into(),
+            portfolio: true,
+        };
+        let want: &[&[u8]] = &[&[1], &[1], &[3, 0, 0, 0, 0, 0, 0, 0], b"pdr"];
+        assert_eq!(engine.encode(), want.concat());
     }
 
     #[test]

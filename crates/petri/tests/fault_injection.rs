@@ -22,6 +22,23 @@ fn chain(n: usize) -> PetriNet {
     b.build().unwrap()
 }
 
+/// A fan of `strands` independent chains of `len` places behind one
+/// choice: the initial marking enables every strand's first transition,
+/// so expanding it fills the owner's deque with `strands` items at once.
+fn fan(strands: usize, len: usize) -> PetriNet {
+    let mut b = NetBuilder::new("fan");
+    let root = b.place_marked("root");
+    for s in 0..strands {
+        let mut prev = root;
+        for i in 0..len {
+            let next = b.place(format!("s{s}_{i}"));
+            b.transition(format!("t{s}_{i}"), [prev], [next]);
+            prev = next;
+        }
+    }
+    b.build().unwrap()
+}
+
 fn net_successors(
     net: &PetriNet,
 ) -> impl Fn(&Marking, &mut Vec<(petri::TransitionId, Marking)>) -> Result<(), NetError> + Sync + '_
@@ -125,8 +142,11 @@ fn fault_injection_composes_with_budgets() {
 fn panic_mid_steal_surfaces_within_bounded_time() {
     // the thief dies after draining its victim and before re-homing the
     // batch — the items are lost with it, so quiescence can only end via
-    // the recorded error, never via the pending counter reaching zero
-    let net = chain(64);
+    // the recorded error, never via the pending counter reaching zero. The
+    // fan keeps many items in the owner's deque while the other workers
+    // are idle; a chain's frontier holds one item, so a steal would hinge
+    // on scheduling luck
+    let net = fan(16, 8);
     let start = Instant::now();
     let result = explore_frontier(
         net.initial_marking().clone(),
