@@ -5,6 +5,7 @@
 //! by the encoding.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use petri::{Budget, Property};
 use symbolic::{SymbolicOptions, SymbolicReachability, VariableOrder};
 
 fn bench_orders(c: &mut Criterion) {
@@ -21,12 +22,10 @@ fn bench_orders(c: &mut Criterion) {
             ("interleaved", VariableOrder::Interleaved),
             ("cur_then_next", VariableOrder::CurrentThenNext),
         ] {
-            let opts = SymbolicOptions {
-                order,
-                ..Default::default()
-            };
+            let opts = SymbolicOptions { order };
             group.bench_with_input(BenchmarkId::new(name, label), &net, |b, net| {
-                b.iter(|| SymbolicReachability::explore_with(net, &opts))
+                let deadlock = Property::deadlock().compile(net).expect("always compiles");
+                b.iter(|| SymbolicReachability::explore(net, &opts, &Budget::default(), &deadlock))
             });
         }
     }

@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use partial_order::{ReducedOptions, ReducedReachability, SeedStrategy};
+use petri::{Budget, CheckpointConfig};
 
 fn bench_po_strategies(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/po");
@@ -21,13 +22,22 @@ fn bench_po_strategies(c: &mut Criterion) {
         ] {
             let opts = ReducedOptions {
                 strategy,
-                max_states: usize::MAX,
                 // serial: the ablation isolates the strategy, not scaling
                 threads: 1,
                 visible: None,
             };
             group.bench_with_input(BenchmarkId::new(name, label), &net, |b, net| {
-                b.iter(|| ReducedReachability::explore_with(net, &opts).expect("safe net"))
+                b.iter(|| {
+                    ReducedReachability::explore(
+                        net,
+                        &opts,
+                        &Budget::default(),
+                        &CheckpointConfig::default(),
+                        None,
+                    )
+                    .expect("safe net")
+                    .into_value()
+                })
             });
         }
     }

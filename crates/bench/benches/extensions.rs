@@ -10,6 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpo_bench::{run_full, run_gpo, run_po, RowBudgets};
+use petri::Budget;
 use timed::{ClassGraph, TimedNet};
 use unfolding::Unfolding;
 
@@ -41,7 +42,7 @@ fn bench_unfolding(c: &mut Criterion) {
         ("nsdp_2", models::nsdp(2)),
     ] {
         group.bench_with_input(BenchmarkId::new("prefix", label), &net, |b, net| {
-            b.iter(|| Unfolding::build(net).expect("within budget"))
+            b.iter(|| Unfolding::build(net, &Budget::default()).into_value())
         });
     }
     group.finish();
@@ -56,7 +57,7 @@ fn bench_timed(c: &mut Criterion) {
     ] {
         let timed = TimedNet::new(net);
         group.bench_with_input(BenchmarkId::new("classes", label), &timed, |b, timed| {
-            b.iter(|| ClassGraph::explore(timed).expect("within budget"))
+            b.iter(|| ClassGraph::explore(timed, &Default::default()).expect("within budget"))
         });
     }
     group.finish();

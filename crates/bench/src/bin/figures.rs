@@ -15,7 +15,7 @@ use gpo_core::{
     SetFamily,
 };
 use partial_order::ReducedReachability;
-use petri::{PetriNet, ReachabilityGraph, TransitionId};
+use petri::{Budget, CheckpointConfig, PetriNet, ReachabilityGraph, TransitionId};
 
 fn family_to_string(net: &PetriNet, f: &ExplicitFamily) -> String {
     let sets: Vec<String> = f
@@ -52,9 +52,12 @@ fn show_state(net: &PetriNet, s: &GpnState<ExplicitFamily>) {
 }
 
 fn fig1() {
+    let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
     println!("Figure 1 — interleaving explosion");
     let net = models::figures::fig1();
-    let rg = ReachabilityGraph::explore(&net).expect("fig1 is safe");
+    let rg = ReachabilityGraph::explore(&net, &Default::default(), &budget, &ckpt, None)
+        .expect("fig1 is safe")
+        .into_value();
     println!(
         "  full reachability graph: {} states, {} maximal interleavings (paper: 8 states, 3! = 6)",
         rg.state_count(),
@@ -64,6 +67,7 @@ fn fig1() {
 }
 
 fn fig2() {
+    let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
     println!("Figure 2 — conflict-place explosion: PO vs GPO");
     println!(
         "  {:>3} | {:>10} | {:>12} | {:>4}",
@@ -72,17 +76,22 @@ fn fig2() {
     for n in 1..=12usize {
         let net = models::figures::fig2(n);
         let full = if n <= 10 {
-            ReachabilityGraph::explore(&net)
+            ReachabilityGraph::explore(&net, &Default::default(), &budget, &ckpt, None)
                 .expect("fig2 is safe")
+                .into_value()
                 .state_count()
                 .to_string()
         } else {
             "-".to_string()
         };
-        let po = ReducedReachability::explore(&net)
+        let po = ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)
             .expect("fig2 is safe")
+            .into_value()
             .state_count();
-        let gpo = analyze(&net).expect("within limits").state_count;
+        let gpo = analyze(&net, &Default::default(), &budget, &ckpt, None)
+            .expect("within limits")
+            .into_value()
+            .state_count;
         println!("  {n:>3} | {full:>10} | {po:>12} | {gpo:>4}");
     }
     println!("  (paper §3.1: \"from 2^(N+1) - 1 to only 2 computed states!\")");

@@ -13,9 +13,12 @@
 
 use std::time::{Duration, Instant};
 
-use gpo_core::{analyze_with, GpoOptions, Representation};
+use gpo_core::{analyze, GpoOptions, Representation};
 use partial_order::{ReducedOptions, ReducedReachability};
-use petri::{reduce, ExploreOptions, NetBuilder, PetriNet, ReachabilityGraph, ReduceOptions};
+use petri::{
+    reduce, Budget, CheckpointConfig, ExploreOptions, NetBuilder, PetriNet, ReachabilityGraph,
+    ReduceOptions,
+};
 
 /// One seed state, `depth` chain links, `width` dead ends per link: the
 /// schedule the work-stealing deques were built for (thieves nibble the
@@ -42,6 +45,7 @@ fn median_of_3(mut f: impl FnMut() -> Duration) -> Duration {
 }
 
 fn main() {
+    let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
     let threads = std::env::args()
         .find_map(|a| a.strip_prefix("--threads=").map(str::to_owned))
         .map(|v| v.parse().expect("--threads=N"))
@@ -59,11 +63,12 @@ fn main() {
         let opts = ExploreOptions {
             threads,
             record_edges: false,
-            ..Default::default()
         };
         let mut states = 0usize;
         let full = median_of_3(|| {
-            let rg = ReachabilityGraph::explore_with(net, &opts).expect("safe");
+            let rg = ReachabilityGraph::explore(net, &opts, &budget, &ckpt, None)
+                .expect("safe")
+                .into_value();
             states = rg.state_count();
             rg.elapsed()
         });
@@ -73,7 +78,9 @@ fn main() {
         };
         let mut red_states = 0usize;
         let red = median_of_3(|| {
-            let red = ReducedReachability::explore_with(net, &red_opts).expect("safe");
+            let red = ReducedReachability::explore(net, &red_opts, &budget, &ckpt, None)
+                .expect("safe")
+                .into_value();
             red_states = red.state_count();
             red.elapsed()
         });
@@ -98,7 +105,9 @@ fn main() {
             threads,
             ..Default::default()
         };
-        let report = analyze_with(&net, &opts).expect("within budgets");
+        let report = analyze(&net, &opts, &budget, &ckpt, None)
+            .expect("within budgets")
+            .into_value();
         println!(
             "| {label} | {} | {} | {} | {:.1} ms |",
             report.enabling_computed,
@@ -122,7 +131,9 @@ fn main() {
             representation: Representation::Zdd,
             ..Default::default()
         };
-        let report = analyze_with(&net, &opts).expect("within budgets");
+        let report = analyze(&net, &opts, &budget, &ckpt, None)
+            .expect("within budgets")
+            .into_value();
         println!(
             "| {label} | {} | {} | {} | {} | {:.1} ms |",
             report.state_count,
@@ -150,11 +161,12 @@ fn main() {
         let opts = ExploreOptions {
             threads,
             record_edges: false,
-            ..Default::default()
         };
         let mut states = 0usize;
         let full = median_of_3(|| {
-            let rg = ReachabilityGraph::explore_with(&net, &opts).expect("safe");
+            let rg = ReachabilityGraph::explore(&net, &opts, &budget, &ckpt, None)
+                .expect("safe")
+                .into_value();
             states = rg.state_count();
             rg.elapsed()
         });
@@ -165,7 +177,9 @@ fn main() {
         let red_total = median_of_3(|| {
             let start = Instant::now();
             let r = reduce(&net, &ReduceOptions::default()).expect("safe");
-            let rg = ReachabilityGraph::explore_with(&r.net, &opts).expect("safe");
+            let rg = ReachabilityGraph::explore(&r.net, &opts, &budget, &ckpt, None)
+                .expect("safe")
+                .into_value();
             red_states = rg.state_count();
             start.elapsed()
         });
@@ -227,15 +241,18 @@ fn main() {
         let mut timed = |threads: usize| {
             median_of_3(|| {
                 let start = Instant::now();
-                let rg = ReachabilityGraph::explore_with(
+                let rg = ReachabilityGraph::explore(
                     &net,
                     &ExploreOptions {
                         threads,
                         record_edges: false,
-                        ..Default::default()
                     },
+                    &budget,
+                    &ckpt,
+                    None,
                 )
-                .expect("safe");
+                .expect("safe")
+                .into_value();
                 states = rg.state_count();
                 start.elapsed()
             })

@@ -19,10 +19,12 @@
 
 use std::time::{Duration, Instant};
 
-use gpo_core::{analyze_with, GpoOptions, Representation};
+use gpo_core::{analyze, GpoOptions, Representation};
 use partial_order::{ReducedOptions, ReducedReachability, SeedStrategy};
-use petri::{ExploreOptions, PetriNet, ReachabilityGraph};
-use symbolic::{SymbolicOptions, SymbolicReachability};
+use petri::{
+    Budget, CheckpointConfig, ExploreOptions, Outcome, PetriNet, Property, ReachabilityGraph,
+};
+use symbolic::{SymbolicOptions, SymbolicReachability, BDD_NODE_BYTES};
 
 /// Outcome of one engine on one net: states (or a bound), auxiliary size,
 /// wall-clock time and the deadlock verdict.
@@ -61,7 +63,8 @@ impl EngineResult {
 pub struct RowBudgets {
     /// State cap for the explicit engines.
     pub max_states: usize,
-    /// Node cap for the BDD engine.
+    /// Node cap for the BDD engine, charged against the byte budget at
+    /// [`BDD_NODE_BYTES`] per allocated node.
     pub max_bdd_nodes: usize,
     /// Enumerated valid-set cap for GPO.
     pub valid_set_limit: usize,
@@ -137,19 +140,19 @@ pub fn run_row(label: impl Into<String>, net: &PetriNet, budgets: &RowBudgets) -
 pub fn run_full(net: &PetriNet, max_states: usize) -> EngineResult {
     let t0 = Instant::now();
     let opts = ExploreOptions {
-        max_states,
         record_edges: false,
         ..Default::default()
     };
-    match ReachabilityGraph::explore_with(net, &opts) {
-        Ok(rg) => EngineResult {
+    let budget = Budget::default().cap_states(max_states);
+    match ReachabilityGraph::explore(net, &opts, &budget, &CheckpointConfig::default(), None) {
+        Ok(Outcome::Complete(rg)) => EngineResult {
             states: rg.state_count() as f64,
             aux: 0.0,
             time: t0.elapsed(),
             deadlock: Some(rg.has_deadlock()),
             truncated: false,
         },
-        Err(_) => EngineResult::over_budget(max_states as f64),
+        _ => EngineResult::over_budget(max_states as f64),
     }
 }
 
@@ -158,41 +161,42 @@ pub fn run_po(net: &PetriNet, max_states: usize) -> EngineResult {
     let t0 = Instant::now();
     let opts = ReducedOptions {
         strategy: SeedStrategy::BestOfEnabled,
-        max_states,
         ..Default::default()
     };
-    match ReducedReachability::explore_with(net, &opts) {
-        Ok(rg) => EngineResult {
+    let budget = Budget::default().cap_states(max_states);
+    match ReducedReachability::explore(net, &opts, &budget, &CheckpointConfig::default(), None) {
+        Ok(Outcome::Complete(rg)) => EngineResult {
             states: rg.state_count() as f64,
             aux: 0.0,
             time: t0.elapsed(),
             deadlock: Some(rg.has_deadlock()),
             truncated: false,
         },
-        Err(_) => EngineResult::over_budget(max_states as f64),
+        _ => EngineResult::over_budget(max_states as f64),
     }
 }
 
 /// BDD reachability (the SMV stand-in); `aux` carries the peak node count.
-pub fn run_bdd(net: &PetriNet, max_nodes: usize) -> EngineResult {
+pub fn run_bdd(net: &PetriNet, max_bdd_nodes: usize) -> EngineResult {
     let t0 = Instant::now();
-    let sym = SymbolicReachability::explore_with(
-        net,
-        &SymbolicOptions {
-            max_nodes,
-            ..Default::default()
-        },
-    );
+    let budget = Budget::default().cap_bytes(max_bdd_nodes.saturating_mul(BDD_NODE_BYTES));
+    let deadlock = Property::deadlock()
+        .compile(net)
+        .expect("deadlock compiles on every net");
+    let outcome =
+        SymbolicReachability::explore(net, &SymbolicOptions::default(), &budget, &deadlock);
+    let truncated = !outcome.is_complete();
+    let sym = outcome.into_value();
     EngineResult {
         states: sym.state_count(),
         aux: sym.peak_live_nodes() as f64,
         time: t0.elapsed(),
-        deadlock: if sym.truncated() {
+        deadlock: if truncated {
             None
         } else {
             Some(sym.has_deadlock())
         },
-        truncated: sym.truncated(),
+        truncated,
     }
 }
 
@@ -201,21 +205,21 @@ pub fn run_gpo(net: &PetriNet, budgets: &RowBudgets) -> EngineResult {
     let t0 = Instant::now();
     let opts = GpoOptions {
         valid_set_limit: budgets.valid_set_limit,
-        max_states: budgets.max_states,
         representation: budgets.representation,
         max_witnesses: 1,
         threads: budgets.threads,
         coverage_query: Vec::new(),
     };
-    match analyze_with(net, &opts) {
-        Ok(report) => EngineResult {
+    let budget = Budget::default().cap_states(budgets.max_states);
+    match analyze(net, &opts, &budget, &CheckpointConfig::default(), None) {
+        Ok(Outcome::Complete(report)) => EngineResult {
             states: report.state_count as f64,
             aux: report.valid_set_count as f64,
             time: t0.elapsed(),
             deadlock: Some(report.deadlock_possible),
             truncated: false,
         },
-        Err(_) => EngineResult::over_budget(budgets.max_states as f64),
+        _ => EngineResult::over_budget(budgets.max_states as f64),
     }
 }
 

@@ -23,11 +23,11 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use petri::checkpoint::{write_checkpoint, ByteReader, ByteWriter, CheckpointError, EngineKind};
+use petri::checkpoint::{explore_segmented, ByteReader, ByteWriter, CheckpointError, EngineKind};
 use petri::parallel::{explore_frontier_seeded, FrontierOptions, FrontierSeed};
 use petri::{
-    Budget, CheckpointConfig, ConflictInfo, CoverageStats, ExhaustionReason, Marking, Outcome,
-    PetriNet, PlaceId, Snapshot, TransitionId,
+    Budget, CheckpointConfig, ConflictInfo, CoverageStats, Marking, Outcome, PetriNet, PlaceId,
+    Snapshot, TransitionId,
 };
 
 use crate::error::GpoError;
@@ -69,13 +69,11 @@ fn engine_kind(repr: Representation) -> EngineKind {
     }
 }
 
-/// Options for [`analyze_with`].
+/// Options for [`analyze`].
 #[derive(Debug, Clone)]
 pub struct GpoOptions {
     /// Bound on the number of enumerated maximal conflict-free sets.
     pub valid_set_limit: usize,
-    /// Bound on explored GPN states.
-    pub max_states: usize,
     /// Family representation.
     pub representation: Representation,
     /// How many deadlock witness markings to materialize (0 disables).
@@ -99,7 +97,6 @@ impl Default for GpoOptions {
     fn default() -> Self {
         GpoOptions {
             valid_set_limit: 1 << 22,
-            max_states: usize::MAX,
             representation: Representation::default(),
             max_witnesses: 1,
             threads: 1,
@@ -114,10 +111,19 @@ impl Default for GpoOptions {
 ///
 /// ```
 /// use gpo_core::analyze;
+/// use petri::{Budget, CheckpointConfig};
 ///
 /// // the paper's Figure 2 with N = 10: classical PO reduction needs
 /// // 2^11 - 1 = 2047 states; the generalized analysis needs 2
-/// let report = analyze(&models::figures::fig2(10))?;
+/// let net = models::figures::fig2(10);
+/// let report = analyze(
+///     &net,
+///     &Default::default(),
+///     &Budget::default(),
+///     &CheckpointConfig::default(),
+///     None,
+/// )?
+/// .into_value();
 /// assert_eq!(report.state_count, 2);
 /// assert!(report.deadlock_possible);
 /// # Ok::<(), gpo_core::GpoError>(())
@@ -182,58 +188,15 @@ impl GpoReport {
     }
 }
 
-/// Runs the generalized analysis with default options (explicit families).
+/// Runs the generalized analysis under a cooperative resource [`Budget`],
+/// optionally resuming a prior partial analysis and/or writing crash-safe
+/// snapshots (see [`explore_segmented`] for the segmenting protocol).
 ///
-/// # Errors
-///
-/// Returns [`GpoError::ValidSetsTooLarge`] if `r₀` exceeds the default
-/// enumeration limit, or [`GpoError::StateLimit`] on state explosion.
-pub fn analyze(net: &PetriNet) -> Result<GpoReport, GpoError> {
-    analyze_with(net, &GpoOptions::default())
-}
-
-/// Runs the generalized analysis with explicit options.
-///
-/// This is the legacy all-or-nothing entry point; a hit state limit
-/// discards the partial report. Prefer [`analyze_bounded`] for graceful
-/// degradation under resource budgets.
-///
-/// # Errors
-///
-/// Returns [`GpoError::ValidSetsTooLarge`] or [`GpoError::StateLimit`]
-/// per the configured bounds.
-pub fn analyze_with(net: &PetriNet, opts: &GpoOptions) -> Result<GpoReport, GpoError> {
-    match analyze_bounded(net, opts, &Budget::default())? {
-        Outcome::Complete(report) => Ok(report),
-        Outcome::Partial { .. } => Err(GpoError::StateLimit(opts.max_states)),
-    }
-}
-
-/// Runs the generalized analysis under a cooperative resource [`Budget`].
-///
-/// The effective state cap is the tighter of `opts.max_states` and
-/// `budget.max_states`; byte accounting uses each GPN state's
-/// representation footprint. On exhaustion the report built so far is
-/// returned as [`Outcome::Partial`]: deadlock possibilities and coverage
-/// hits found in a partial run are genuine (their witnesses come from
-/// valid histories of explored states), but their absence proves nothing.
-///
-/// # Errors
-///
-/// Returns [`GpoError::ValidSetsTooLarge`] if `r₀` exceeds the
-/// enumeration limit.
-pub fn analyze_bounded(
-    net: &PetriNet,
-    opts: &GpoOptions,
-    budget: &Budget,
-) -> Result<Outcome<GpoReport>, GpoError> {
-    analyze_checkpointed(net, opts, budget, &CheckpointConfig::default(), None)
-}
-
-/// Like [`analyze_bounded`], but optionally resuming a prior partial
-/// analysis and/or writing crash-safe snapshots (see [`petri::checkpoint`]
-/// and [`ReachabilityGraph::explore_checkpointed`] for the segmenting
-/// protocol, which is identical here).
+/// Byte accounting uses each GPN state's representation footprint. On
+/// exhaustion the report built so far is returned as
+/// [`Outcome::Partial`]: deadlock possibilities and coverage hits found in
+/// a partial run are genuine (their witnesses come from valid histories of
+/// explored states), but their absence proves nothing.
 ///
 /// The snapshot engine tag records the family representation; resuming an
 /// explicit snapshot under `Representation::Zdd` (or vice versa) fails
@@ -241,30 +204,27 @@ pub fn analyze_bounded(
 /// count, and witness markings as the uninterrupted run for every thread
 /// count, under both representations.
 ///
-/// [`ReachabilityGraph::explore_checkpointed`]: petri::ReachabilityGraph::explore_checkpointed
-///
 /// # Errors
 ///
-/// Everything [`analyze_bounded`] returns, plus
-/// [`GpoError::Checkpoint`] for unusable snapshots.
-pub fn analyze_checkpointed(
+/// Returns [`GpoError::ValidSetsTooLarge`] if `r₀` exceeds the
+/// enumeration limit, or [`GpoError::Checkpoint`] for unusable snapshots.
+pub fn analyze(
     net: &PetriNet,
     opts: &GpoOptions,
     budget: &Budget,
     ckpt: &CheckpointConfig,
     resume: Option<&Snapshot>,
 ) -> Result<Outcome<GpoReport>, GpoError> {
-    let budget = budget.clone().cap_states(opts.max_states);
     match opts.representation {
-        Representation::Explicit => run::<ExplicitFamily>(net, opts, &budget, ckpt, resume),
-        Representation::Zdd => run::<ZddFamily>(net, opts, &budget, ckpt, resume),
+        Representation::Explicit => run::<ExplicitFamily>(net, opts, budget, ckpt, resume),
+        Representation::Zdd => run::<ZddFamily>(net, opts, budget, ckpt, resume),
     }
 }
 
 fn run<F: SetFamily>(
     net: &PetriNet,
     opts: &GpoOptions,
-    real_budget: &Budget,
+    budget: &Budget,
     ckpt: &CheckpointConfig,
     resume: Option<&Snapshot>,
 ) -> Result<Outcome<GpoReport>, GpoError> {
@@ -276,73 +236,46 @@ fn run<F: SetFamily>(
     let engine = engine_kind(opts.representation);
 
     let counters = Counters::default();
-    let (mut prior, base_elapsed) = match resume {
+    let (prior, base_elapsed) = match resume {
         Some(snap) => {
-            let (explored, elapsed) = from_snapshot::<F>(net, &ctx, engine, snap, &s0, &counters)
-                .map_err(|e| GpoError::Checkpoint(e.to_string()))?;
+            let (explored, elapsed) = from_snapshot::<F>(net, &ctx, engine, snap, &s0, &counters)?;
             (Some(explored), elapsed)
         }
         None => (None, Duration::ZERO),
     };
 
-    // segmented exploration: with a periodic checkpoint configured, each
-    // segment caps stored states at `stored + every`, snapshots the
-    // quiesced exploration on the synthetic exhaustion, and continues
-    // in-process; a real exhaustion also snapshots, then surfaces
-    let explored = loop {
-        let mut segment = real_budget.clone();
-        if let (Some(every), Some(_)) = (ckpt.every, &ckpt.path) {
-            let stored = prior.as_ref().map_or(1, |p: &Explored<F>| p.states.len());
-            segment.max_states = segment.max_states.min(stored.saturating_add(every.max(1)));
-        }
-        let mut explored = if opts.threads > 1 {
-            explore_parallel(
-                net,
-                &conflicts,
-                s0.clone(),
-                opts,
-                &segment,
-                &counters,
-                prior.take(),
-            )?
-        } else {
-            explore_serial(
-                net,
-                &conflicts,
-                &ctx,
-                s0.clone(),
-                &segment,
-                &counters,
-                prior.take(),
-            )
-        };
-        match explored.exhausted.take() {
-            None => break explored,
-            Some((_, coverage)) => {
-                if let Some(path) = &ckpt.path {
-                    let mut snap = to_snapshot(
-                        net,
-                        &ctx,
-                        engine,
-                        &explored,
-                        &counters,
-                        base_elapsed + start.elapsed(),
-                    );
-                    ckpt.annotate(&mut snap);
-                    write_checkpoint(path, &snap).map_err(|e| {
-                        GpoError::Checkpoint(format!("writing {}: {e}", path.display()))
-                    })?;
-                }
-                match real_budget.exceeded(coverage.states_stored, coverage.bytes_estimate) {
-                    None => prior = Some(explored),
-                    Some(real_reason) => {
-                        explored.exhausted = Some((real_reason, coverage));
-                        break explored;
-                    }
-                }
+    let outcome = explore_segmented(
+        budget,
+        ckpt,
+        prior,
+        |p: &Explored<F>| p.states.len(),
+        |segment, prior| {
+            if opts.threads > 1 {
+                explore_parallel(net, &conflicts, s0.clone(), opts, segment, &counters, prior)
+            } else {
+                Ok(explore_serial(
+                    net,
+                    &conflicts,
+                    &ctx,
+                    s0.clone(),
+                    segment,
+                    &counters,
+                    prior,
+                ))
             }
-        }
-    };
+        },
+        |explored| {
+            to_snapshot(
+                net,
+                &ctx,
+                engine,
+                explored,
+                &counters,
+                base_elapsed + start.elapsed(),
+            )
+        },
+    )?;
+    let explored = outcome.value();
 
     let stats = F::context_stats(&ctx);
     let mut report = GpoReport {
@@ -364,7 +297,7 @@ fn run<F: SetFamily>(
         op_cache_evictions: stats.op_cache_evictions,
     };
 
-    extract_witnesses(net, &explored, opts.max_witnesses, &mut report);
+    extract_witnesses(net, explored, opts.max_witnesses, &mut report);
     if !opts.coverage_query.is_empty() {
         // every stored state is genuinely reachable, so any hit is sound;
         // taking the minimum covering marking makes the answer independent
@@ -377,15 +310,19 @@ fn run<F: SetFamily>(
     }
 
     report.elapsed = base_elapsed + start.elapsed();
-    Ok(match explored.exhausted {
-        None => Outcome::Complete(report),
-        Some((reason, mut coverage)) => {
+    Ok(match outcome {
+        Outcome::Complete(_) => Outcome::Complete(report),
+        Outcome::Partial {
+            reason,
+            mut coverage,
+            ..
+        } => {
             coverage.elapsed = report.elapsed;
             Outcome::Partial {
                 result: report,
                 // re-classify at the stop: a cancel raised while the
                 // reason was latched must win deterministically
-                reason: real_budget.stop_reason(reason),
+                reason: budget.stop_reason(reason),
                 coverage,
             }
         }
@@ -429,8 +366,6 @@ struct Explored<F: SetFamily> {
     /// Per-state "successors computed" flag; `false` entries are the
     /// frontier a checkpointed run resumes from.
     expanded: Vec<bool>,
-    /// Budget exhaustion, if the run is partial.
-    exhausted: Option<(ExhaustionReason, CoverageStats)>,
 }
 
 /// The historical breadth-first serial loop (exact same exploration order
@@ -444,7 +379,7 @@ fn explore_serial<F: SetFamily>(
     budget: &Budget,
     counters: &Counters,
     prior: Option<Explored<F>>,
-) -> Explored<F> {
+) -> Outcome<Explored<F>> {
     let start = Instant::now();
     let (mut states, mut pred, mut blocked, mut expanded) = match prior {
         Some(p) => (p.states, p.pred, p.blocked, p.expanded),
@@ -508,24 +443,26 @@ fn explore_serial<F: SetFamily>(
         expanded_count += 1;
     }
 
-    let exhausted = exhausted.map(|reason| {
-        (
-            reason,
-            CoverageStats {
-                states_stored: states.len(),
-                states_expanded: expanded_count,
-                frontier_len: states.len().saturating_sub(expanded_count),
-                bytes_estimate: bytes,
-                elapsed: start.elapsed(),
-            },
-        )
-    });
-    Explored {
+    let coverage = CoverageStats {
+        states_stored: states.len(),
+        states_expanded: expanded_count,
+        frontier_len: states.len().saturating_sub(expanded_count),
+        bytes_estimate: bytes,
+        elapsed: start.elapsed(),
+    };
+    let explored = Explored {
         states,
         pred,
         blocked,
         expanded,
-        exhausted,
+    };
+    match exhausted {
+        None => Outcome::Complete(explored),
+        Some(reason) => Outcome::Partial {
+            result: explored,
+            reason,
+            coverage,
+        },
     }
 }
 
@@ -541,7 +478,7 @@ fn explore_parallel<F: SetFamily>(
     budget: &Budget,
     counters: &Counters,
     prior: Option<Explored<F>>,
-) -> Result<Explored<F>, GpoError> {
+) -> Result<Outcome<Explored<F>>, GpoError> {
     // the spread fills the cfg-gated fault-injection field in test builds
     #[allow(clippy::needless_update)]
     let fopts = FrontierOptions {
@@ -584,32 +521,26 @@ fn explore_parallel<F: SetFamily>(
         },
     )
     .map_err(GpoError::Engine)?;
-    let (result, exhausted) = match outcome {
-        Outcome::Complete(r) => (r, None),
-        Outcome::Partial {
-            result,
-            reason,
-            coverage,
-        } => (result, Some((reason, coverage))),
-    };
-    let mut pred = extend_reach_tree(prior_pred, &result.succ);
-    // a budget-aborted expansion rolls its recorded edges back, so states
-    // it discovered are invisible to the BFS above; their provenance comes
-    // from the engine's origin sidecar instead (a no-op on complete runs)
-    for (i, p) in pred.iter_mut().enumerate() {
-        if p.is_none() && i > 0 {
-            if let Some(Some((parent, firing))) = result.origin.get(i) {
-                *p = Some((*parent as usize, firing.clone()));
+    Ok(outcome.map(|result| {
+        let mut pred = extend_reach_tree(prior_pred, &result.succ);
+        // a budget-aborted expansion rolls its recorded edges back, so
+        // states it discovered are invisible to the BFS above; their
+        // provenance comes from the engine's origin sidecar instead (a
+        // no-op on complete runs)
+        for (i, p) in pred.iter_mut().enumerate() {
+            if p.is_none() && i > 0 {
+                if let Some(Some((parent, firing))) = result.origin.get(i) {
+                    *p = Some((*parent as usize, firing.clone()));
+                }
             }
         }
-    }
-    Ok(Explored {
-        pred,
-        blocked: result.deadlocks.iter().map(|&d| d as usize).collect(),
-        expanded: result.expanded,
-        states: result.states,
-        exhausted,
-    })
+        Explored {
+            pred,
+            blocked: result.deadlocks.iter().map(|&d| d as usize).collect(),
+            expanded: result.expanded,
+            states: result.states,
+        }
+    }))
 }
 
 /// Extends a (possibly restored) reach tree over freshly recorded edge
@@ -884,7 +815,6 @@ fn from_snapshot<F: SetFamily>(
             pred,
             blocked,
             expanded,
-            exhausted: None,
         },
         elapsed,
     ))
@@ -1152,12 +1082,13 @@ fn preserves_enabledness<F: SetFamily>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{analyze_all, analyze_all_with};
 
     #[test]
     fn fig2_needs_exactly_two_states() {
         // the headline claim of §3.1: 2^(N+1) - 1 → 2
         for n in 1..=8 {
-            let report = analyze(&models::figures::fig2(n)).unwrap();
+            let report = analyze_all(&models::figures::fig2(n)).unwrap();
             assert_eq!(report.state_count, 2, "n={n}");
             assert!(report.deadlock_possible, "terminal markings are dead");
             assert_eq!(report.multiple_firings, 1);
@@ -1169,7 +1100,7 @@ mod tests {
     fn nsdp_needs_exactly_three_states() {
         // Table 1: 3 states independent of the number of philosophers
         for n in [2usize, 3, 4, 5] {
-            let report = analyze(&models::nsdp(n)).unwrap();
+            let report = analyze_all(&models::nsdp(n)).unwrap();
             assert_eq!(report.state_count, 3, "NSDP({n})");
             assert!(report.deadlock_possible);
         }
@@ -1178,18 +1109,28 @@ mod tests {
     #[test]
     fn nsdp_witness_is_a_real_reachable_deadlock() {
         let net = models::nsdp(3);
-        let report = analyze(&net).unwrap();
+        let report = analyze_all(&net).unwrap();
         let witness = &report.deadlock_witnesses[0];
         assert!(net.is_dead(witness));
-        let rg = petri::ReachabilityGraph::explore(&net).unwrap();
-        assert!(rg.contains(witness), "witness reachable classically");
+        let rg = petri::ReachabilityGraph::explore(
+            &net,
+            &Default::default(),
+            &Budget::default(),
+            &CheckpointConfig::default(),
+            None,
+        )
+        .unwrap();
+        assert!(
+            rg.value().contains(witness),
+            "witness reachable classically"
+        );
     }
 
     #[test]
     fn rw_needs_exactly_two_states() {
         // Table 1: RW collapses to 2 GPN states, no deadlock
         for n in [2usize, 4, 6] {
-            let report = analyze(&models::readers_writers(n)).unwrap();
+            let report = analyze_all(&models::readers_writers(n)).unwrap();
             assert_eq!(report.state_count, 2, "RW({n})");
             assert!(!report.deadlock_possible);
         }
@@ -1202,7 +1143,7 @@ mod tests {
         let q = b.place("q");
         b.transition("go", [p], [q]);
         b.transition("back", [q], [p]);
-        let report = analyze(&b.build().unwrap()).unwrap();
+        let report = analyze_all(&b.build().unwrap()).unwrap();
         assert!(!report.deadlock_possible);
         assert!(report.state_count <= 2);
     }
@@ -1215,7 +1156,7 @@ mod tests {
             models::nsdp(3),
             models::readers_writers(4),
         ] {
-            let e = analyze_with(
+            let e = analyze_all_with(
                 &net,
                 &GpoOptions {
                     representation: Representation::Explicit,
@@ -1223,7 +1164,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let z = analyze_with(
+            let z = analyze_all_with(
                 &net,
                 &GpoOptions {
                     representation: Representation::Zdd,
@@ -1238,25 +1179,14 @@ mod tests {
     }
 
     #[test]
-    fn state_limit_enforced() {
-        let err = analyze_with(
-            &models::nsdp(3),
-            &GpoOptions {
-                max_states: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, GpoError::StateLimit(1));
-    }
-
-    #[test]
     fn bounded_analysis_returns_partial_report() {
         use petri::ExhaustionReason;
-        let outcome = analyze_bounded(
+        let outcome = analyze(
             &models::nsdp(3),
             &GpoOptions::default(),
             &Budget::default().cap_states(1),
+            &CheckpointConfig::default(),
+            None,
         )
         .unwrap();
         let Outcome::Partial {
@@ -1274,17 +1204,50 @@ mod tests {
     }
 
     #[test]
+    fn state_limit_enforced() {
+        use petri::ExhaustionReason;
+        // NSDP(3) needs exactly three GPO states: the cap is inclusive
+        for repr in [Representation::Explicit, Representation::Zdd] {
+            let opts = GpoOptions {
+                representation: repr,
+                ..Default::default()
+            };
+            let run = |cap| {
+                analyze(
+                    &models::nsdp(3),
+                    &opts,
+                    &Budget::default().cap_states(cap),
+                    &CheckpointConfig::default(),
+                    None,
+                )
+                .unwrap()
+            };
+            assert_eq!(run(2).reason(), Some(ExhaustionReason::States), "{repr:?}");
+            let at_cap = run(3);
+            assert_eq!(at_cap.reason(), None, "{repr:?}");
+            assert_eq!(at_cap.into_value().state_count, 3, "{repr:?}");
+        }
+    }
+
+    #[test]
     fn cancelled_analysis_reports_cancellation() {
         use petri::ExhaustionReason;
         let budget = Budget::default();
         budget.cancel();
-        let outcome = analyze_bounded(&models::nsdp(3), &GpoOptions::default(), &budget).unwrap();
+        let outcome = analyze(
+            &models::nsdp(3),
+            &GpoOptions::default(),
+            &budget,
+            &CheckpointConfig::default(),
+            None,
+        )
+        .unwrap();
         assert_eq!(outcome.reason(), Some(ExhaustionReason::Cancelled));
     }
 
     #[test]
     fn valid_set_limit_enforced() {
-        let err = analyze_with(
+        let err = analyze_all_with(
             &models::figures::fig2(8),
             &GpoOptions {
                 valid_set_limit: 10,
@@ -1301,7 +1264,7 @@ mod tests {
         // update rules consume the families expand() already computed, so
         // every analysis that fires anything must report avoided work
         for net in [models::figures::fig2(6), models::nsdp(4)] {
-            let report = analyze(&net).unwrap();
+            let report = analyze_all(&net).unwrap();
             assert!(
                 report.enabling_reused > 0,
                 "{}: no enabling evaluations were reused",
@@ -1313,7 +1276,7 @@ mod tests {
 
     #[test]
     fn throughput_counter_populated() {
-        let report = analyze(&models::nsdp(3)).unwrap();
+        let report = analyze_all(&models::nsdp(3)).unwrap();
         assert!(report.states_per_sec() > 0.0);
     }
 
@@ -1334,9 +1297,9 @@ mod tests {
                     max_witnesses: 2,
                     ..Default::default()
                 };
-                let serial = analyze_with(&net, &base).unwrap();
+                let serial = analyze_all_with(&net, &base).unwrap();
                 for threads in [2usize, 8] {
-                    let par = analyze_with(
+                    let par = analyze_all_with(
                         &net,
                         &GpoOptions {
                             threads,
@@ -1362,7 +1325,7 @@ mod tests {
     #[test]
     fn parallel_traces_replay_to_their_witnesses() {
         let net = models::nsdp(3);
-        let report = analyze_with(
+        let report = analyze_all_with(
             &net,
             &GpoOptions {
                 threads: 4,
@@ -1390,7 +1353,7 @@ mod tests {
 
     #[test]
     fn zdd_counters_populated_only_for_zdd_runs() {
-        let z = analyze_with(
+        let z = analyze_all_with(
             &models::nsdp(3),
             &GpoOptions {
                 representation: Representation::Zdd,
@@ -1400,7 +1363,7 @@ mod tests {
         .unwrap();
         assert!(z.zdd_nodes_allocated > 0);
         assert!(z.unique_hits > 0, "hash-consing never hit");
-        let e = analyze(&models::nsdp(3)).unwrap();
+        let e = analyze_all(&models::nsdp(3)).unwrap();
         assert_eq!(e.zdd_nodes_allocated, 0);
         assert_eq!(e.unique_hits, 0);
         assert_eq!(e.op_cache_hits, 0);
@@ -1430,11 +1393,17 @@ mod tests {
                         max_witnesses: 2,
                         ..Default::default()
                     };
-                    let reference = analyze_bounded(net, &opts, &Budget::default())
-                        .unwrap()
-                        .into_value();
+                    let reference = analyze(
+                        net,
+                        &opts,
+                        &Budget::default(),
+                        &CheckpointConfig::default(),
+                        None,
+                    )
+                    .unwrap()
+                    .into_value();
                     let path = dir.join(format!("{i}-{repr:?}-{threads}.ckpt"));
-                    let partial = analyze_checkpointed(
+                    let partial = analyze(
                         net,
                         &opts,
                         &Budget::default().cap_states(*cap),
@@ -1444,7 +1413,7 @@ mod tests {
                     .unwrap();
                     assert!(!partial.is_complete(), "{tag}");
                     let snap = petri::checkpoint::read_checkpoint(&path).unwrap();
-                    let resumed = analyze_checkpointed(
+                    let resumed = analyze(
                         net,
                         &opts,
                         &Budget::default(),
@@ -1482,7 +1451,7 @@ mod tests {
         let net = models::nsdp(4);
         let path = dir.join("periodic.ckpt");
         let opts = GpoOptions::default();
-        let outcome = analyze_checkpointed(
+        let outcome = analyze(
             &net,
             &opts,
             &Budget::default(),
@@ -1497,7 +1466,7 @@ mod tests {
         let reference = outcome.into_value();
         // the last periodic snapshot resumes to the identical verdict
         let snap = petri::checkpoint::read_checkpoint(&path).unwrap();
-        let resumed = analyze_checkpointed(
+        let resumed = analyze(
             &net,
             &opts,
             &Budget::default(),
@@ -1517,7 +1486,7 @@ mod tests {
         let dir = ckpt_dir("mismatch");
         let net = models::nsdp(3);
         let path = dir.join("explicit.ckpt");
-        analyze_checkpointed(
+        analyze(
             &net,
             &GpoOptions::default(),
             &Budget::default().cap_states(1),
@@ -1528,7 +1497,7 @@ mod tests {
         let snap = petri::checkpoint::read_checkpoint(&path).unwrap();
         // wrong representation: the engine kind embedded in the snapshot
         // does not match the requested backend
-        let err = analyze_checkpointed(
+        let err = analyze(
             &net,
             &GpoOptions {
                 representation: Representation::Zdd,
@@ -1541,7 +1510,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, GpoError::Checkpoint(_)), "{err}");
         // wrong net: the fingerprint check refuses to resume
-        let err = analyze_checkpointed(
+        let err = analyze(
             &models::figures::fig2(4),
             &GpoOptions::default(),
             &Budget::default(),
@@ -1555,7 +1524,7 @@ mod tests {
 
     #[test]
     fn witness_budget_respected() {
-        let report = analyze_with(
+        let report = analyze_all_with(
             &models::figures::fig2(3),
             &GpoOptions {
                 max_witnesses: 3,

@@ -11,8 +11,6 @@ pub enum GpoError {
     /// explicitly enumerated sets. Raise the limit or switch to the ZDD
     /// representation.
     ValidSetsTooLarge(usize),
-    /// Exploration exceeded the configured state limit.
-    StateLimit(usize),
     /// The parallel frontier engine failed (a worker panicked or the
     /// dense state-id space overflowed).
     Engine(petri::NetError),
@@ -27,12 +25,6 @@ impl fmt::Display for GpoError {
                 f,
                 "valid-set relation exceeds the limit of {limit} enumerated sets"
             ),
-            GpoError::StateLimit(n) => {
-                write!(
-                    f,
-                    "state limit of {n} GPN states exceeded during exploration"
-                )
-            }
             GpoError::Engine(e) => write!(f, "parallel exploration failed: {e}"),
             GpoError::Checkpoint(detail) => write!(f, "checkpoint error: {detail}"),
         }
@@ -48,6 +40,12 @@ impl Error for GpoError {
     }
 }
 
+impl From<petri::CheckpointError> for GpoError {
+    fn from(e: petri::CheckpointError) -> Self {
+        GpoError::Checkpoint(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,10 +55,6 @@ mod tests {
         assert_eq!(
             GpoError::ValidSetsTooLarge(10).to_string(),
             "valid-set relation exceeds the limit of 10 enumerated sets"
-        );
-        assert_eq!(
-            GpoError::StateLimit(5).to_string(),
-            "state limit of 5 GPN states exceeded during exploration"
         );
         assert_eq!(
             GpoError::Checkpoint("bad magic".into()).to_string(),

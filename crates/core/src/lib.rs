@@ -29,13 +29,15 @@
 //! ```
 //! use gpo_core::analyze;
 //! use partial_order::ReducedReachability;
+//! use petri::{Budget, CheckpointConfig};
 //!
 //! // Figure 2 of the paper with N = 8 concurrently marked conflict places
 //! let net = models::figures::fig2(8);
-//! let po = ReducedReachability::explore(&net)?;
-//! let gpo = analyze(&net)?;
-//! assert_eq!(po.state_count(), (1 << 9) - 1); // 511: reduction is powerless
-//! assert_eq!(gpo.state_count, 2);             // the generalized analysis
+//! let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
+//! let po = ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?;
+//! let gpo = analyze(&net, &Default::default(), &budget, &ckpt, None)?;
+//! assert_eq!(po.value().state_count(), (1 << 9) - 1); // 511: reduction is powerless
+//! assert_eq!(gpo.value().state_count, 2);             // the generalized analysis
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -48,10 +50,7 @@ mod family;
 mod semantics;
 mod state;
 
-pub use analysis::{
-    analyze, analyze_bounded, analyze_checkpointed, analyze_with, GpoOptions, GpoReport,
-    Representation,
-};
+pub use analysis::{analyze, GpoOptions, GpoReport, Representation};
 pub use error::GpoError;
 pub use family::{ExplicitFamily, FamilyStats, SetFamily, ZddFamily};
 pub use semantics::{
@@ -59,3 +58,22 @@ pub use semantics::{
     multiple_update_with, s_enabled, s_enabled_all, single_update, single_update_with,
 };
 pub use state::GpnState;
+
+/// Test shorthand: the complete generalized analysis of `net`.
+#[cfg(test)]
+fn analyze_all(net: &petri::PetriNet) -> Result<GpoReport, GpoError> {
+    analyze_all_with(net, &GpoOptions::default())
+}
+
+/// Test shorthand: the complete generalized analysis of `net` under `opts`.
+#[cfg(test)]
+fn analyze_all_with(net: &petri::PetriNet, opts: &GpoOptions) -> Result<GpoReport, GpoError> {
+    analyze(
+        net,
+        opts,
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}

@@ -5,9 +5,9 @@
 //! drive the deterministic random-net generator in `models::random`, so
 //! every failure is replayable.
 
-use gpo_core::{analyze_with, GpoOptions, Representation};
+use gpo_core::{GpoOptions, Representation};
 use models::random::{random_safe_net, RandomNetConfig};
-use petri::ReachabilityGraph;
+use petri::{Budget, CheckpointConfig, Outcome};
 use proptest::prelude::*;
 
 fn config() -> RandomNetConfig {
@@ -39,8 +39,8 @@ proptest! {
     #[test]
     fn gpo_deadlock_verdict_matches_exhaustive(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &config()) else { return Ok(()); };
-        let full = ReachabilityGraph::explore(&net).expect("validated safe");
-        let gpo = analyze_with(&net, &GpoOptions {
+        let full = explore_full(&net).expect("validated safe");
+        let gpo = analyze_all_with(&net, &GpoOptions {
             valid_set_limit: 1 << 16,
             ..Default::default()
         });
@@ -58,14 +58,14 @@ proptest! {
     #[test]
     fn gpo_witnesses_are_reachable_deadlocks(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &small_config()) else { return Ok(()); };
-        let gpo = analyze_with(&net, &GpoOptions {
+        let gpo = analyze_all_with(&net, &GpoOptions {
             valid_set_limit: 1 << 16,
             max_witnesses: 4,
             ..Default::default()
         });
         let Ok(gpo) = gpo else { return Ok(()); };
         if gpo.deadlock_witnesses.is_empty() { return Ok(()); }
-        let full = ReachabilityGraph::explore(&net).expect("validated safe");
+        let full = explore_full(&net).expect("validated safe");
         for w in &gpo.deadlock_witnesses {
             prop_assert!(net.is_dead(w), "witness not dead: {w}\n{}", petri::to_text(&net));
             prop_assert!(full.contains(w), "witness unreachable: {w}\n{}", petri::to_text(&net));
@@ -77,7 +77,7 @@ proptest! {
     #[test]
     fn zdd_and_explicit_representations_agree(seed in 0u64..50_000) {
         let Some(net) = random_safe_net(seed, &small_config()) else { return Ok(()); };
-        let mk = |repr| analyze_with(&net, &GpoOptions {
+        let mk = |repr| analyze_all_with(&net, &GpoOptions {
             valid_set_limit: 1 << 16,
             representation: repr,
             ..Default::default()
@@ -100,12 +100,14 @@ proptest! {
     #[test]
     fn gpo_terminates_within_generous_bound(seed in 0u64..50_000) {
         let Some(net) = random_safe_net(seed, &config()) else { return Ok(()); };
-        let full = ReachabilityGraph::explore(&net).expect("validated safe");
-        let Ok(gpo) = analyze_with(&net, &GpoOptions {
-            valid_set_limit: 1 << 16,
-            max_states: full.state_count() * 50 + 100,
-            ..Default::default()
-        }) else { return Ok(()); };
+        let full = explore_full(&net).expect("validated safe");
+        let Ok(Outcome::Complete(gpo)) = gpo_core::analyze(
+            &net,
+            &GpoOptions { valid_set_limit: 1 << 16, ..Default::default() },
+            &Budget::default().cap_states(full.state_count() * 50 + 100),
+            &CheckpointConfig::default(),
+            None,
+        ) else { return Ok(()); };
         prop_assert!(gpo.state_count > 0);
     }
 }
@@ -121,8 +123,8 @@ fn gpo_reduces_on_paper_workloads() {
         (models::readers_writers(5), 2),
     ];
     for (net, expected) in cases {
-        let full = ReachabilityGraph::explore(&net).unwrap();
-        let gpo = analyze_with(&net, &GpoOptions::default()).unwrap();
+        let full = explore_full(&net).unwrap();
+        let gpo = analyze_all_with(&net, &GpoOptions::default()).unwrap();
         assert_eq!(gpo.state_count, expected, "{}", net.name());
         assert!(gpo.state_count < full.state_count(), "{}", net.name());
     }
@@ -145,7 +147,7 @@ fn mapping_consistency_on_models() {
         models::figures::fig7(),
         models::readers_writers(3),
     ] {
-        let full = ReachabilityGraph::explore(&net).unwrap();
+        let full = explore_full(&net).unwrap();
         ExplicitFamily::new_context(net.transition_count());
         let s0 = GpnState::<ExplicitFamily>::initial(&net, &(), 1 << 12).unwrap();
 
@@ -182,4 +184,31 @@ fn mapping_consistency_on_models() {
         }
         assert!(checked > 1, "{}: walked at least two states", net.name());
     }
+}
+
+/// The complete reachability graph of `net`.
+fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}
+
+/// The complete generalized analysis of `net` under `opts`.
+fn analyze_all_with(
+    net: &petri::PetriNet,
+    opts: &gpo_core::GpoOptions,
+) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
+    gpo_core::analyze(
+        net,
+        opts,
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
 }

@@ -6,8 +6,8 @@
 //! graph); completeness is not claimed — a miss is cross-checked here only
 //! on nets where the reduction provably visits the covering scenario.
 
-use gpo_core::{analyze_with, GpoOptions};
-use petri::{PetriNet, PlaceId, ReachabilityGraph};
+use gpo_core::GpoOptions;
+use petri::{PetriNet, PlaceId};
 use proptest::prelude::*;
 
 fn places(net: &PetriNet, names: &[&str]) -> Vec<PlaceId> {
@@ -18,7 +18,7 @@ fn places(net: &PetriNet, names: &[&str]) -> Vec<PlaceId> {
 }
 
 fn query(net: &PetriNet, q: Vec<PlaceId>) -> Option<petri::Marking> {
-    analyze_with(
+    analyze_all_with(
         net,
         &GpoOptions {
             valid_set_limit: 1 << 20,
@@ -36,7 +36,7 @@ fn rw_two_writers_never_coexist() {
     let hit = query(&net, places(&net, &["writing0", "writing1"]));
     assert!(hit.is_none(), "mutual exclusion of writers");
     // ground truth: genuinely unreachable
-    let rg = ReachabilityGraph::explore(&net).unwrap();
+    let rg = explore_full(&net).unwrap();
     let w: Vec<PlaceId> = places(&net, &["writing0", "writing1"]);
     assert!(rg
         .states()
@@ -48,7 +48,7 @@ fn rw_concurrent_readers_found() {
     let net = models::readers_writers(4);
     let hit =
         query(&net, places(&net, &["reading0", "reading1", "reading2"])).expect("readers share");
-    let rg = ReachabilityGraph::explore(&net).unwrap();
+    let rg = explore_full(&net).unwrap();
     assert!(rg.contains(&hit), "hit is classically reachable");
     for p in places(&net, &["reading0", "reading1", "reading2"]) {
         assert!(hit.is_marked(p));
@@ -60,7 +60,7 @@ fn nsdp_circular_wait_found_as_coverage() {
     let net = models::nsdp(3);
     let q = places(&net, &["hasL0", "hasL1", "hasL2"]);
     let hit = query(&net, q.clone()).expect("the circular wait is reachable");
-    let rg = ReachabilityGraph::explore(&net).unwrap();
+    let rg = explore_full(&net).unwrap();
     assert!(rg.contains(&hit));
     assert!(
         net.is_dead(&hit),
@@ -80,7 +80,7 @@ fn asat_mutual_exclusion_holds_via_query() {
 
 #[test]
 fn empty_query_is_disabled() {
-    let report = analyze_with(&models::nsdp(2), &GpoOptions::default()).unwrap();
+    let report = analyze_all_with(&models::nsdp(2), &GpoOptions::default()).unwrap();
     assert!(report.coverage_hit.is_none());
 }
 
@@ -111,7 +111,7 @@ proptest! {
             .iter()
             .map(|&i| PlaceId::new(i % net.place_count()))
             .collect();
-        let Ok(report) = analyze_with(&net, &GpoOptions {
+        let Ok(report) = analyze_all_with(&net, &GpoOptions {
             valid_set_limit: 1 << 14,
             coverage_query: q.clone(),
             ..Default::default()
@@ -120,8 +120,35 @@ proptest! {
             for &p in &q {
                 prop_assert!(hit.is_marked(p), "hit covers the query");
             }
-            let rg = ReachabilityGraph::explore(&net).expect("validated safe");
+            let rg = explore_full(&net).expect("validated safe");
             prop_assert!(rg.contains(&hit), "hit reachable\n{}", petri::to_text(&net));
         }
     }
+}
+
+/// The complete reachability graph of `net`.
+fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}
+
+/// The complete generalized analysis of `net` under `opts`.
+fn analyze_all_with(
+    net: &petri::PetriNet,
+    opts: &gpo_core::GpoOptions,
+) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
+    gpo_core::analyze(
+        net,
+        opts,
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
 }

@@ -3,12 +3,12 @@
 //! onto the blocked history. Every trace must replay from the initial
 //! marking to the exact witness — verified here on models and random nets.
 
-use gpo_core::{analyze_with, GpoOptions};
+use gpo_core::GpoOptions;
 use models::random::{random_safe_net, RandomNetConfig};
 use proptest::prelude::*;
 
 fn replay_check(net: &petri::PetriNet, opts: &GpoOptions) {
-    let report = analyze_with(net, opts).expect("within limits");
+    let report = analyze_all_with(net, opts).expect("within limits");
     assert_eq!(
         report.deadlock_traces.len(),
         report.deadlock_witnesses.len(),
@@ -51,7 +51,7 @@ fn nsdp_traces_replay() {
 #[test]
 fn nsdp_trace_is_the_circular_wait() {
     let net = models::nsdp(3);
-    let report = analyze_with(
+    let report = analyze_all_with(
         &net,
         &GpoOptions {
             valid_set_limit: 1 << 22,
@@ -109,7 +109,7 @@ proptest! {
             max_states: 4_000,
         };
         let Some(net) = random_safe_net(seed, &cfg) else { return Ok(()); };
-        let Ok(report) = analyze_with(&net, &GpoOptions {
+        let Ok(report) = analyze_all_with(&net, &GpoOptions {
             valid_set_limit: 1 << 16,
             max_witnesses: 3,
             ..Default::default()
@@ -123,4 +123,19 @@ proptest! {
             prop_assert!(net.is_dead(&reached));
         }
     }
+}
+
+/// The complete generalized analysis of `net` under `opts`.
+fn analyze_all_with(
+    net: &petri::PetriNet,
+    opts: &gpo_core::GpoOptions,
+) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
+    gpo_core::analyze(
+        net,
+        opts,
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
 }

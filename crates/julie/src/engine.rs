@@ -8,14 +8,14 @@
 //! admission, the checkpoint checks and the `--engine=auto` schedule all
 //! read it, so adding an engine is adding one row.
 
-use gpo_core::{analyze_checkpointed, GpoOptions, Representation};
+use gpo_core::{analyze, GpoOptions, Representation};
 use partial_order::{ReducedOptions, ReducedReachability, SeedStrategy};
 use petri::{
     Budget, CheckpointConfig, CompiledProperty, ExploreOptions, Marking, Outcome, PetriNet,
     Property, ReachabilityGraph, Reduction, Snapshot, TransitionId, Verdict,
 };
 use symbolic::{SymbolicOptions, SymbolicReachability};
-use unfolding::{UnfoldOptions, Unfolding};
+use unfolding::Unfolding;
 
 use crate::portfolio::{AUTO, RACEABLE};
 use crate::report::{CheckReport, ReductionSummary, Witness};
@@ -275,13 +275,11 @@ pub fn run_engine(
 
 fn run_full(run: &Run) -> Result<CheckReport, String> {
     let opts = ExploreOptions {
-        max_states: usize::MAX,
         record_edges: true,
         threads: run.spec.threads,
     };
-    let outcome =
-        ReachabilityGraph::explore_checkpointed(run.net, &opts, run.budget, run.ckpt, run.resume)
-            .map_err(|e| e.to_string())?;
+    let outcome = ReachabilityGraph::explore(run.net, &opts, run.budget, run.ckpt, run.resume)
+        .map_err(|e| e.to_string())?;
     let (mut report, rg) = run.open("exhaustive reachability", outcome);
     report.states = rg.state_count();
     report.states_line = format!("states: {}", rg.state_count());
@@ -314,13 +312,11 @@ fn run_po(run: &Run) -> Result<CheckReport, String> {
     }
     let opts = ReducedOptions {
         strategy: SeedStrategy::BestOfEnabled,
-        max_states: usize::MAX,
         threads: run.spec.threads,
         visible: None,
     };
-    let outcome =
-        ReducedReachability::explore_checkpointed(run.net, &opts, run.budget, run.ckpt, run.resume)
-            .map_err(|e| e.to_string())?;
+    let outcome = ReducedReachability::explore(run.net, &opts, run.budget, run.ckpt, run.resume)
+        .map_err(|e| e.to_string())?;
     let (mut report, red) = run.open(PO_DESC, outcome);
     report.states = red.state_count();
     report.states_line = format!("states: {}", red.state_count());
@@ -342,7 +338,6 @@ fn run_gpo(run: &Run) -> Result<CheckReport, String> {
     }
     let opts = GpoOptions {
         valid_set_limit: 1 << 24,
-        max_states: usize::MAX,
         representation: if run.spec.zdd {
             Representation::Zdd
         } else {
@@ -352,8 +347,8 @@ fn run_gpo(run: &Run) -> Result<CheckReport, String> {
         threads: run.spec.threads,
         coverage_query: Vec::new(),
     };
-    let outcome = analyze_checkpointed(run.net, &opts, run.budget, run.ckpt, run.resume)
-        .map_err(|e| e.to_string())?;
+    let outcome =
+        analyze(run.net, &opts, run.budget, run.ckpt, run.resume).map_err(|e| e.to_string())?;
     let (mut report, gpo) = run.open("generalized partial order analysis", outcome);
     report.states = gpo.state_count;
     report.states_line = format!("GPN states: {}", gpo.state_count);
@@ -385,12 +380,12 @@ fn run_gpo(run: &Run) -> Result<CheckReport, String> {
 }
 
 fn run_bdd(run: &Run) -> Result<CheckReport, String> {
-    let sym_opts = SymbolicOptions::default();
-    let outcome = if run.spec.property.is_default() {
-        SymbolicReachability::explore_bounded(run.net, &sym_opts, run.budget)
-    } else {
-        SymbolicReachability::explore_goal_bounded(run.net, &sym_opts, run.budget, &run.compiled)
-    };
+    let outcome = SymbolicReachability::explore(
+        run.net,
+        &SymbolicOptions::default(),
+        run.budget,
+        &run.compiled,
+    );
     let (mut report, sym) = run.open("symbolic (BDD) reachability", outcome);
     // the symbolic engine counts states as f64 (BDD model count)
     report.states = sym.state_count() as usize;
@@ -409,10 +404,7 @@ fn run_bdd(run: &Run) -> Result<CheckReport, String> {
 }
 
 fn run_unfold(run: &Run) -> Result<CheckReport, String> {
-    let opts = UnfoldOptions {
-        max_events: usize::MAX,
-    };
-    let outcome = Unfolding::build_bounded(run.net, &opts, run.budget);
+    let outcome = Unfolding::build(run.net, run.budget);
     let (mut report, unf) = run.open("McMillan finite complete prefix", outcome);
     let prefix = unf.prefix();
     report.states = prefix.event_count();
@@ -427,13 +419,29 @@ fn run_unfold(run: &Run) -> Result<CheckReport, String> {
         ("conditions", prefix.condition_count() as u64),
         ("cutoffs", prefix.cutoff_count() as u64),
     ]);
-    if run.spec.property.is_default() {
-        settle(&mut report, unf.has_deadlock(run.net));
+    // the cut walk behind the verdict obeys the deadline and cancel too:
+    // a stopped walk leaves the run inconclusive unless it already found
+    // a goal marking, which is a sound violation either way
+    let walk = if run.spec.property.is_default() {
+        unf.has_deadlock(run.net, run.budget)
+            .map(|dead| (dead, None))
     } else {
-        let goal = unf.goal_marking(run.net, &run.compiled);
-        settle(&mut report, goal.is_some());
-        report.witnesses = run.witnesses(&goal)?;
+        unf.goal_marking(run.net, &run.compiled, run.budget)
+            .map(|goal| (goal.is_some(), goal))
+    };
+    if let (
+        None,
+        Outcome::Partial {
+            reason, coverage, ..
+        },
+    ) = (report.exhausted, &walk)
+    {
+        report.exhausted = Some(*reason);
+        report.coverage = Some(coverage.clone());
     }
+    let (found, goal) = walk.into_value();
+    settle(&mut report, found);
+    report.witnesses = run.witnesses(&goal)?;
     Ok(report)
 }
 
@@ -507,13 +515,11 @@ fn run_visible_po(run: &Run, engine_desc: &'static str) -> Result<CheckReport, S
     let visible_count = visible.len();
     let opts = ReducedOptions {
         strategy: SeedStrategy::BestOfEnabled,
-        max_states: usize::MAX,
         threads: run.spec.threads,
         visible: Some(visible),
     };
-    let outcome =
-        ReducedReachability::explore_checkpointed(run.net, &opts, run.budget, run.ckpt, run.resume)
-            .map_err(|e| e.to_string())?;
+    let outcome = ReducedReachability::explore(run.net, &opts, run.budget, run.ckpt, run.resume)
+        .map_err(|e| e.to_string())?;
     let (mut report, red) = run.open(engine_desc, outcome);
     report.states = red.state_count();
     report.states_line = format!("states: {}", red.state_count());

@@ -47,10 +47,10 @@ use petri::checkpoint::read_checkpoint_with_fallback;
 use petri::pnml::looks_like_pnml;
 use petri::{
     net_to_dot, parse_net, parse_pnml, place_invariants, reachability_to_dot, to_text, Budget,
-    CheckpointConfig, ConflictInfo, Observed, PetriNet, Property, PropertyStamp, ReachabilityGraph,
-    ReduceOptions, Reduction, ReductionStamp, Snapshot, Verdict,
+    CheckpointConfig, ConflictInfo, ExploreOptions, Observed, Outcome, PetriNet, Property,
+    PropertyStamp, ReachabilityGraph, ReduceOptions, Reduction, ReductionStamp, Snapshot, Verdict,
 };
-use unfolding::{UnfoldOptions, Unfolding};
+use unfolding::Unfolding;
 
 use julie::engine::{self, RunSpec, DEFAULT_ENGINE, ENGINES};
 use julie::portfolio::{self, PortfolioOptions, AUTO};
@@ -655,8 +655,17 @@ fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
     Ok(report.verdict.exit_code())
 }
 
+/// The event cap of `julie unfold`, which always builds a complete prefix.
+const UNFOLD_EVENTS: usize = 1_000_000;
+
 fn unfold(net: &PetriNet, args: &[String]) -> Result<(), String> {
-    let unf = Unfolding::build_with(net, &UnfoldOptions::default()).map_err(|e| e.to_string())?;
+    let Outcome::Complete(unf) =
+        Unfolding::build(net, &Budget::default().cap_states(UNFOLD_EVENTS))
+    else {
+        return Err(format!(
+            "prefix exceeded the budget of {UNFOLD_EVENTS} events"
+        ));
+    };
     if flag(args, "dot") {
         print!("{}", unf.prefix().to_dot(net));
     } else {
@@ -667,7 +676,8 @@ fn unfold(net: &PetriNet, args: &[String]) -> Result<(), String> {
             unf.prefix().condition_count(),
             unf.prefix().cutoff_count()
         );
-        report_verdict(Verdict::from_observation(unf.has_deadlock(net), true, 0));
+        let deadlock = unf.has_deadlock(net, &Budget::default()).into_value();
+        report_verdict(Verdict::from_observation(deadlock, true, 0));
     }
     Ok(())
 }
@@ -678,8 +688,15 @@ fn report_verdict(verdict: Verdict) {
 
 fn dot(net: &PetriNet, args: &[String]) -> Result<(), String> {
     if flag(args, "rg") {
-        let rg = ReachabilityGraph::explore(net).map_err(|e| e.to_string())?;
-        print!("{}", reachability_to_dot(net, &rg));
+        let rg = ReachabilityGraph::explore(
+            net,
+            &ExploreOptions::default(),
+            &Budget::default(),
+            &CheckpointConfig::default(),
+            None,
+        )
+        .map_err(|e| e.to_string())?;
+        print!("{}", reachability_to_dot(net, rg.value()));
     } else {
         print!("{}", net_to_dot(net));
     }

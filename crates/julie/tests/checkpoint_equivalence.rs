@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use gpo_core::{analyze_checkpointed, GpoOptions, Representation};
+use gpo_core::{analyze, GpoOptions, Representation};
 use partial_order::{ReducedOptions, ReducedReachability, SeedStrategy};
 use petri::checkpoint::read_checkpoint;
 use petri::{Budget, CheckpointConfig, ExploreOptions, NetBuilder, PetriNet, ReachabilityGraph};
@@ -51,15 +51,20 @@ fn full_engine_kill_and_resume_is_equivalent() {
         for threads in [1usize, 2, 8] {
             let tag = format!("{} threads={threads}", net.name());
             let opts = ExploreOptions {
-                max_states: usize::MAX,
                 record_edges: true,
                 threads,
             };
-            let reference = ReachabilityGraph::explore_bounded(&net, &opts, &Budget::default())
-                .unwrap()
-                .into_value();
+            let reference = ReachabilityGraph::explore(
+                &net,
+                &opts,
+                &Budget::default(),
+                &CheckpointConfig::default(),
+                None,
+            )
+            .unwrap()
+            .into_value();
             let path = ckpt_path(&format!("full-{tag}").replace(' ', "-"));
-            let partial = ReachabilityGraph::explore_checkpointed(
+            let partial = ReachabilityGraph::explore(
                 &net,
                 &opts,
                 &Budget::default().cap_states(5),
@@ -69,7 +74,7 @@ fn full_engine_kill_and_resume_is_equivalent() {
             .unwrap();
             assert!(!partial.is_complete(), "{tag}");
             let snap = read_checkpoint(&path).unwrap();
-            let resumed = ReachabilityGraph::explore_checkpointed(
+            let resumed = ReachabilityGraph::explore(
                 &net,
                 &opts,
                 &Budget::default(),
@@ -103,15 +108,20 @@ fn reduced_engine_kill_and_resume_is_equivalent() {
             let tag = format!("{} threads={threads}", net.name());
             let opts = ReducedOptions {
                 strategy: SeedStrategy::BestOfEnabled,
-                max_states: usize::MAX,
                 threads,
                 visible: None,
             };
-            let reference = ReducedReachability::explore_bounded(&net, &opts, &Budget::default())
-                .unwrap()
-                .into_value();
+            let reference = ReducedReachability::explore(
+                &net,
+                &opts,
+                &Budget::default(),
+                &CheckpointConfig::default(),
+                None,
+            )
+            .unwrap()
+            .into_value();
             let path = ckpt_path(&format!("po-{tag}").replace(' ', "-"));
-            let partial = ReducedReachability::explore_checkpointed(
+            let partial = ReducedReachability::explore(
                 &net,
                 &opts,
                 &Budget::default().cap_states(5),
@@ -121,7 +131,7 @@ fn reduced_engine_kill_and_resume_is_equivalent() {
             .unwrap();
             assert!(!partial.is_complete(), "{tag}");
             let snap = read_checkpoint(&path).unwrap();
-            let resumed = ReducedReachability::explore_checkpointed(
+            let resumed = ReducedReachability::explore(
                 &net,
                 &opts,
                 &Budget::default(),
@@ -155,7 +165,7 @@ fn gpo_engine_kill_and_resume_is_equivalent() {
                     max_witnesses: 2,
                     ..Default::default()
                 };
-                let reference = analyze_checkpointed(
+                let reference = analyze(
                     &net,
                     &opts,
                     &Budget::default(),
@@ -167,7 +177,7 @@ fn gpo_engine_kill_and_resume_is_equivalent() {
                 let path = ckpt_path(&format!("gpo-{tag}").replace(' ', "-"));
                 // GPO collapses the zoo to a handful of GPN states, so a
                 // one-state budget reliably interrupts every model
-                let partial = analyze_checkpointed(
+                let partial = analyze(
                     &net,
                     &opts,
                     &Budget::default().cap_states(1),
@@ -177,7 +187,7 @@ fn gpo_engine_kill_and_resume_is_equivalent() {
                 .unwrap();
                 assert!(!partial.is_complete(), "{tag}");
                 let snap = read_checkpoint(&path).unwrap();
-                let resumed = analyze_checkpointed(
+                let resumed = analyze(
                     &net,
                     &opts,
                     &Budget::default(),

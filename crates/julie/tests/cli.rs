@@ -367,6 +367,23 @@ fn unfold_engine_in_check() {
     assert!(stdout(&out).contains("DEADLOCK possible"));
 }
 
+#[test]
+fn unfold_engine_honours_its_deadline() {
+    // RW(15) builds its prefix at once, but walking the cuts behind the
+    // verdict takes practically forever: the walk must stop on time too
+    let net = stdout(&julie(&["model", "rw", "15"]));
+    let start = std::time::Instant::now();
+    let out = julie_stdin(&["check", "-", "--engine=unfold", "--timeout=1"], &net);
+    let elapsed = start.elapsed();
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("deadline exceeded"),
+        "{}",
+        stdout(&out)
+    );
+    assert!(elapsed.as_secs() < 10, "took {elapsed:?}");
+}
+
 fn temp_dir(label: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("julie-cli-{label}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

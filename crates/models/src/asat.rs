@@ -40,10 +40,17 @@ struct Channel {
 /// # Examples
 ///
 /// ```
-/// use petri::ReachabilityGraph;
+/// use petri::{Budget, CheckpointConfig, ReachabilityGraph};
 ///
 /// let net = models::asat(2);
-/// let rg = ReachabilityGraph::explore(&net)?;
+/// let rg = ReachabilityGraph::explore(
+///     &net,
+///     &Default::default(),
+///     &Budget::default(),
+///     &CheckpointConfig::default(),
+///     None,
+/// )?
+/// .into_value();
 /// // terminal states exist (the round resolves); they are expected
 /// assert!(rg.has_deadlock());
 /// # Ok::<(), petri::NetError>(())
@@ -120,7 +127,7 @@ pub fn asat(n: usize) -> PetriNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use petri::ReachabilityGraph;
+    use crate::explore_full;
 
     #[test]
     fn structure_counts() {
@@ -135,7 +142,7 @@ mod tests {
     fn every_terminal_state_has_exactly_one_winner() {
         for n in [2usize, 4] {
             let net = asat(n);
-            let rg = ReachabilityGraph::explore(&net).unwrap();
+            let rg = explore_full(&net).unwrap();
             assert!(rg.has_deadlock(), "the round resolves, n={n}");
             let served: Vec<_> = (0..n)
                 .map(|u| net.place_by_name(&format!("served{u}")).unwrap())
@@ -153,7 +160,7 @@ mod tests {
     #[test]
     fn mutual_exclusion_holds() {
         let net = asat(4);
-        let rg = ReachabilityGraph::explore(&net).unwrap();
+        let rg = explore_full(&net).unwrap();
         let using: Vec<_> = (0..4)
             .map(|u| net.place_by_name(&format!("using{u}")).unwrap())
             .collect();
@@ -167,7 +174,7 @@ mod tests {
     #[test]
     fn every_user_can_acquire() {
         let net = asat(4);
-        let rg = ReachabilityGraph::explore(&net).unwrap();
+        let rg = explore_full(&net).unwrap();
         for u in 0..4 {
             let p = net.place_by_name(&format!("using{u}")).unwrap();
             assert!(

@@ -14,9 +14,16 @@ use petri::{NetBuilder, PetriNet};
 /// # Examples
 ///
 /// ```
-/// use petri::ReachabilityGraph;
+/// use petri::{Budget, CheckpointConfig, ReachabilityGraph};
 ///
-/// let rg = ReachabilityGraph::explore(&models::figures::fig1())?;
+/// let rg = ReachabilityGraph::explore(
+///     &models::figures::fig1(),
+///     &Default::default(),
+///     &Budget::default(),
+///     &CheckpointConfig::default(),
+///     None,
+/// )?
+/// .into_value();
 /// assert_eq!(rg.state_count(), 8);
 /// assert_eq!(rg.count_maximal_paths(), Some(6));
 /// # Ok::<(), petri::NetError>(())
@@ -128,11 +135,12 @@ pub fn fig7() -> PetriNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use petri::{ConflictInfo, ReachabilityGraph};
+    use crate::explore_full;
+    use petri::ConflictInfo;
 
     #[test]
     fn fig1_full_graph_shape() {
-        let rg = ReachabilityGraph::explore(&fig1()).unwrap();
+        let rg = explore_full(&fig1()).unwrap();
         assert_eq!(rg.state_count(), 8);
         assert_eq!(rg.count_maximal_paths(), Some(6), "3! interleavings");
     }
@@ -165,7 +173,7 @@ mod tests {
     #[test]
     fn fig4_classical_semantics() {
         // classically, firing A xor B: two reachable successors
-        let rg = ReachabilityGraph::explore(&fig4()).unwrap();
+        let rg = explore_full(&fig4()).unwrap();
         assert_eq!(rg.state_count(), 3);
         assert_eq!(rg.deadlocks().len(), 2);
     }
@@ -209,7 +217,7 @@ mod tests {
 
     #[test]
     fn fig7_classical_graph() {
-        let rg = ReachabilityGraph::explore(&fig7()).unwrap();
+        let rg = explore_full(&fig7()).unwrap();
         // A|B then C|D; both branches merge in {p5}:
         // m0, after A, after B, and the common final state — 4 states
         assert_eq!(rg.state_count(), 4);

@@ -17,9 +17,16 @@
 //! # Examples
 //!
 //! ```
-//! use petri::ReachabilityGraph;
+//! use petri::{Budget, CheckpointConfig, ReachabilityGraph};
 //!
-//! let rg = ReachabilityGraph::explore(&models::nsdp(2))?;
+//! let rg = ReachabilityGraph::explore(
+//!     &models::nsdp(2),
+//!     &Default::default(),
+//!     &Budget::default(),
+//!     &CheckpointConfig::default(),
+//!     None,
+//! )?
+//! .into_value();
 //! assert_eq!(rg.state_count(), 18); // Table 1, NSDP(2)
 //! # Ok::<(), petri::NetError>(())
 //! ```
@@ -40,3 +47,16 @@ pub use nsdp::nsdp;
 pub use overtake::overtake;
 pub use rw::readers_writers;
 pub use scheduler::scheduler;
+
+/// Test shorthand: the complete reachability graph of `net`.
+#[cfg(test)]
+fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}

@@ -34,10 +34,17 @@ use petri::{NetBuilder, PetriNet};
 /// # Examples
 ///
 /// ```
-/// use petri::ReachabilityGraph;
+/// use petri::{Budget, CheckpointConfig, ReachabilityGraph};
 ///
 /// let net = models::nsdp(2);
-/// let rg = ReachabilityGraph::explore(&net)?;
+/// let rg = ReachabilityGraph::explore(
+///     &net,
+///     &Default::default(),
+///     &Budget::default(),
+///     &CheckpointConfig::default(),
+///     None,
+/// )?
+/// .into_value();
 /// assert_eq!(rg.state_count(), 18); // Table 1, NSDP(2)
 /// assert!(rg.has_deadlock());
 /// # Ok::<(), petri::NetError>(())
@@ -67,7 +74,8 @@ pub fn nsdp(n: usize) -> PetriNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use petri::{covered_by_place_invariants, ReachabilityGraph};
+    use crate::explore_full;
+    use petri::covered_by_place_invariants;
 
     /// Lucas numbers L_{3n} via the transfer matrix [[3,2],[2,1]].
     fn lucas_3n(n: usize) -> usize {
@@ -99,7 +107,7 @@ mod tests {
     #[test]
     fn state_counts_match_table1() {
         for n in [2usize, 4] {
-            let rg = ReachabilityGraph::explore(&nsdp(n)).unwrap();
+            let rg = explore_full(&nsdp(n)).unwrap();
             assert_eq!(rg.state_count(), lucas_3n(n), "NSDP({n})");
         }
     }
@@ -107,7 +115,7 @@ mod tests {
     #[test]
     fn deadlock_exists_with_all_left_first() {
         let net = nsdp(3);
-        let rg = ReachabilityGraph::explore(&net).unwrap();
+        let rg = explore_full(&net).unwrap();
         assert!(rg.has_deadlock());
         // the canonical witness: everyone gets hungry, takes the left fork
         let mut seq = Vec::new();

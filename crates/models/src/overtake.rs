@@ -28,10 +28,17 @@ use petri::{NetBuilder, PetriNet};
 /// # Examples
 ///
 /// ```
-/// use petri::ReachabilityGraph;
+/// use petri::{Budget, CheckpointConfig, ReachabilityGraph};
 ///
 /// let net = models::overtake(2);
-/// let rg = ReachabilityGraph::explore(&net)?;
+/// let rg = ReachabilityGraph::explore(
+///     &net,
+///     &Default::default(),
+///     &Budget::default(),
+///     &CheckpointConfig::default(),
+///     None,
+/// )?
+/// .into_value();
 /// assert_eq!(rg.state_count(), 64); // 8 local stages per car
 /// # Ok::<(), petri::NetError>(())
 /// ```
@@ -63,7 +70,8 @@ pub fn overtake(n: usize) -> PetriNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use petri::{ConflictInfo, ReachabilityGraph};
+    use crate::explore_full;
+    use petri::ConflictInfo;
 
     #[test]
     fn structure_scales_linearly() {
@@ -75,7 +83,7 @@ mod tests {
     #[test]
     fn full_state_space_is_eight_to_the_n() {
         for n in 1..=4 {
-            let rg = ReachabilityGraph::explore(&overtake(n)).unwrap();
+            let rg = explore_full(&overtake(n)).unwrap();
             assert_eq!(rg.state_count(), 8usize.pow(n as u32), "n={n}");
         }
     }
@@ -83,7 +91,7 @@ mod tests {
     #[test]
     fn three_outcomes_per_car_stay_distinct() {
         let net = overtake(2);
-        let rg = ReachabilityGraph::explore(&net).unwrap();
+        let rg = explore_full(&net).unwrap();
         // terminal states: one of three outcomes per car
         assert_eq!(rg.deadlocks().len(), 9, "3^2 resolved convoys");
     }

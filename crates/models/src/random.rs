@@ -11,7 +11,10 @@
 //! construction keeps most nets safe by design; [`random_safe_net`]
 //! additionally validates by bounded exploration and rejects the rest.
 
-use petri::{ExploreOptions, NetBuilder, PetriNet, PlaceId, ReachabilityGraph};
+use petri::{
+    Budget, CheckpointConfig, ExploreOptions, NetBuilder, Outcome, PetriNet, PlaceId,
+    ReachabilityGraph,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -126,21 +129,22 @@ pub fn random_net(seed: u64, cfg: &RandomNetConfig) -> PetriNet {
 pub fn random_safe_net(seed: u64, cfg: &RandomNetConfig) -> Option<PetriNet> {
     let net = random_net(seed, cfg);
     let opts = ExploreOptions {
-        max_states: cfg.max_states,
         record_edges: false,
         // random candidates are tiny and filtered in a hot loop: the
         // serial path avoids per-candidate thread spawns
         threads: 1,
     };
-    match ReachabilityGraph::explore_with(&net, &opts) {
-        Ok(_) => Some(net),
-        Err(_) => None,
+    let budget = Budget::default().cap_states(cfg.max_states);
+    match ReachabilityGraph::explore(&net, &opts, &budget, &CheckpointConfig::default(), None) {
+        Ok(Outcome::Complete(_)) => Some(net),
+        _ => None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore_full;
 
     #[test]
     fn generation_is_deterministic() {
@@ -172,7 +176,7 @@ mod tests {
         let cfg = RandomNetConfig::default();
         for seed in 0..20 {
             if let Some(net) = random_safe_net(seed, &cfg) {
-                let rg = ReachabilityGraph::explore(&net).unwrap();
+                let rg = explore_full(&net).unwrap();
                 assert!(rg.state_count() >= 1);
             }
         }
@@ -188,7 +192,7 @@ mod tests {
         };
         let net = random_net(7, &cfg);
         // with no resources and no choices: 4 independent 4-cycles
-        let rg = ReachabilityGraph::explore(&net).unwrap();
+        let rg = explore_full(&net).unwrap();
         assert_eq!(rg.state_count(), 4usize.pow(4));
     }
 }

@@ -26,10 +26,17 @@ use petri::{NetBuilder, PetriNet};
 /// # Examples
 ///
 /// ```
-/// use petri::ReachabilityGraph;
+/// use petri::{Budget, CheckpointConfig, ReachabilityGraph};
 ///
 /// let net = models::readers_writers(3);
-/// let rg = ReachabilityGraph::explore(&net)?;
+/// let rg = ReachabilityGraph::explore(
+///     &net,
+///     &Default::default(),
+///     &Budget::default(),
+///     &CheckpointConfig::default(),
+///     None,
+/// )?
+/// .into_value();
 /// assert!(!rg.has_deadlock(), "readers-writers is deadlock-free");
 /// # Ok::<(), petri::NetError>(())
 /// ```
@@ -56,21 +63,22 @@ pub fn readers_writers(n: usize) -> PetriNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use petri::{ConflictInfo, ReachabilityGraph};
+    use crate::explore_full;
+    use petri::ConflictInfo;
 
     #[test]
     fn state_count_formula() {
         // reachable states: any subset of processes reading (2^n) plus one
         // writer active while everyone else is idle (n)
         for n in 1..=6 {
-            let rg = ReachabilityGraph::explore(&readers_writers(n)).unwrap();
+            let rg = explore_full(&readers_writers(n)).unwrap();
             assert_eq!(rg.state_count(), (1 << n) + n, "n={n}");
         }
     }
 
     #[test]
     fn no_deadlock() {
-        let rg = ReachabilityGraph::explore(&readers_writers(4)).unwrap();
+        let rg = explore_full(&readers_writers(4)).unwrap();
         assert!(!rg.has_deadlock());
     }
 

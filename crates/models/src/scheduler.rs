@@ -19,10 +19,17 @@ use petri::{NetBuilder, PetriNet};
 /// # Examples
 ///
 /// ```
-/// use petri::{ConflictInfo, ReachabilityGraph};
+/// use petri::{Budget, CheckpointConfig, ConflictInfo, ReachabilityGraph};
 ///
 /// let net = models::scheduler(3);
-/// let rg = ReachabilityGraph::explore(&net)?;
+/// let rg = ReachabilityGraph::explore(
+///     &net,
+///     &Default::default(),
+///     &Budget::default(),
+///     &CheckpointConfig::default(),
+///     None,
+/// )?
+/// .into_value();
 /// assert!(!rg.has_deadlock());
 /// // no choices anywhere: a pure-concurrency benchmark
 /// assert_eq!(ConflictInfo::new(&net).choice_clusters().count(), 0);
@@ -54,7 +61,8 @@ pub fn scheduler(n: usize) -> PetriNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use petri::{ConflictInfo, ReachabilityGraph};
+    use crate::explore_full;
+    use petri::{Budget, ConflictInfo, Property};
 
     #[test]
     fn structure_scales_linearly() {
@@ -67,7 +75,14 @@ mod tests {
     fn deadlock_free_and_live() {
         for n in 1..=4 {
             let net = scheduler(n);
-            let report = petri::verify(&net).unwrap();
+            let report = petri::verify(
+                &net,
+                &Default::default(),
+                &Budget::default(),
+                &Property::deadlock(),
+            )
+            .unwrap()
+            .report;
             assert!(!report.has_deadlock, "n={n}");
             assert!(report.is_quasi_live(), "every transition fires, n={n}");
         }
@@ -83,11 +98,7 @@ mod tests {
     #[test]
     fn state_count_grows_exponentially() {
         let counts: Vec<usize> = (1..=5)
-            .map(|n| {
-                ReachabilityGraph::explore(&scheduler(n))
-                    .unwrap()
-                    .state_count()
-            })
+            .map(|n| explore_full(&scheduler(n)).unwrap().state_count())
             .collect();
         for w in counts.windows(2) {
             assert!(w[1] >= 2 * w[0], "at least doubles per cycler: {counts:?}");

@@ -22,7 +22,7 @@
 //!
 //! ```
 //! use partial_order::ReducedReachability;
-//! use petri::{NetBuilder, ReachabilityGraph};
+//! use petri::{Budget, CheckpointConfig, NetBuilder, ReachabilityGraph};
 //!
 //! // Figure 2 of the paper with N = 3 conflict pairs.
 //! let mut b = NetBuilder::new("fig2");
@@ -34,8 +34,11 @@
 //!     b.transition(format!("B{i}"), [c], [bb]);
 //! }
 //! let net = b.build()?;
-//! assert_eq!(ReachabilityGraph::explore(&net)?.state_count(), 27);
-//! assert_eq!(ReducedReachability::explore(&net)?.state_count(), 15); // 2^4 - 1
+//! let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
+//! let full = ReachabilityGraph::explore(&net, &Default::default(), &budget, &ckpt, None)?;
+//! let red = ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?;
+//! assert_eq!(full.value().state_count(), 27);
+//! assert_eq!(red.value().state_count(), 15); // 2^4 - 1
 //! # Ok::<(), petri::NetError>(())
 //! ```
 
@@ -49,3 +52,38 @@ mod stubborn;
 pub use dependency::Dependencies;
 pub use reduced::{ReducedOptions, ReducedReachability};
 pub use stubborn::{SeedStrategy, StubbornSets};
+
+/// Test shorthand: the complete reachability graph of `net`.
+#[cfg(test)]
+fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}
+
+/// Test shorthand: the complete reduced graph of `net`.
+#[cfg(test)]
+fn explore_reduced(net: &petri::PetriNet) -> Result<ReducedReachability, petri::NetError> {
+    explore_reduced_with(net, &ReducedOptions::default())
+}
+
+/// Test shorthand: the complete reduced graph of `net` under `opts`.
+#[cfg(test)]
+fn explore_reduced_with(
+    net: &petri::PetriNet,
+    opts: &ReducedOptions,
+) -> Result<ReducedReachability, petri::NetError> {
+    ReducedReachability::explore(
+        net,
+        opts,
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}

@@ -10,7 +10,7 @@ use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use petri::checkpoint::{
-    read_marking, write_checkpoint, write_marking, ByteReader, ByteWriter, CheckpointError,
+    explore_segmented, read_marking, write_marking, ByteReader, ByteWriter, CheckpointError,
     EngineKind,
 };
 use petri::parallel::{
@@ -40,13 +40,11 @@ fn strategy_tag(s: SeedStrategy) -> u8 {
     }
 }
 
-/// Options for [`ReducedReachability::explore_with`].
+/// Options for [`ReducedReachability::explore`].
 #[derive(Debug, Clone)]
 pub struct ReducedOptions {
     /// Seed strategy for the stubborn-set closure.
     pub strategy: SeedStrategy,
-    /// Abort with [`NetError::StateLimit`] once this many states are stored.
-    pub max_states: usize,
     /// Worker threads for the frontier exploration (see
     /// [`petri::ExploreOptions::threads`] for the determinism contract).
     /// The stubborn set of a marking is a pure function of that marking,
@@ -64,7 +62,6 @@ impl Default for ReducedOptions {
     fn default() -> Self {
         ReducedOptions {
             strategy: SeedStrategy::default(),
-            max_states: usize::MAX,
             threads: default_threads(),
             visible: None,
         }
@@ -81,7 +78,7 @@ impl Default for ReducedOptions {
 ///
 /// ```
 /// use partial_order::ReducedReachability;
-/// use petri::{NetBuilder, ReachabilityGraph};
+/// use petri::{Budget, CheckpointConfig, NetBuilder, ReachabilityGraph};
 ///
 /// // three independent strands: full graph has 8 states, reduced has 4
 /// let mut b = NetBuilder::new("n");
@@ -91,8 +88,10 @@ impl Default for ReducedOptions {
 ///     b.transition(format!("t{i}"), [p], [q]);
 /// }
 /// let net = b.build()?;
-/// let full = ReachabilityGraph::explore(&net)?;
-/// let red = ReducedReachability::explore(&net)?;
+/// let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
+/// let full = ReachabilityGraph::explore(&net, &Default::default(), &budget, &ckpt, None)?;
+/// let red = ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?;
+/// let (full, red) = (full.into_value(), red.into_value());
 /// assert_eq!(full.state_count(), 8);
 /// assert_eq!(red.state_count(), 4, "one interleaving: t0 t1 t2");
 /// assert_eq!(full.has_deadlock(), red.has_deadlock());
@@ -111,58 +110,14 @@ pub struct ReducedReachability {
 }
 
 impl ReducedReachability {
-    /// Explores with the default (best-of-enabled) strategy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NotSafe`] if a firing violates safeness.
-    pub fn explore(net: &PetriNet) -> Result<Self, NetError> {
-        Self::explore_with(net, &ReducedOptions::default())
-    }
-
-    /// Explores with explicit options.
-    ///
-    /// This is the legacy all-or-nothing entry point; a hit state limit
-    /// discards the partial graph. Prefer
-    /// [`explore_bounded`](Self::explore_bounded) for graceful degradation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NotSafe`] on a safeness violation or
-    /// [`NetError::StateLimit`] if the state limit is exceeded.
-    pub fn explore_with(net: &PetriNet, opts: &ReducedOptions) -> Result<Self, NetError> {
-        match Self::explore_bounded(net, opts, &Budget::default())? {
-            Outcome::Complete(red) => Ok(red),
-            Outcome::Partial { .. } => Err(NetError::StateLimit(opts.max_states)),
-        }
-    }
-
-    /// Explores under a cooperative resource [`Budget`].
-    ///
-    /// The effective state cap is the tighter of `opts.max_states` and
-    /// `budget.max_states`. On exhaustion the reduced graph built so far is
-    /// returned as [`Outcome::Partial`]: every stored marking is reachable,
-    /// so any deadlock in it is real, but absence of deadlocks in a partial
-    /// reduced graph proves nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NotSafe`] on a safeness violation or
-    /// [`NetError::WorkerPanicked`] if a parallel worker died.
-    pub fn explore_bounded(
-        net: &PetriNet,
-        opts: &ReducedOptions,
-        budget: &Budget,
-    ) -> Result<Outcome<Self>, NetError> {
-        let budget = budget.clone().cap_states(opts.max_states);
-        Self::explore_resumed(net, opts, &budget, None)
-    }
-
-    /// Like [`explore_bounded`](Self::explore_bounded), but optionally
+    /// Explores under a cooperative resource [`Budget`], optionally
     /// resuming a prior partial graph and/or writing crash-safe snapshots
-    /// (see [`petri::checkpoint`] and
-    /// [`ReachabilityGraph::explore_checkpointed`](petri::ReachabilityGraph::explore_checkpointed)
-    /// for the segmenting protocol, which is identical here).
+    /// (see [`explore_segmented`] for the segmenting protocol).
+    ///
+    /// On exhaustion the reduced graph built so far is returned as
+    /// [`Outcome::Partial`]: every stored marking is reachable, so any
+    /// deadlock in it is real, but absence of deadlocks in a partial
+    /// reduced graph proves nothing.
     ///
     /// The snapshot records the [`SeedStrategy`]; resuming under a
     /// different strategy is rejected, since mixing reduction rules
@@ -170,54 +125,29 @@ impl ReducedReachability {
     ///
     /// # Errors
     ///
-    /// Everything [`explore_bounded`](Self::explore_bounded) returns, plus
+    /// Returns [`NetError::NotSafe`] on a safeness violation,
+    /// [`NetError::WorkerPanicked`] if a parallel worker died, or
     /// [`NetError::Checkpoint`] for unusable snapshots.
-    pub fn explore_checkpointed(
+    pub fn explore(
         net: &PetriNet,
         opts: &ReducedOptions,
         budget: &Budget,
         ckpt: &CheckpointConfig,
         resume: Option<&Snapshot>,
     ) -> Result<Outcome<Self>, NetError> {
-        let real_budget = budget.clone().cap_states(opts.max_states);
-        let mut prior = match resume {
-            Some(snap) => Some(
-                Self::from_snapshot_with(net, snap, opts.strategy, opts.visible.as_deref())
-                    .map_err(|e| NetError::Checkpoint(e.to_string()))?,
-            ),
+        let visible = opts.visible.as_deref();
+        let prior = match resume {
+            Some(snap) => Some(Self::from_snapshot_with(net, snap, opts.strategy, visible)?),
             None => None,
         };
-        loop {
-            let mut segment = real_budget.clone();
-            if let (Some(every), Some(_)) = (ckpt.every, &ckpt.path) {
-                let stored = prior.as_ref().map_or(1, ReducedReachability::state_count);
-                segment.max_states = segment.max_states.min(stored.saturating_add(every.max(1)));
-            }
-            match Self::explore_resumed(net, opts, &segment, prior.take())? {
-                Outcome::Complete(red) => return Ok(Outcome::Complete(red)),
-                Outcome::Partial {
-                    result, coverage, ..
-                } => {
-                    if let Some(path) = &ckpt.path {
-                        let mut snap =
-                            result.to_snapshot_with(net, opts.strategy, opts.visible.as_deref());
-                        ckpt.annotate(&mut snap);
-                        write_checkpoint(path, &snap)
-                            .map_err(|e| NetError::Checkpoint(e.to_string()))?;
-                    }
-                    match real_budget.exceeded(coverage.states_stored, coverage.bytes_estimate) {
-                        None => prior = Some(result),
-                        Some(real_reason) => {
-                            return Ok(Outcome::Partial {
-                                result,
-                                reason: real_reason,
-                                coverage,
-                            });
-                        }
-                    }
-                }
-            }
-        }
+        explore_segmented(
+            budget,
+            ckpt,
+            prior,
+            ReducedReachability::state_count,
+            |segment, prior| Self::explore_resumed(net, opts, segment, prior),
+            |red| red.to_snapshot_with(net, opts.strategy, visible),
+        )
     }
 
     /// Continues exploring `prior` (or starts fresh) under `budget`.
@@ -648,7 +578,8 @@ impl ReducedReachability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use petri::{NetBuilder, ReachabilityGraph};
+    use crate::{explore_full, explore_reduced, explore_reduced_with};
+    use petri::NetBuilder;
 
     /// The paper's Figure 2 net: n concurrently marked binary conflict
     /// places.
@@ -668,11 +599,10 @@ mod tests {
     fn fig2_reduced_graph_matches_paper_formula() {
         // the paper: anticipation still needs 2^(N+1) - 1 states
         for n in 1..=6 {
-            let red = ReducedReachability::explore_with(
+            let red = explore_reduced_with(
                 &fig2(n),
                 &ReducedOptions {
                     strategy: SeedStrategy::ConflictCluster,
-                    max_states: usize::MAX,
                     ..Default::default()
                 },
             )
@@ -684,7 +614,7 @@ mod tests {
     #[test]
     fn fig2_full_graph_is_three_to_the_n() {
         for n in 1..=5 {
-            let full = ReachabilityGraph::explore(&fig2(n)).unwrap();
+            let full = explore_full(&fig2(n)).unwrap();
             assert_eq!(full.state_count(), 3usize.pow(n as u32), "n={n}");
         }
     }
@@ -703,17 +633,16 @@ mod tests {
         b.transition("b_take2", [b0, r2], [b1]);
         b.transition("b_take1", [b1, r1], [b0, r1, r2]);
         let net = b.build().unwrap();
-        let full = ReachabilityGraph::explore(&net).unwrap();
+        let full = explore_full(&net).unwrap();
         for strategy in [
             SeedStrategy::FirstEnabled,
             SeedStrategy::BestOfEnabled,
             SeedStrategy::ConflictCluster,
         ] {
-            let red = ReducedReachability::explore_with(
+            let red = explore_reduced_with(
                 &net,
                 &ReducedOptions {
                     strategy,
-                    max_states: usize::MAX,
                     ..Default::default()
                 },
             )
@@ -731,37 +660,24 @@ mod tests {
         b.transition("go", [p], [q]);
         b.transition("back", [q], [p]);
         let net = b.build().unwrap();
-        let red = ReducedReachability::explore(&net).unwrap();
+        let red = explore_reduced(&net).unwrap();
         assert!(!red.has_deadlock());
         assert_eq!(red.state_count(), 2);
     }
 
     #[test]
-    fn state_limit_enforced() {
-        let err = ReducedReachability::explore_with(
-            &fig2(4),
-            &ReducedOptions {
-                strategy: SeedStrategy::BestOfEnabled,
-                max_states: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, NetError::StateLimit(3));
-    }
-
-    #[test]
     fn bounded_exploration_returns_partial_graph() {
         use petri::ExhaustionReason;
-        let outcome = ReducedReachability::explore_bounded(
+        let outcome = ReducedReachability::explore(
             &fig2(4),
             &ReducedOptions {
                 strategy: SeedStrategy::BestOfEnabled,
-                max_states: 3,
                 threads: 1,
                 visible: None,
             },
-            &Budget::default(),
+            &Budget::default().cap_states(3),
+            &CheckpointConfig::default(),
+            None,
         )
         .unwrap();
         let Outcome::Partial {
@@ -777,12 +693,39 @@ mod tests {
         assert_eq!(coverage.states_stored, result.state_count());
         assert!(coverage.frontier_len > 0, "work was left unexplored");
         // every stored marking of the partial graph is genuinely reachable
-        let full = ReachabilityGraph::explore(&fig2(4)).unwrap();
+        let full = explore_full(&fig2(4)).unwrap();
         let reachable: std::collections::HashSet<_> =
             full.states().map(|s| full.marking(s).clone()).collect();
         for m in result.markings() {
             assert!(reachable.contains(m));
         }
+    }
+
+    #[test]
+    fn state_limit_enforced() {
+        use petri::ExhaustionReason;
+        let opts = ReducedOptions {
+            strategy: SeedStrategy::BestOfEnabled,
+            ..Default::default()
+        };
+        let run = |cap| {
+            ReducedReachability::explore(
+                &fig2(4),
+                &opts,
+                &Budget::default().cap_states(cap),
+                &CheckpointConfig::default(),
+                None,
+            )
+            .unwrap()
+        };
+        let total = run(usize::MAX).into_value().state_count();
+        assert!(total > 3);
+        assert_eq!(run(3).reason(), Some(ExhaustionReason::States));
+        // the cap is inclusive: a cap of exactly the reduced size completes
+        assert_eq!(run(total - 1).reason(), Some(ExhaustionReason::States));
+        let at_cap = run(total);
+        assert_eq!(at_cap.reason(), None);
+        assert_eq!(at_cap.into_value().state_count(), total);
     }
 
     #[test]
@@ -792,20 +735,30 @@ mod tests {
         for threads in [1usize, 2] {
             let opts = ReducedOptions {
                 strategy: SeedStrategy::BestOfEnabled,
-                max_states: usize::MAX,
                 threads,
                 visible: None,
             };
-            let reference = ReducedReachability::explore_bounded(&net, &opts, &Budget::default())
-                .unwrap()
-                .into_value();
-            let partial =
-                ReducedReachability::explore_bounded(&net, &opts, &Budget::default().cap_states(5))
-                    .unwrap();
+            let reference = ReducedReachability::explore(
+                &net,
+                &opts,
+                &Budget::default(),
+                &CheckpointConfig::default(),
+                None,
+            )
+            .unwrap()
+            .into_value();
+            let partial = ReducedReachability::explore(
+                &net,
+                &opts,
+                &Budget::default().cap_states(5),
+                &CheckpointConfig::default(),
+                None,
+            )
+            .unwrap();
             assert!(!partial.is_complete(), "threads={threads}");
             let snap = partial.value().to_snapshot(&net, opts.strategy);
             let decoded = petri::Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-            let resumed = ReducedReachability::explore_checkpointed(
+            let resumed = ReducedReachability::explore(
                 &net,
                 &opts,
                 &Budget::default(),
@@ -826,15 +779,13 @@ mod tests {
     #[test]
     fn snapshot_strategy_mismatch_is_rejected() {
         let net = fig2(3);
-        let red = ReducedReachability::explore(&net).unwrap();
+        let red = explore_reduced(&net).unwrap();
         let snap = red.to_snapshot(&net, SeedStrategy::BestOfEnabled);
         let err = ReducedReachability::from_snapshot(&net, &snap, SeedStrategy::ConflictCluster)
             .unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed { .. }));
         // and the wrong engine kind is caught before anything decodes
-        let full_snap = petri::ReachabilityGraph::explore(&net)
-            .unwrap()
-            .to_snapshot(&net, true);
+        let full_snap = explore_full(&net).unwrap().to_snapshot(&net, true);
         let err = ReducedReachability::from_snapshot(&net, &full_snap, SeedStrategy::BestOfEnabled)
             .unwrap_err();
         assert!(matches!(err, CheckpointError::EngineMismatch { .. }));
@@ -843,7 +794,7 @@ mod tests {
     #[test]
     fn dead_markings_are_really_dead() {
         let net = fig2(3);
-        let red = ReducedReachability::explore(&net).unwrap();
+        let red = explore_reduced(&net).unwrap();
         assert!(red.has_deadlock());
         for m in red.deadlock_markings() {
             assert!(net.is_dead(m));
@@ -853,7 +804,7 @@ mod tests {
     #[test]
     fn fired_transitions_reported() {
         let net = fig2(2);
-        let red = ReducedReachability::explore(&net).unwrap();
+        let red = explore_reduced(&net).unwrap();
         let fired = red.fired_transitions(&net);
         assert_eq!(
             fired.len(),

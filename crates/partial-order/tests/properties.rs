@@ -3,8 +3,7 @@
 //! reduced graph is never larger than the full one.
 
 use models::random::{random_safe_net, RandomNetConfig};
-use partial_order::{ReducedOptions, ReducedReachability, SeedStrategy};
-use petri::ReachabilityGraph;
+use partial_order::{ReducedOptions, SeedStrategy};
 use proptest::prelude::*;
 
 fn cfg() -> RandomNetConfig {
@@ -31,12 +30,9 @@ proptest! {
     #[test]
     fn reduction_preserves_deadlock_verdict(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let full = ReachabilityGraph::explore(&net).expect("validated safe");
+        let full = explore_full(&net).expect("validated safe");
         for strategy in STRATEGIES {
-            let red = ReducedReachability::explore_with(
-                &net,
-                &ReducedOptions { strategy, max_states: usize::MAX, ..Default::default() },
-            ).expect("validated safe");
+            let red = explore_reduced_with(&net, &ReducedOptions { strategy, ..Default::default() }).expect("validated safe");
             prop_assert_eq!(
                 red.has_deadlock(),
                 full.has_deadlock(),
@@ -52,12 +48,9 @@ proptest! {
     #[test]
     fn reduction_is_a_reduction(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let full = ReachabilityGraph::explore(&net).expect("validated safe");
+        let full = explore_full(&net).expect("validated safe");
         for strategy in STRATEGIES {
-            let red = ReducedReachability::explore_with(
-                &net,
-                &ReducedOptions { strategy, max_states: usize::MAX, ..Default::default() },
-            ).expect("validated safe");
+            let red = explore_reduced_with(&net, &ReducedOptions { strategy, ..Default::default() }).expect("validated safe");
             prop_assert!(red.state_count() <= full.state_count(), "{:?}", strategy);
             for m in red.markings() {
                 prop_assert!(full.contains(m), "{:?}: unreachable marking visited", strategy);
@@ -69,7 +62,7 @@ proptest! {
     #[test]
     fn reduced_deadlocks_are_real(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let red = ReducedReachability::explore(&net).expect("validated safe");
+        let red = explore_reduced(&net).expect("validated safe");
         for m in red.deadlock_markings() {
             prop_assert!(net.is_dead(m));
         }
@@ -82,7 +75,7 @@ proptest! {
     #[test]
     fn visible_sets_preserve_goal_reachability(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let full = ReachabilityGraph::explore(&net).expect("validated safe");
+        let full = explore_full(&net).expect("validated safe");
         // observe each place in turn (capped to keep the case cheap),
         // deriving the visible set through the real property pipeline
         for place in net.places().take(4) {
@@ -95,15 +88,11 @@ proptest! {
                 .expect("non-default properties have a visible set");
             let full_goal = full.states().any(|s| compiled.goal(&net, full.marking(s)));
             for strategy in STRATEGIES {
-                let red = ReducedReachability::explore_with(
-                    &net,
-                    &ReducedOptions {
+                let red = explore_reduced_with(&net, &ReducedOptions {
                         strategy,
                         visible: Some(visible.clone()),
-                        max_states: usize::MAX,
                         ..Default::default()
-                    },
-                ).expect("validated safe");
+                    }).expect("validated safe");
                 let red_goal = red.markings().any(|m| compiled.goal(&net, m));
                 prop_assert_eq!(
                     red_goal,
@@ -125,7 +114,7 @@ proptest! {
     fn stubborn_sets_satisfy_closure_conditions(seed in 0u64..50_000) {
         use partial_order::StubbornSets;
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let full = ReachabilityGraph::explore(&net).expect("validated safe");
+        let full = explore_full(&net).expect("validated safe");
         let stub = StubbornSets::new(&net, SeedStrategy::BestOfEnabled);
         for s in full.states().take(64) {
             let m = full.marking(s);
@@ -151,4 +140,38 @@ proptest! {
             }
         }
     }
+}
+
+/// The complete reachability graph of `net`.
+fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}
+
+/// The complete stubborn-set reduced graph of `net`.
+fn explore_reduced(
+    net: &petri::PetriNet,
+) -> Result<partial_order::ReducedReachability, petri::NetError> {
+    explore_reduced_with(net, &partial_order::ReducedOptions::default())
+}
+
+/// The complete stubborn-set reduced graph of `net` under `opts`.
+fn explore_reduced_with(
+    net: &petri::PetriNet,
+    opts: &partial_order::ReducedOptions,
+) -> Result<partial_order::ReducedReachability, petri::NetError> {
+    partial_order::ReducedReachability::explore(
+        net,
+        opts,
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
 }

@@ -11,9 +11,8 @@ fn compiled(net: &PetriNet, text: &str) -> petri::CompiledProperty {
 
 /// Enumerative ground truth: is some reachable marking a goal marking?
 fn brute_force_goal_reachable(net: &PetriNet, prop: &Property) -> bool {
-    let report =
-        petri::verify_bounded_property(net, &ExploreOptions::default(), &Budget::default(), prop)
-            .expect("exploration succeeds");
+    let report = petri::verify(net, &ExploreOptions::default(), &Budget::default(), prop)
+        .expect("exploration succeeds");
     assert!(report.verdict.is_sound(), "ground truth must be exhaustive");
     report.report.has_deadlock
 }

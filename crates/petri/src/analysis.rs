@@ -6,27 +6,29 @@
 
 use std::time::{Duration, Instant};
 
-use crate::budget::{Budget, CoverageStats, ExhaustionReason, Outcome, Verdict};
+use crate::budget::{Budget, CoverageStats, ExhaustionReason, Verdict};
+use crate::checkpoint::CheckpointConfig;
 use crate::error::NetError;
 use crate::ids::TransitionId;
 use crate::marking::Marking;
 use crate::net::PetriNet;
 use crate::property::Property;
 use crate::reachability::{ExploreOptions, ReachabilityGraph, StateId};
-use crate::reduce::{reduce, ReduceOptions, ReductionReport};
 
-/// Outcome of exhaustively verifying a safe net.
+/// Deadlock and liveness facts derived from an explored reachability
+/// graph (the `report` of a [`BoundedReport`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use petri::{NetBuilder, verify};
+/// use petri::{verify, Budget, NetBuilder, Property};
 ///
 /// let mut b = NetBuilder::new("two-step");
 /// let p = b.place_marked("p");
 /// let q = b.place("q");
 /// b.transition("t", [p], [q]);
-/// let report = verify(&b.build()?)?;
+/// let net = b.build()?;
+/// let report = verify(&net, &Default::default(), &Budget::default(), &Property::deadlock())?.report;
 /// assert_eq!(report.state_count, 2);
 /// assert!(report.has_deadlock);
 /// assert_eq!(report.deadlock_witness.as_deref().map(|w| w.len()), Some(1));
@@ -60,28 +62,6 @@ impl VerificationReport {
     }
 }
 
-/// Exhaustively verifies `net`: explores the full reachability graph and
-/// derives deadlock and liveness facts.
-///
-/// # Errors
-///
-/// Returns [`NetError::NotSafe`] if the net is not safe.
-pub fn verify(net: &PetriNet) -> Result<VerificationReport, NetError> {
-    verify_with(net, &ExploreOptions::default())
-}
-
-/// Like [`verify`], with explicit exploration options.
-///
-/// # Errors
-///
-/// Returns [`NetError::NotSafe`] on safeness violations or
-/// [`NetError::StateLimit`] if the option's limit is hit.
-pub fn verify_with(net: &PetriNet, opts: &ExploreOptions) -> Result<VerificationReport, NetError> {
-    let start = Instant::now();
-    let rg = ReachabilityGraph::explore_with(net, opts)?;
-    Ok(derive_report(net, &rg, start.elapsed()))
-}
-
 /// Verdict of a budget-governed verification run.
 ///
 /// Unlike [`VerificationReport`] alone, this records whether the exploration
@@ -99,14 +79,10 @@ pub struct BoundedReport {
     pub exhausted: Option<ExhaustionReason>,
     /// Coverage statistics of a partial run (`None` when complete).
     pub coverage: Option<CoverageStats>,
-    /// What the structural reduction pre-pass did, when one ran
-    /// ([`verify_bounded_reduced`]); `None` for unreduced runs.
-    pub reduction: Option<ReductionReport>,
-    /// The property this run answered. [`Property::deadlock`] for the
-    /// plain deadlock entry points; for non-default properties
-    /// ([`verify_bounded_property`]) the `has_deadlock`/witness fields of
-    /// the embedded report describe the property's *goal* markings
-    /// (φ-states under `EF`, ¬φ-states under `AG`) instead of deadlocks.
+    /// The property this run answered. For non-default properties the
+    /// `has_deadlock`/witness fields of the embedded report describe the
+    /// property's *goal* markings (φ-states under `EF`, ¬φ-states under
+    /// `AG`) instead of deadlocks.
     pub property: Property,
 }
 
@@ -117,19 +93,30 @@ impl BoundedReport {
     }
 }
 
-/// Like [`verify_with`], but governed by a cooperative resource [`Budget`]:
-/// instead of failing when a limit is hit, returns the facts established so
-/// far together with an [`Verdict::Inconclusive`] verdict.
+/// Verifies `property` on `net` by exploring its reachability graph under
+/// a cooperative resource [`Budget`]. Instead of failing when a limit is
+/// hit, returns the facts established so far together with an
+/// [`Verdict::Inconclusive`] verdict.
+///
+/// For the default property (`EF deadlock`) the report describes the dead
+/// markings; otherwise the explored graph is scanned for the property's
+/// goal markings (φ under `EF`, ¬φ under `AG`) and the
+/// `has_deadlock`/witness fields of the embedded report are re-aimed at
+/// them: the smallest goal marking (by [`Marking`]'s order, for
+/// determinism across thread counts) becomes the witness. A goal state
+/// found in a partial graph is a real witness, while the *absence* of
+/// goal states is only conclusive when the exploration completed.
 ///
 /// # Errors
 ///
-/// Returns [`NetError::NotSafe`] on safeness violations or
+/// Returns [`NetError::Property`] when the property names a node `net`
+/// does not have, [`NetError::NotSafe`] on safeness violations or
 /// [`NetError::WorkerPanicked`] if a parallel worker died.
 ///
 /// # Examples
 ///
 /// ```
-/// use petri::{Budget, NetBuilder, verify_bounded, Verdict};
+/// use petri::{Budget, NetBuilder, Property, verify, Verdict};
 ///
 /// let mut b = NetBuilder::new("chain");
 /// let mut prev = b.place_marked("p0");
@@ -139,79 +126,37 @@ impl BoundedReport {
 ///     prev = next;
 /// }
 /// let net = b.build()?;
-/// let bounded = verify_bounded(&net, &Default::default(), &Budget::default().cap_states(5))?;
+/// let budget = Budget::default().cap_states(5);
+/// let bounded = verify(&net, &Default::default(), &budget, &Property::deadlock())?;
 /// assert!(matches!(bounded.verdict, Verdict::Inconclusive { .. }));
 /// assert!(bounded.coverage.is_some());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn verify_bounded(
-    net: &PetriNet,
-    opts: &ExploreOptions,
-    budget: &Budget,
-) -> Result<BoundedReport, NetError> {
-    let start = Instant::now();
-    let outcome = ReachabilityGraph::explore_bounded(net, opts, budget)?;
-    let exhausted = outcome.reason();
-    let coverage = outcome.coverage().cloned();
-    let rg = match &outcome {
-        Outcome::Complete(rg) | Outcome::Partial { result: rg, .. } => rg,
-    };
-    let report = derive_report(net, rg, start.elapsed());
-    let frontier = coverage.as_ref().map_or(0, |c| c.frontier_len);
-    let verdict = Verdict::from_observation(report.has_deadlock, exhausted.is_none(), frontier);
-    Ok(BoundedReport {
-        report,
-        verdict,
-        exhausted,
-        coverage,
-        reduction: None,
-        property: Property::deadlock(),
-    })
-}
-
-/// Like [`verify_bounded`], but answers an arbitrary [`Property`] instead
-/// of the fixed deadlock question. For the default property this *is*
-/// [`verify_bounded`]; otherwise the explored graph is scanned for the
-/// property's goal markings (φ under `EF`, ¬φ under `AG`) and the
-/// `has_deadlock`/witness fields of the embedded report are re-aimed at
-/// them: the smallest goal marking (by [`Marking`]'s order, for
-/// determinism across thread counts) becomes the witness.
-///
-/// The three-valued verdict carries over: a goal state found in a
-/// partial graph is a real witness, while the *absence* of goal states
-/// is only conclusive when the exploration completed.
-///
-/// # Errors
-///
-/// Returns [`NetError::Property`] when the property names a node `net`
-/// does not have, plus everything [`verify_bounded`] can return.
-pub fn verify_bounded_property(
+pub fn verify(
     net: &PetriNet,
     opts: &ExploreOptions,
     budget: &Budget,
     property: &Property,
 ) -> Result<BoundedReport, NetError> {
     let compiled = property.compile(net).map_err(NetError::Property)?;
-    if property.is_default() {
-        return verify_bounded(net, opts, budget);
-    }
     let start = Instant::now();
-    let outcome = ReachabilityGraph::explore_bounded(net, opts, budget)?;
+    let outcome =
+        ReachabilityGraph::explore(net, opts, budget, &CheckpointConfig::default(), None)?;
     let exhausted = outcome.reason();
     let coverage = outcome.coverage().cloned();
-    let rg = match &outcome {
-        Outcome::Complete(rg) | Outcome::Partial { result: rg, .. } => rg,
-    };
+    let rg = outcome.value();
     let mut report = derive_report(net, rg, start.elapsed());
-    let mut goals: Vec<StateId> = rg
-        .states()
-        .filter(|&s| compiled.goal(net, rg.marking(s)))
-        .collect();
-    goals.sort_by(|&a, &b| rg.marking(a).cmp(rg.marking(b)));
-    report.has_deadlock = !goals.is_empty();
-    report.deadlock_count = goals.len();
-    report.deadlock_witness = goals.first().and_then(|&g| rg.path_to(g));
-    report.deadlock_marking = goals.first().map(|&g| rg.marking(g).clone());
+    if !property.is_default() {
+        let mut goals: Vec<StateId> = rg
+            .states()
+            .filter(|&s| compiled.goal(net, rg.marking(s)))
+            .collect();
+        goals.sort_by(|&a, &b| rg.marking(a).cmp(rg.marking(b)));
+        report.has_deadlock = !goals.is_empty();
+        report.deadlock_count = goals.len();
+        report.deadlock_witness = goals.first().and_then(|&g| rg.path_to(g));
+        report.deadlock_marking = goals.first().map(|&g| rg.marking(g).clone());
+    }
     let frontier = coverage.as_ref().map_or(0, |c| c.frontier_len);
     let verdict = Verdict::from_observation(report.has_deadlock, exhausted.is_none(), frontier);
     Ok(BoundedReport {
@@ -219,56 +164,8 @@ pub fn verify_bounded_property(
         verdict,
         exhausted,
         coverage,
-        reduction: None,
         property: property.clone(),
     })
-}
-
-/// Like [`verify_bounded`], preceded by a structural reduction pre-pass:
-/// the exploration runs on the reduced net, and every reported fact —
-/// witness trace, dead marking, dead transitions — is lifted back to
-/// `net`'s ids before being returned. `state_count` and coverage describe
-/// the *reduced* exploration (that reduction is the point).
-///
-/// The three-valued verdict transfers exactly: the reduction rules
-/// preserve deadlock existence in both directions (see DESIGN.md), so a
-/// deadlock found on the reduced net lifts to a replayable original
-/// counterexample, and completing the reduced space proves the original
-/// deadlock-free. An `Inconclusive` partial verdict stays inconclusive.
-///
-/// # Errors
-///
-/// Returns [`NetError::NotSafe`] on safeness violations,
-/// [`NetError::WorkerPanicked`] if a parallel worker died, or
-/// [`NetError::Reduction`] if a reduced-net witness fails to lift (a bug
-/// guard; lifting cannot fail on safe nets).
-pub fn verify_bounded_reduced(
-    net: &PetriNet,
-    opts: &ExploreOptions,
-    budget: &Budget,
-    reduce_opts: &ReduceOptions,
-) -> Result<BoundedReport, NetError> {
-    let reduction = reduce(net, reduce_opts)?;
-    let mut bounded = verify_bounded(&reduction.net, opts, budget)?;
-    if let Some(trace) = bounded.report.deadlock_witness.take() {
-        let lifted = reduction.map.lift_trace(&trace)?.ok_or_else(|| {
-            NetError::Reduction("reduced-net deadlock witness does not lift".into())
-        })?;
-        let marking = net
-            .fire_sequence(net.initial_marking(), lifted.iter().copied())?
-            .ok_or_else(|| {
-                NetError::Reduction("lifted deadlock witness does not fire on the original".into())
-            })?;
-        bounded.report.deadlock_marking = Some(marking);
-        bounded.report.deadlock_witness = Some(lifted);
-    } else if let Some(m) = bounded.report.deadlock_marking.take() {
-        bounded.report.deadlock_marking = Some(reduction.map.lift_marking(&m));
-    }
-    bounded.report.dead_transitions = reduction
-        .map
-        .lift_dead_transitions(&bounded.report.dead_transitions);
-    bounded.reduction = Some(reduction.report);
-    Ok(bounded)
 }
 
 /// Derives deadlock and liveness facts from an explored graph.
@@ -311,6 +208,7 @@ fn derive_report(net: &PetriNet, rg: &ReachabilityGraph, elapsed: Duration) -> V
 mod tests {
     use super::*;
     use crate::net::NetBuilder;
+    use crate::verify_all;
 
     #[test]
     fn live_cycle_reports_no_deadlock() {
@@ -319,7 +217,7 @@ mod tests {
         let q = b.place("q");
         b.transition("go", [p], [q]);
         b.transition("back", [q], [p]);
-        let report = verify(&b.build().unwrap()).unwrap();
+        let report = verify_all(&b.build().unwrap());
         assert!(!report.has_deadlock);
         assert_eq!(report.deadlock_count, 0);
         assert!(report.deadlock_witness.is_none());
@@ -334,7 +232,7 @@ mod tests {
         let r = b.place("r");
         b.transition("reach", [p], [q]);
         let never = b.transition("never", [r], []);
-        let report = verify(&b.build().unwrap()).unwrap();
+        let report = verify_all(&b.build().unwrap());
         assert_eq!(report.dead_transitions, vec![never]);
         assert!(!report.is_quasi_live());
     }
@@ -348,7 +246,7 @@ mod tests {
         b.transition("t1", [p], [q]);
         b.transition("t2", [q], [r]);
         let net = b.build().unwrap();
-        let report = verify(&net).unwrap();
+        let report = verify_all(&net);
         assert!(report.has_deadlock);
         let w = report.deadlock_witness.unwrap();
         assert_eq!(w.len(), 2);
@@ -365,7 +263,7 @@ mod tests {
         b.place_marked("p");
         let q = b.place("q");
         b.transition("t", [q], []);
-        let report = verify(&b.build().unwrap()).unwrap();
+        let report = verify_all(&b.build().unwrap());
         assert!(report.has_deadlock);
         assert_eq!(report.deadlock_witness, Some(vec![]));
     }
@@ -377,11 +275,13 @@ mod tests {
         let q = b.place("q");
         b.transition("t", [p], [q]);
         let opts = ExploreOptions {
-            max_states: usize::MAX,
             record_edges: false,
             ..Default::default()
         };
-        let report = verify_with(&b.build().unwrap(), &opts).unwrap();
+        let net = b.build().unwrap();
+        let report = verify(&net, &opts, &Budget::default(), &Property::deadlock())
+            .unwrap()
+            .report;
         assert_eq!(report.state_count, 2);
         assert!(report.is_quasi_live(), "fallback liveness via enabledness");
     }

@@ -90,11 +90,6 @@ impl Default for Budget {
 }
 
 impl Budget {
-    /// An unlimited budget (same as `Budget::default()`).
-    pub fn unlimited() -> Self {
-        Budget::default()
-    }
-
     /// Tightens the state limit to `min(current, max_states)`.
     #[must_use]
     pub fn cap_states(mut self, max_states: usize) -> Self {
@@ -128,15 +123,6 @@ impl Budget {
     /// Raises the cancellation flag.
     pub fn cancel(&self) {
         self.cancel.store(true, Ordering::Relaxed);
-    }
-
-    /// `true` if no limit is set at all — engines may skip per-iteration
-    /// checks entirely in that case.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_states == usize::MAX
-            && self.max_bytes == usize::MAX
-            && self.deadline.is_none()
-            && !self.cancel.load(Ordering::Relaxed)
     }
 
     /// A clone of this budget with its *own* fresh cancellation flag.
@@ -368,14 +354,16 @@ mod tests {
     #[test]
     fn default_budget_is_unlimited() {
         let b = Budget::default();
-        assert!(b.is_unlimited());
+        assert_eq!(b.max_states, usize::MAX);
+        assert_eq!(b.max_bytes, usize::MAX);
+        assert_eq!(b.deadline, None);
+        assert!(!b.cancel.load(Ordering::Relaxed));
         assert_eq!(b.exceeded(usize::MAX - 1, usize::MAX - 1), None);
     }
 
     #[test]
     fn state_and_byte_caps() {
         let b = Budget::default().cap_states(10).cap_bytes(1000);
-        assert!(!b.is_unlimited());
         assert_eq!(b.exceeded(10, 1000), None, "limits are inclusive");
         assert_eq!(b.exceeded(11, 0), Some(ExhaustionReason::States));
         assert_eq!(b.exceeded(0, 1001), Some(ExhaustionReason::Memory));

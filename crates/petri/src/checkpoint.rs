@@ -31,6 +31,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use crate::bitset::BitSet;
+use crate::budget::{Budget, Outcome};
 use crate::marking::Marking;
 use crate::net::PetriNet;
 
@@ -526,6 +527,62 @@ impl CheckpointConfig {
     pub fn annotate(&self, snapshot: &mut Snapshot) {
         for s in &self.annotations {
             snapshot.push_section(s.tag, s.payload.clone());
+        }
+    }
+}
+
+/// The segmenting protocol every checkpointing engine runs under.
+///
+/// `explore` continues a prior partial exploration (or starts fresh on
+/// `None`) under the budget it is handed. With `ckpt.every` set, each
+/// segment's budget caps stored states at `stored(prior) + every`, so the
+/// engine quiesces at its frontier barrier at that point. Every partial
+/// segment is serialized by `snapshot`, annotated and written to
+/// `ckpt.path`; then `budget` is re-checked against the segment's
+/// coverage, so the synthetic cap continues in-process while a genuine
+/// exhaustion of the caller's budget ends the run.
+///
+/// # Errors
+///
+/// Whatever `explore` returns, plus snapshot write failures.
+pub fn explore_segmented<T, E: From<CheckpointError>>(
+    budget: &Budget,
+    ckpt: &CheckpointConfig,
+    mut prior: Option<T>,
+    stored: impl Fn(&T) -> usize,
+    mut explore: impl FnMut(&Budget, Option<T>) -> Result<Outcome<T>, E>,
+    snapshot: impl Fn(&T) -> Snapshot,
+) -> Result<Outcome<T>, E> {
+    loop {
+        let segment = match (ckpt.every, &ckpt.path) {
+            (Some(every), Some(_)) => {
+                let stored = prior.as_ref().map_or(1, &stored);
+                budget
+                    .clone()
+                    .cap_states(stored.saturating_add(every.max(1)))
+            }
+            _ => budget.clone(),
+        };
+        let (result, coverage) = match explore(&segment, prior.take())? {
+            Outcome::Complete(done) => return Ok(Outcome::Complete(done)),
+            Outcome::Partial {
+                result, coverage, ..
+            } => (result, coverage),
+        };
+        if let Some(path) = &ckpt.path {
+            let mut snap = snapshot(&result);
+            ckpt.annotate(&mut snap);
+            write_checkpoint(path, &snap)?;
+        }
+        match budget.exceeded(coverage.states_stored, coverage.bytes_estimate) {
+            None => prior = Some(result),
+            Some(reason) => {
+                return Ok(Outcome::Partial {
+                    result,
+                    reason,
+                    coverage,
+                })
+            }
         }
     }
 }

@@ -93,8 +93,8 @@ pub fn reachability_to_dot(net: &PetriNet, rg: &ReachabilityGraph) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore_full;
     use crate::net::NetBuilder;
-    use crate::reachability::ReachabilityGraph;
 
     fn simple() -> PetriNet {
         let mut b = NetBuilder::new("simple");
@@ -118,7 +118,7 @@ mod tests {
     #[test]
     fn rg_dot_highlights_initial_and_deadlock() {
         let net = simple();
-        let rg = ReachabilityGraph::explore(&net).unwrap();
+        let rg = explore_full(&net).unwrap();
         let dot = reachability_to_dot(&net, &rg);
         assert!(dot.contains("penwidth=2"), "initial state highlighted");
         assert!(dot.contains("color=red"), "dead state highlighted");

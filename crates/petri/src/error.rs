@@ -29,8 +29,6 @@ pub enum NetError {
         /// Target node of the duplicated arc.
         to: String,
     },
-    /// Exploration hit the configured state limit before exhausting the space.
-    StateLimit(usize),
     /// A parallel exploration worker panicked; the run was abandoned after
     /// joining every other worker (no partial result is trustworthy once a
     /// worker died mid-expansion).
@@ -73,9 +71,6 @@ impl fmt::Display for NetError {
             NetError::DuplicateArc { from, to } => {
                 write!(f, "duplicate arc `{from}` -> `{to}`")
             }
-            NetError::StateLimit(n) => {
-                write!(f, "state limit of {n} states exceeded during exploration")
-            }
             NetError::WorkerPanicked => {
                 write!(f, "an exploration worker thread panicked")
             }
@@ -102,6 +97,12 @@ impl fmt::Display for NetError {
 
 impl Error for NetError {}
 
+impl From<crate::checkpoint::CheckpointError> for NetError {
+    fn from(e: crate::checkpoint::CheckpointError) -> Self {
+        NetError::Checkpoint(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,10 +121,6 @@ mod tests {
                     to: "b".into(),
                 },
                 "duplicate arc `a` -> `b`",
-            ),
-            (
-                NetError::StateLimit(10),
-                "state limit of 10 states exceeded during exploration",
             ),
             (
                 NetError::WorkerPanicked,

@@ -22,7 +22,7 @@
 //! # Example: detect the dining-philosophers deadlock
 //!
 //! ```
-//! use petri::{NetBuilder, verify};
+//! use petri::{verify, Budget, NetBuilder, Property, Verdict};
 //!
 //! // Two philosophers, two forks, left-then-right grabbing order.
 //! let mut b = NetBuilder::new("dp2");
@@ -36,8 +36,8 @@
 //!     b.transition(format!("drop{i}"), [eat], [think, forks[i], forks[(i + 1) % 2]]);
 //! }
 //! let net = b.build()?;
-//! let report = verify(&net)?;
-//! assert!(report.has_deadlock, "both grabbed their left fork");
+//! let bounded = verify(&net, &Default::default(), &Budget::default(), &Property::deadlock())?;
+//! assert_eq!(bounded.verdict, Verdict::HasDeadlock, "both grabbed their left fork");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -64,10 +64,7 @@ mod reachability;
 pub mod reduce;
 mod siphons;
 
-pub use analysis::{
-    verify, verify_bounded, verify_bounded_property, verify_bounded_reduced, verify_with,
-    BoundedReport, VerificationReport,
-};
+pub use analysis::{verify, BoundedReport, VerificationReport};
 pub use bitset::{BitSet, Iter as BitSetIter};
 pub use budget::{Budget, CoverageStats, ExhaustionReason, Outcome, Verdict};
 pub use checkpoint::{
@@ -96,3 +93,29 @@ pub use siphons::{
     empty_places_siphon, is_siphon, is_trap, max_trap_within, minimal_siphons,
     siphon_trap_certificate,
 };
+
+/// Test shorthand: the complete reachability graph of `net`.
+#[cfg(test)]
+fn explore_full(net: &PetriNet) -> Result<ReachabilityGraph, NetError> {
+    ReachabilityGraph::explore(
+        net,
+        &ExploreOptions::default(),
+        &Budget::default(),
+        &CheckpointConfig::default(),
+        None,
+    )
+    .map(Outcome::into_value)
+}
+
+/// Test shorthand: the deadlock facts of a complete exploration of `net`.
+#[cfg(test)]
+fn verify_all(net: &PetriNet) -> VerificationReport {
+    verify(
+        net,
+        &ExploreOptions::default(),
+        &Budget::default(),
+        &Property::deadlock(),
+    )
+    .unwrap()
+    .report
+}

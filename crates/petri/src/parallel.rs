@@ -1306,10 +1306,12 @@ mod tests {
         let err = explore_frontier(
             net.initial_marking().clone(),
             &opts(2),
-            |_m: &Marking, _out: &mut Vec<(TransitionId, Marking)>| Err(NetError::StateLimit(777)),
+            |_m: &Marking, _out: &mut Vec<(TransitionId, Marking)>| {
+                Err(NetError::Reduction("boom".into()))
+            },
         )
         .unwrap_err();
-        assert_eq!(err, NetError::StateLimit(777));
+        assert_eq!(err, NetError::Reduction("boom".into()));
         let _ = net;
     }
 

@@ -703,7 +703,7 @@ mod tests {
     #[test]
     fn parsed_net_verifies_like_a_native_one() {
         let net = parse_pnml(TOGGLE).unwrap();
-        let report = crate::analysis::verify(&net).unwrap();
+        let report = crate::verify_all(&net);
         assert_eq!(report.state_count, 2);
         assert!(!report.has_deadlock);
     }

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use crate::budget::{Budget, CoverageStats, Outcome};
 use crate::checkpoint::{
-    read_marking, write_checkpoint, write_marking, ByteReader, ByteWriter, CheckpointConfig,
+    explore_segmented, read_marking, write_marking, ByteReader, ByteWriter, CheckpointConfig,
     CheckpointError, EngineKind, Snapshot,
 };
 use crate::error::NetError;
@@ -70,11 +70,9 @@ impl fmt::Display for StateId {
     }
 }
 
-/// Options controlling [`ReachabilityGraph::explore_with`].
+/// Options controlling [`ReachabilityGraph::explore`].
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
-    /// Abort with [`NetError::StateLimit`] once this many states are stored.
-    pub max_states: usize,
     /// Record the labelled edges (needed for path queries and DOT export);
     /// disable to save memory when only the state count matters.
     pub record_edges: bool,
@@ -89,7 +87,6 @@ pub struct ExploreOptions {
 impl Default for ExploreOptions {
     fn default() -> Self {
         ExploreOptions {
-            max_states: usize::MAX,
             record_edges: true,
             threads: default_threads(),
         }
@@ -101,7 +98,7 @@ impl Default for ExploreOptions {
 /// # Examples
 ///
 /// ```
-/// use petri::{NetBuilder, ReachabilityGraph};
+/// use petri::{Budget, CheckpointConfig, NetBuilder, ReachabilityGraph};
 ///
 /// // Three concurrent transitions: 2^3 = 8 reachable states (paper Fig. 1).
 /// let mut b = NetBuilder::new("fig1");
@@ -111,7 +108,14 @@ impl Default for ExploreOptions {
 ///     b.transition(format!("t{i}"), [p], [q]);
 /// }
 /// let net = b.build()?;
-/// let rg = ReachabilityGraph::explore(&net)?;
+/// let rg = ReachabilityGraph::explore(
+///     &net,
+///     &Default::default(),
+///     &Budget::default(),
+///     &CheckpointConfig::default(),
+///     None,
+/// )?
+/// .into_value();
 /// assert_eq!(rg.state_count(), 8);
 /// assert_eq!(rg.deadlocks().len(), 1);
 /// # Ok::<(), petri::NetError>(())
@@ -132,126 +136,51 @@ pub struct ReachabilityGraph {
 }
 
 impl ReachabilityGraph {
-    /// Explores the full state space with default options.
+    /// Explores the state space under a cooperative resource [`Budget`],
+    /// optionally resuming a prior partial graph and/or writing crash-safe
+    /// snapshots.
     ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NotSafe`] if any firing violates safeness.
-    pub fn explore(net: &PetriNet) -> Result<Self, NetError> {
-        Self::explore_with(net, &ExploreOptions::default())
-    }
-
-    /// Explores the full state space with explicit options.
-    ///
-    /// This is the legacy all-or-nothing entry point: a hit state limit is
-    /// reported as an error and the partial graph is discarded. Prefer
-    /// [`explore_bounded`](Self::explore_bounded), which returns the graph
-    /// computed so far when a budget runs out.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NotSafe`] on a safeness violation, or
-    /// [`NetError::StateLimit`] if `opts.max_states` is exceeded.
-    pub fn explore_with(net: &PetriNet, opts: &ExploreOptions) -> Result<Self, NetError> {
-        match Self::explore_bounded(net, opts, &Budget::default())? {
-            Outcome::Complete(rg) => Ok(rg),
-            Outcome::Partial { .. } => Err(NetError::StateLimit(opts.max_states)),
-        }
-    }
-
-    /// Explores the state space under a cooperative resource [`Budget`].
-    ///
-    /// The effective state cap is the tighter of `opts.max_states` and
-    /// `budget.max_states`. When any budget axis (states, bytes, deadline,
-    /// cancellation) is exhausted, the graph built so far is returned as
+    /// When any budget axis (states, bytes, deadline, cancellation) is
+    /// exhausted, the graph built so far is returned as
     /// [`Outcome::Partial`] with [`CoverageStats`] — every stored marking
     /// is genuinely reachable, so a deadlock found in a partial graph is a
     /// real counterexample, but deadlock *freedom* can only be concluded
     /// from [`Outcome::Complete`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NotSafe`] on a safeness violation,
-    /// [`NetError::WorkerPanicked`] if a parallel worker died, or
-    /// [`NetError::StateIdOverflow`] past `u32::MAX` states.
-    pub fn explore_bounded(
-        net: &PetriNet,
-        opts: &ExploreOptions,
-        budget: &Budget,
-    ) -> Result<Outcome<Self>, NetError> {
-        let budget = budget.clone().cap_states(opts.max_states);
-        Self::explore_resumed(net, opts, &budget, None)
-    }
-
-    /// Like [`explore_bounded`](Self::explore_bounded), but optionally
-    /// resuming a prior partial graph and/or writing crash-safe snapshots.
     ///
     /// * `resume` — a snapshot previously produced by an interrupted run of
     ///   this engine over the *same net* (validated via the embedded
     ///   fingerprint). The exploration continues from the stored frontier
     ///   and, run to completion, reaches the identical verdict, state
     ///   count, and witnesses as a single uninterrupted run.
-    /// * `ckpt.path` — budget exhaustion writes a snapshot there before
-    ///   the partial outcome is returned.
-    /// * `ckpt.every` — additionally snapshots roughly every `every` newly
-    ///   stored states: the run proceeds in segments capped at
-    ///   `stored + every` states, each segment quiescing its workers at
-    ///   the frontier barrier before the snapshot is taken, then
-    ///   continuing in-process.
+    /// * `ckpt` — where and how often to snapshot; see
+    ///   [`explore_segmented`] for the segmenting protocol.
     ///
     /// # Errors
     ///
-    /// Everything [`explore_bounded`](Self::explore_bounded) returns, plus
+    /// Returns [`NetError::NotSafe`] on a safeness violation,
+    /// [`NetError::WorkerPanicked`] if a parallel worker died,
+    /// [`NetError::StateIdOverflow`] past `u32::MAX` states, or
     /// [`NetError::Checkpoint`] when `resume` does not belong to this
     /// net/engine/options or a snapshot cannot be written.
-    pub fn explore_checkpointed(
+    pub fn explore(
         net: &PetriNet,
         opts: &ExploreOptions,
         budget: &Budget,
         ckpt: &CheckpointConfig,
         resume: Option<&Snapshot>,
     ) -> Result<Outcome<Self>, NetError> {
-        let real_budget = budget.clone().cap_states(opts.max_states);
-        let mut prior = match resume {
-            Some(snap) => Some(
-                Self::from_snapshot(net, snap, opts.record_edges)
-                    .map_err(|e| NetError::Checkpoint(e.to_string()))?,
-            ),
+        let prior = match resume {
+            Some(snap) => Some(Self::from_snapshot(net, snap, opts.record_edges)?),
             None => None,
         };
-        loop {
-            let mut segment = real_budget.clone();
-            if let (Some(every), Some(_)) = (ckpt.every, &ckpt.path) {
-                let stored = prior.as_ref().map_or(1, ReachabilityGraph::state_count);
-                segment.max_states = segment.max_states.min(stored.saturating_add(every.max(1)));
-            }
-            match Self::explore_resumed(net, opts, &segment, prior.take())? {
-                Outcome::Complete(g) => return Ok(Outcome::Complete(g)),
-                Outcome::Partial {
-                    result, coverage, ..
-                } => {
-                    if let Some(path) = &ckpt.path {
-                        let mut snap = result.to_snapshot(net, opts.record_edges);
-                        ckpt.annotate(&mut snap);
-                        write_checkpoint(path, &snap)
-                            .map_err(|e| NetError::Checkpoint(e.to_string()))?;
-                    }
-                    // Distinguish the segment's synthetic state cap from
-                    // genuine exhaustion of the caller's budget: only the
-                    // latter ends the run.
-                    match real_budget.exceeded(coverage.states_stored, coverage.bytes_estimate) {
-                        None => prior = Some(result),
-                        Some(real_reason) => {
-                            return Ok(Outcome::Partial {
-                                result,
-                                reason: real_reason,
-                                coverage,
-                            });
-                        }
-                    }
-                }
-            }
-        }
+        explore_segmented(
+            budget,
+            ckpt,
+            prior,
+            ReachabilityGraph::state_count,
+            |segment, prior| Self::explore_resumed(net, opts, segment, prior),
+            |g| g.to_snapshot(net, opts.record_edges),
+        )
     }
 
     /// Continues exploring `prior` (or starts fresh) under `budget`.
@@ -787,6 +716,7 @@ impl ReachabilityGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore_full;
     use crate::net::NetBuilder;
 
     /// N independent place->transition->place strands, all marked.
@@ -802,7 +732,7 @@ mod tests {
 
     #[test]
     fn fig1_shape_eight_states_six_interleavings() {
-        let rg = ReachabilityGraph::explore(&concurrent(3)).unwrap();
+        let rg = explore_full(&concurrent(3)).unwrap();
         assert_eq!(rg.state_count(), 8);
         assert_eq!(rg.edge_count(), 12); // 3*4 edges of the cube
         assert_eq!(rg.deadlocks().len(), 1);
@@ -812,7 +742,7 @@ mod tests {
     #[test]
     fn concurrency_scales_as_two_to_the_n() {
         for n in 1..=6 {
-            let rg = ReachabilityGraph::explore(&concurrent(n)).unwrap();
+            let rg = explore_full(&concurrent(n)).unwrap();
             assert_eq!(rg.state_count(), 1 << n, "n={n}");
         }
     }
@@ -825,7 +755,7 @@ mod tests {
         b.transition("go", [p], [q]);
         b.transition("back", [q], [p]);
         let net = b.build().unwrap();
-        let rg = ReachabilityGraph::explore(&net).unwrap();
+        let rg = explore_full(&net).unwrap();
         assert_eq!(rg.state_count(), 2);
         assert!(!rg.has_deadlock());
         assert_eq!(rg.count_maximal_paths(), None);
@@ -846,7 +776,7 @@ mod tests {
         b.transition("b_take2", [b0, r2], [b1]);
         b.transition("b_take1", [b1, r1], [b0, r1, r2]);
         let net = b.build().unwrap();
-        let rg = ReachabilityGraph::explore(&net).unwrap();
+        let rg = explore_full(&net).unwrap();
         assert!(rg.has_deadlock());
         let dead = rg.deadlocks()[0];
         let path = rg.path_to(dead).expect("deadlock reachable");
@@ -861,25 +791,48 @@ mod tests {
 
     #[test]
     fn state_limit_respected() {
+        use crate::budget::ExhaustionReason;
+        // concurrent(5) has 32 markings: the cap is inclusive
         let net = concurrent(5);
         let opts = ExploreOptions {
-            max_states: 10,
             record_edges: false,
             ..Default::default()
         };
-        let err = ReachabilityGraph::explore_with(&net, &opts).unwrap_err();
-        assert_eq!(err, NetError::StateLimit(10));
+        let run = |cap| {
+            ReachabilityGraph::explore(
+                &net,
+                &opts,
+                &Budget::default().cap_states(cap),
+                &CheckpointConfig::default(),
+                None,
+            )
+            .unwrap()
+        };
+        let cut = run(10);
+        assert_eq!(cut.reason(), Some(ExhaustionReason::States));
+        assert!(cut.into_value().state_count() < 32);
+        assert_eq!(run(31).reason(), Some(ExhaustionReason::States));
+        let at_cap = run(32);
+        assert_eq!(at_cap.reason(), None);
+        assert_eq!(at_cap.into_value().state_count(), 32);
     }
 
     #[test]
     fn edges_can_be_skipped() {
         let net = concurrent(3);
         let opts = ExploreOptions {
-            max_states: usize::MAX,
             record_edges: false,
             ..Default::default()
         };
-        let rg = ReachabilityGraph::explore_with(&net, &opts).unwrap();
+        let rg = ReachabilityGraph::explore(
+            &net,
+            &opts,
+            &Budget::default(),
+            &CheckpointConfig::default(),
+            None,
+        )
+        .unwrap()
+        .into_value();
         assert_eq!(rg.state_count(), 8);
         assert!(rg.successors(rg.initial()).is_empty());
         assert_eq!(rg.edge_count(), 12, "edge count still tracked");
@@ -888,7 +841,7 @@ mod tests {
     #[test]
     fn find_and_contains() {
         let net = concurrent(2);
-        let rg = ReachabilityGraph::explore(&net).unwrap();
+        let rg = explore_full(&net).unwrap();
         assert!(rg.contains(net.initial_marking()));
         assert_eq!(rg.find(net.initial_marking()), Some(rg.initial()));
         let absent = Marking::empty(net.place_count());
@@ -898,7 +851,7 @@ mod tests {
     #[test]
     fn path_to_initial_is_empty() {
         let net = concurrent(2);
-        let rg = ReachabilityGraph::explore(&net).unwrap();
+        let rg = explore_full(&net).unwrap();
         assert_eq!(rg.path_to(rg.initial()), Some(vec![]));
     }
 
@@ -911,18 +864,29 @@ mod tests {
                 threads,
                 ..Default::default()
             };
-            let reference = ReachabilityGraph::explore_bounded(&net, &opts, &Budget::default())
-                .unwrap()
-                .into_value();
+            let reference = ReachabilityGraph::explore(
+                &net,
+                &opts,
+                &Budget::default(),
+                &CheckpointConfig::default(),
+                None,
+            )
+            .unwrap()
+            .into_value();
 
             // interrupt at 10 states, snapshot, decode, resume
-            let partial =
-                ReachabilityGraph::explore_bounded(&net, &opts, &Budget::default().cap_states(10))
-                    .unwrap();
+            let partial = ReachabilityGraph::explore(
+                &net,
+                &opts,
+                &Budget::default().cap_states(10),
+                &CheckpointConfig::default(),
+                None,
+            )
+            .unwrap();
             assert!(!partial.is_complete(), "threads={threads}");
             let snap = partial.value().to_snapshot(&net, true);
             let decoded = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-            let resumed = ReachabilityGraph::explore_checkpointed(
+            let resumed = ReachabilityGraph::explore(
                 &net,
                 &opts,
                 &Budget::default(),
@@ -961,7 +925,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("full.ckpt");
         let opts = ExploreOptions::default();
-        let out = ReachabilityGraph::explore_checkpointed(
+        let out = ReachabilityGraph::explore(
             &net,
             &opts,
             &Budget::default(),
@@ -974,7 +938,7 @@ mod tests {
         assert!(path.exists(), "mid-run snapshot was written");
         // the last snapshot resumes to the same complete result
         let snap = crate::checkpoint::read_checkpoint_with_fallback(&path).unwrap();
-        let resumed = ReachabilityGraph::explore_checkpointed(
+        let resumed = ReachabilityGraph::explore(
             &net,
             &opts,
             &Budget::default(),
@@ -991,7 +955,7 @@ mod tests {
     fn snapshot_for_wrong_net_is_rejected() {
         let net = concurrent(3);
         let other = concurrent(4);
-        let rg = ReachabilityGraph::explore(&net).unwrap();
+        let rg = explore_full(&net).unwrap();
         let snap = rg.to_snapshot(&net, true);
         let err = ReachabilityGraph::from_snapshot(&other, &snap, true).unwrap_err();
         assert!(matches!(err, CheckpointError::FingerprintMismatch { .. }));
@@ -1009,7 +973,7 @@ mod tests {
         b.transition("t2", [q], [r]);
         let net = b.build().unwrap();
         // firing t1 then t2 puts two tokens in r
-        let err = ReachabilityGraph::explore(&net).unwrap_err();
+        let err = explore_full(&net).unwrap_err();
         assert!(matches!(err, NetError::NotSafe { .. }));
     }
 }

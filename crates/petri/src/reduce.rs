@@ -1157,7 +1157,7 @@ fn sorted(ids: &[TransitionId]) -> Vec<TransitionId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::verify;
+    use crate::verify_all;
 
     fn all() -> ReduceOptions {
         ReduceOptions::default()
@@ -1170,8 +1170,8 @@ mod tests {
     /// Verdict equivalence + witness replay: the workhorse assertion.
     fn check_equivalent(net: &PetriNet, opts: &ReduceOptions) -> Reduction {
         let red = reduce(net, opts).unwrap();
-        let orig = verify(net).unwrap();
-        let reduced = verify(&red.net).unwrap();
+        let orig = verify_all(net);
+        let reduced = verify_all(&red.net);
         assert_eq!(
             orig.has_deadlock,
             reduced.has_deadlock,
@@ -1217,7 +1217,7 @@ mod tests {
         assert!(red.net.place_count() <= 2, "pipeline should collapse");
         assert!(red.report.series_places_fused + red.report.series_transitions_fused > 0);
         // dead end of the pipeline stays a deadlock, with a full-length witness
-        let reduced = verify(&red.net).unwrap();
+        let reduced = verify_all(&red.net);
         assert!(reduced.has_deadlock);
         let lifted = red
             .map
@@ -1243,13 +1243,13 @@ mod tests {
         };
         let red = reduce_observed(&net, &all(), &obs).unwrap();
         assert!(red.net.place_by_name("p3").is_some(), "observed place kept");
-        let orig = verify(&net).unwrap();
-        let reduced = verify(&red.net).unwrap();
+        let orig = verify_all(&net);
+        let reduced = verify_all(&red.net);
         assert_eq!(orig.has_deadlock, reduced.has_deadlock);
         // the observed marking is still expressible: some reachable
         // reduced marking marks p3, as in the original
         let p3 = red.net.place_by_name("p3").unwrap();
-        let rg = crate::ReachabilityGraph::explore(&red.net).unwrap();
+        let rg = crate::explore_full(&red.net).unwrap();
         assert!(
             rg.states().any(|s| rg.marking(s).is_marked(p3)),
             "p3 is still reachably marked after reduction"
@@ -1330,7 +1330,7 @@ mod tests {
         let red = reduce(&net, &only("st")).unwrap();
         assert_eq!(red.report.series_transitions_fused, 1);
         assert_eq!(red.net.transition_count(), 1);
-        let reduced = verify(&red.net).unwrap();
+        let reduced = verify_all(&red.net);
         let lifted = red
             .map
             .lift_trace(&reduced.deadlock_witness.unwrap())
@@ -1360,7 +1360,7 @@ mod tests {
         let net = b.build().unwrap();
         let red = reduce(&net, &only("sp")).unwrap();
         assert!(red.report.series_places_fused >= 1);
-        let reduced = verify(&red.net).unwrap();
+        let reduced = verify_all(&red.net);
         let lifted = red
             .map
             .lift_trace(&reduced.deadlock_witness.unwrap())
@@ -1384,7 +1384,7 @@ mod tests {
         let net = b.build().unwrap();
         let red = check_equivalent(&net, &only("sp"));
         assert!(red.report.series_places_fused >= 1);
-        let reduced = verify(&red.net).unwrap();
+        let reduced = verify_all(&red.net);
         let lifted = red
             .map
             .lift_trace(&reduced.deadlock_witness.unwrap())
@@ -1405,7 +1405,7 @@ mod tests {
         let red = check_equivalent(&net, &only("rp"));
         // the twin is removed as a duplicate; q additionally falls as a sink
         assert_eq!(red.report.redundant_places_removed, 2);
-        let reduced = verify(&red.net).unwrap();
+        let reduced = verify_all(&red.net);
         let lifted = red
             .map
             .lift_marking(reduced.deadlock_marking.as_ref().unwrap());
@@ -1426,7 +1426,7 @@ mod tests {
         let red = check_equivalent(&net, &only("rp"));
         assert!(red.report.redundant_places_removed >= 1);
         assert!(red.net.place_by_name("always").is_none());
-        let reduced = verify(&red.net).unwrap();
+        let reduced = verify_all(&red.net);
         let lifted = red
             .map
             .lift_marking(reduced.deadlock_marking.as_ref().unwrap());
@@ -1491,7 +1491,7 @@ mod tests {
         assert_eq!(red.report.dead_transitions_removed, 4);
         assert_eq!(red.net.transition_count(), 2, "only t and tb stay");
         // the lifted dead set names every removed original transition
-        let reduced = verify(&red.net).unwrap();
+        let reduced = verify_all(&red.net);
         let lifted = red.map.lift_dead_transitions(&reduced.dead_transitions);
         let names: Vec<&str> = lifted.iter().map(|&t| net.transition_name(t)).collect();
         assert!(names.contains(&"d1") && names.contains(&"d2") && names.contains(&"d3"));
@@ -1507,8 +1507,8 @@ mod tests {
             net.place_count(),
             red.net.place_count()
         );
-        let orig = verify(&net).unwrap();
-        let reduced = verify(&red.net).unwrap();
+        let orig = verify_all(&net);
+        let reduced = verify_all(&red.net);
         assert!(reduced.state_count < orig.state_count);
     }
 

@@ -20,7 +20,6 @@ fn cfg() -> RandomNetConfig {
 
 fn opts() -> ExploreOptions {
     ExploreOptions {
-        max_states: usize::MAX,
         record_edges: true,
         threads: 1,
     }
@@ -34,12 +33,8 @@ proptest! {
     #[test]
     fn snapshot_round_trip_resumes_identically(seed in 0u64..100_000, cap in 1usize..40) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let reference = ReachabilityGraph::explore(&net).expect("validated safe");
-        let partial = ReachabilityGraph::explore_bounded(
-            &net,
-            &opts(),
-            &Budget::default().cap_states(cap),
-        )
+        let reference = explore_full(&net).expect("validated safe");
+        let partial = ReachabilityGraph::explore(&net, &opts(), &Budget::default().cap_states(cap), &CheckpointConfig::default(), None)
         .expect("validated safe");
         let Outcome::Partial { result, .. } = partial else {
             // the cap exceeded the whole state space: nothing to resume
@@ -47,13 +42,7 @@ proptest! {
         };
         let bytes = result.to_snapshot(&net, true).to_bytes();
         let snap = Snapshot::from_bytes(&bytes).expect("own bytes decode");
-        let resumed = ReachabilityGraph::explore_checkpointed(
-            &net,
-            &opts(),
-            &Budget::default(),
-            &CheckpointConfig::default(),
-            Some(&snap),
-        )
+        let resumed = ReachabilityGraph::explore(&net, &opts(), &Budget::default(), &CheckpointConfig::default(), Some(&snap))
         .expect("resume from own snapshot")
         .into_value();
         prop_assert_eq!(resumed.state_count(), reference.state_count());
@@ -67,11 +56,7 @@ proptest! {
     #[test]
     fn bit_flips_never_panic_or_change_the_verdict(seed in 0u64..100_000, bit in 0usize..1 << 16) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let partial = ReachabilityGraph::explore_bounded(
-            &net,
-            &opts(),
-            &Budget::default().cap_states(3),
-        )
+        let partial = ReachabilityGraph::explore(&net, &opts(), &Budget::default().cap_states(3), &CheckpointConfig::default(), None)
         .expect("validated safe");
         let mut bytes = partial.value().to_snapshot(&net, true).to_bytes();
         let bit = bit % (bytes.len() * 8);
@@ -79,20 +64,26 @@ proptest! {
         let Ok(decoded) = Snapshot::from_bytes(&bytes) else {
             return Ok(()); // typed rejection at the envelope
         };
-        match ReachabilityGraph::explore_checkpointed(
-            &net,
-            &opts(),
-            &Budget::default(),
-            &CheckpointConfig::default(),
-            Some(&decoded),
-        ) {
+        match ReachabilityGraph::explore(&net, &opts(), &Budget::default(), &CheckpointConfig::default(), Some(&decoded)) {
             Err(_) => {} // typed rejection at validation
             Ok(out) => {
-                let reference = ReachabilityGraph::explore(&net).expect("validated safe");
+                let reference = explore_full(&net).expect("validated safe");
                 let resumed = out.into_value();
                 prop_assert_eq!(resumed.state_count(), reference.state_count());
                 prop_assert_eq!(resumed.has_deadlock(), reference.has_deadlock());
             }
         }
     }
+}
+
+/// The complete reachability graph of `net`.
+fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
 }

@@ -296,14 +296,9 @@ fn engine_surfaces_injected_checkpoint_write_failure() {
     };
     let ckpt = CheckpointConfig::at(&path);
     fault::arm(fault::STAGE_TMP_WRITE);
-    let err = ReachabilityGraph::explore_checkpointed(
-        &net,
-        &opts,
-        &Budget::default().cap_states(4),
-        &ckpt,
-        None,
-    )
-    .unwrap_err();
+    let err =
+        ReachabilityGraph::explore(&net, &opts, &Budget::default().cap_states(4), &ckpt, None)
+            .unwrap_err();
     fault::disarm();
     assert!(
         matches!(err, NetError::Checkpoint(_)),

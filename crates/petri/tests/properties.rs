@@ -3,7 +3,7 @@
 //! property of independent transitions, and witness-path replay.
 
 use models::random::{random_safe_net, RandomNetConfig};
-use petri::{place_invariants, Marking, PetriNet, ReachabilityGraph};
+use petri::{place_invariants, Marking, PetriNet};
 use proptest::prelude::*;
 
 fn cfg() -> RandomNetConfig {
@@ -31,7 +31,7 @@ proptest! {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
         let invs = place_invariants(&net);
         if invs.is_empty() { return Ok(()); }
-        let rg = ReachabilityGraph::explore(&net).expect("validated safe");
+        let rg = explore_full(&net).expect("validated safe");
         let expected: Vec<i64> = invs
             .iter()
             .map(|inv| weighted_tokens(inv, net.initial_marking()))
@@ -76,7 +76,7 @@ proptest! {
     #[test]
     fn deadlock_paths_replay(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let rg = ReachabilityGraph::explore(&net).expect("validated safe");
+        let rg = explore_full(&net).expect("validated safe");
         for &d in rg.deadlocks().iter().take(3) {
             let path = rg.path_to(d).expect("reachable by construction");
             let m = net
@@ -101,11 +101,8 @@ proptest! {
     #[test]
     fn edge_recording_does_not_change_counts(seed in 0u64..50_000) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let with_edges = ReachabilityGraph::explore(&net).expect("safe");
-        let without = ReachabilityGraph::explore_with(
-            &net,
-            &petri::ExploreOptions { max_states: usize::MAX, record_edges: false, ..Default::default() },
-        ).expect("safe");
+        let with_edges = explore_full(&net).expect("safe");
+        let without = explore_full_with(&net, &petri::ExploreOptions { record_edges: false, ..Default::default() }).expect("safe");
         prop_assert_eq!(with_edges.state_count(), without.state_count());
         prop_assert_eq!(with_edges.edge_count(), without.edge_count());
         prop_assert_eq!(with_edges.has_deadlock(), without.has_deadlock());
@@ -180,7 +177,7 @@ proptest! {
     fn siphon_trap_certificate_is_sound(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
         if petri::siphon_trap_certificate(&net, 50_000) == Some(true) {
-            let rg = ReachabilityGraph::explore(&net).expect("validated safe");
+            let rg = explore_full(&net).expect("validated safe");
             prop_assert!(!rg.has_deadlock(), "certificate lied\n{}", petri::to_text(&net));
         }
     }
@@ -199,7 +196,7 @@ proptest! {
                 }
             }
         }
-        let rg = ReachabilityGraph::explore(&net).expect("validated safe");
+        let rg = explore_full(&net).expect("validated safe");
         for &d in rg.deadlocks().iter().take(2) {
             let empties = petri::empty_places_siphon(&net, rg.marking(d)).expect("dead");
             prop_assert!(
@@ -208,4 +205,24 @@ proptest! {
             );
         }
     }
+}
+
+/// The complete reachability graph of `net`.
+fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    explore_full_with(net, &petri::ExploreOptions::default())
+}
+
+/// The complete reachability graph of `net` under `opts`.
+fn explore_full_with(
+    net: &petri::PetriNet,
+    opts: &petri::ExploreOptions,
+) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        opts,
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
 }

@@ -21,11 +21,16 @@
 //! # Example
 //!
 //! ```
+//! use petri::{Budget, Property};
 //! use symbolic::SymbolicReachability;
 //!
-//! let sym = SymbolicReachability::explore(&models::nsdp(2));
+//! let net = models::nsdp(2);
+//! let deadlock = Property::deadlock().compile(&net)?;
+//! let sym = SymbolicReachability::explore(&net, &Default::default(), &Budget::default(), &deadlock)
+//!     .into_value();
 //! assert_eq!(sym.state_count(), 18.0); // Table 1: NSDP(2)
 //! assert!(sym.has_deadlock());
+//! # Ok::<(), String>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,5 +43,39 @@ mod zdd;
 
 pub use bdd::{Bdd, BddRef, BDD_FALSE, BDD_TRUE};
 pub use czdd::ConcurrentZdd;
-pub use reach::{SymbolicOptions, SymbolicReachability, VariableOrder};
+pub use reach::{SymbolicOptions, SymbolicReachability, VariableOrder, BDD_NODE_BYTES};
 pub use zdd::{Zdd, ZddRef, ZDD_EMPTY, ZDD_UNIT};
+
+/// Test shorthand: the compiled default property, `EF deadlock`.
+#[cfg(test)]
+fn deadlock_goal(net: &petri::PetriNet) -> petri::CompiledProperty {
+    petri::Property::deadlock()
+        .compile(net)
+        .expect("deadlock compiles on every net")
+}
+
+/// Test shorthand: the complete symbolic deadlock search over `net`.
+#[cfg(test)]
+fn explore_symbolic(net: &petri::PetriNet) -> SymbolicReachability {
+    explore_symbolic_with(net, &SymbolicOptions::default())
+}
+
+/// Test shorthand: the complete symbolic deadlock search under `opts`.
+#[cfg(test)]
+fn explore_symbolic_with(net: &petri::PetriNet, opts: &SymbolicOptions) -> SymbolicReachability {
+    SymbolicReachability::explore(net, opts, &petri::Budget::default(), &deadlock_goal(net))
+        .into_value()
+}
+
+/// Test shorthand: the complete reachability graph of `net`.
+#[cfg(test)]
+fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}

@@ -20,7 +20,7 @@ use crate::bdd::{Bdd, BddRef, BDD_FALSE, BDD_TRUE};
 
 /// Approximate bytes per allocated BDD node (node record plus its share of
 /// the unique-table and cache entries) — the unit of budget byte accounting.
-const BDD_NODE_BYTES: usize = 32;
+pub const BDD_NODE_BYTES: usize = 32;
 
 /// How place indices map to BDD variables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,25 +34,11 @@ pub enum VariableOrder {
     CurrentThenNext,
 }
 
-/// Options for [`SymbolicReachability::explore_with`].
-#[derive(Debug, Clone)]
+/// Options for [`SymbolicReachability::explore`].
+#[derive(Debug, Clone, Default)]
 pub struct SymbolicOptions {
     /// Variable ordering scheme.
     pub order: VariableOrder,
-    /// Abort the fixpoint once this many BDD nodes have been allocated;
-    /// the result is then a lower bound flagged as
-    /// [`truncated`](SymbolicReachability::truncated) — the analogue of
-    /// the paper's "> 24 hours" SMV entries.
-    pub max_nodes: usize,
-}
-
-impl Default for SymbolicOptions {
-    fn default() -> Self {
-        SymbolicOptions {
-            order: VariableOrder::default(),
-            max_nodes: usize::MAX,
-        }
-    }
 }
 
 /// Result of a symbolic (BDD-based) reachability analysis.
@@ -60,12 +46,16 @@ impl Default for SymbolicOptions {
 /// # Examples
 ///
 /// ```
+/// use petri::{Budget, Property};
 /// use symbolic::SymbolicReachability;
 ///
 /// let net = models::figures::fig2(4);
-/// let sym = SymbolicReachability::explore(&net);
+/// let deadlock = Property::deadlock().compile(&net)?;
+/// let sym = SymbolicReachability::explore(&net, &Default::default(), &Budget::default(), &deadlock)
+///     .into_value();
 /// assert_eq!(sym.state_count(), 81.0); // 3^4 states
 /// assert!(sym.has_deadlock());
+/// # Ok::<(), String>(())
 /// ```
 #[derive(Debug)]
 pub struct SymbolicReachability {
@@ -76,7 +66,6 @@ pub struct SymbolicReachability {
     peak_live_nodes: usize,
     allocated_nodes: usize,
     iterations: usize,
-    truncated: bool,
     elapsed: Duration,
 }
 
@@ -265,60 +254,31 @@ fn sat_count_usize(count: f64) -> usize {
 }
 
 impl SymbolicReachability {
-    /// Runs symbolic reachability with the default interleaved order.
-    pub fn explore(net: &PetriNet) -> Self {
-        Self::explore_with(net, &SymbolicOptions::default())
-    }
-
-    /// Runs symbolic reachability with explicit options.
-    ///
-    /// Note: unlike the explicit engines this never errors — an unsafe net
-    /// simply has its unsafe successors suppressed by the encoding (token
-    /// production requires the target place to be empty), mirroring how a
-    /// bounded model checker would encode a safe net.
-    pub fn explore_with(net: &PetriNet, opts: &SymbolicOptions) -> Self {
-        Self::explore_bounded(net, opts, &Budget::default()).into_value()
-    }
-
-    /// Runs symbolic reachability under a cooperative resource [`Budget`].
+    /// Runs symbolic reachability under a cooperative resource [`Budget`],
+    /// searching for markings satisfying the **goal predicate** of
+    /// `property` (φ under `EF`, ¬φ under `AG`). The deadlock-named
+    /// accessors ([`has_deadlock`](Self::has_deadlock),
+    /// [`deadlock_count`](Self::deadlock_count),
+    /// [`deadlock_witness`](Self::deadlock_witness)) describe goal markings;
+    /// under the default property (`EF deadlock`) those are the dead ones.
     ///
     /// Budget checks run once per breadth-first iteration: the state axis
     /// compares the satisfying-assignment count of the reached set, the
-    /// byte axis the number of allocated BDD nodes (≈ 32 bytes each). On
-    /// exhaustion the fixpoint stops early and the result (a lower bound,
-    /// also flagged [`truncated`](Self::truncated)) is wrapped in
-    /// [`Outcome::Partial`]. Every state in a partial reached set is
-    /// genuinely reachable, so a deadlock found there is a real one.
-    pub fn explore_bounded(
-        net: &PetriNet,
-        opts: &SymbolicOptions,
-        budget: &Budget,
-    ) -> Outcome<Self> {
-        Self::explore_inner(net, opts, budget, None)
-    }
-
-    /// Like [`SymbolicReachability::explore_bounded`], but searches for
-    /// markings satisfying the **goal predicate** of `property` (φ under
-    /// `EF`, ¬φ under `AG`) instead of dead markings. The deadlock-named
-    /// accessors ([`has_deadlock`](Self::has_deadlock),
-    /// [`deadlock_count`](Self::deadlock_count),
-    /// [`deadlock_witness`](Self::deadlock_witness)) then describe goal
-    /// markings. With the default property (`EF deadlock`) this is exactly
-    /// [`SymbolicReachability::explore_bounded`].
-    pub fn explore_goal_bounded(
+    /// byte axis the number of allocated BDD nodes ([`BDD_NODE_BYTES`]
+    /// each). On exhaustion the fixpoint stops early and the result, a
+    /// lower bound, is wrapped in [`Outcome::Partial`]. Every state in a
+    /// partial reached set is genuinely reachable, so a goal marking found
+    /// there is a real one.
+    ///
+    /// Unlike the explicit engines this never errors — an unsafe net
+    /// simply has its unsafe successors suppressed by the encoding (token
+    /// production requires the target place to be empty), mirroring how a
+    /// bounded model checker would encode a safe net.
+    pub fn explore(
         net: &PetriNet,
         opts: &SymbolicOptions,
         budget: &Budget,
         property: &CompiledProperty,
-    ) -> Outcome<Self> {
-        Self::explore_inner(net, opts, budget, Some(property))
-    }
-
-    fn explore_inner(
-        net: &PetriNet,
-        opts: &SymbolicOptions,
-        budget: &Budget,
-        goal: Option<&CompiledProperty>,
     ) -> Outcome<Self> {
         let start = Instant::now();
         let mut enc = Encoding::new(net, opts.order);
@@ -332,19 +292,13 @@ impl SymbolicReachability {
         let mut frontier = init;
         let mut peak = rel_nodes + enc.bdd.size(reached);
         let mut iterations = 0;
-        let mut truncated = false;
         let mut exhausted = None;
 
         while frontier != BDD_FALSE {
-            if enc.bdd.allocated_nodes() > opts.max_nodes {
-                truncated = true;
-                break;
-            }
             let states_so_far = sat_count_usize(enc.bdd.sat_count_over(reached, p));
             if let Some(reason) =
                 budget.exceeded(states_so_far, enc.bdd.allocated_nodes() * BDD_NODE_BYTES)
             {
-                truncated = true;
                 exhausted = Some(reason);
                 break;
             }
@@ -361,10 +315,7 @@ impl SymbolicReachability {
 
         // goal states: reached ∧ goal predicate (default: no transition
         // enabled, i.e. dead)
-        let target = match goal {
-            None => enc.no_enabled_bdd(net),
-            Some(property) => enc.goal_bdd(net, property),
-        };
+        let target = enc.goal_bdd(net, property);
         let dead = enc.bdd.and(reached, target);
         let deadlock_witness = enc.witness_marking(dead, net);
 
@@ -377,7 +328,6 @@ impl SymbolicReachability {
             peak_live_nodes: peak,
             allocated_nodes: enc.bdd.allocated_nodes(),
             iterations,
-            truncated,
             elapsed,
         };
         match exhausted {
@@ -434,12 +384,6 @@ impl SymbolicReachability {
         self.iterations
     }
 
-    /// `true` if the node budget was exhausted before the fixpoint; the
-    /// reported counts are then lower bounds.
-    pub fn truncated(&self) -> bool {
-        self.truncated
-    }
-
     /// One dead reachable marking decoded from the symbolic deadlock set,
     /// if a deadlock exists.
     pub fn deadlock_witness(&self) -> Option<&Marking> {
@@ -455,7 +399,8 @@ impl SymbolicReachability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use petri::{NetBuilder, ReachabilityGraph};
+    use crate::{deadlock_goal, explore_full, explore_symbolic, explore_symbolic_with};
+    use petri::NetBuilder;
 
     fn strands(n: usize) -> PetriNet {
         let mut b = NetBuilder::new("strands");
@@ -471,8 +416,8 @@ mod tests {
     fn counts_match_explicit_on_strands() {
         for n in 1..=5 {
             let net = strands(n);
-            let sym = SymbolicReachability::explore(&net);
-            let exp = ReachabilityGraph::explore(&net).unwrap();
+            let sym = explore_symbolic(&net);
+            let exp = explore_full(&net).unwrap();
             assert_eq!(sym.state_count(), exp.state_count() as f64, "n={n}");
             assert_eq!(sym.has_deadlock(), exp.has_deadlock());
         }
@@ -481,8 +426,8 @@ mod tests {
     #[test]
     fn deadlock_count_matches_explicit() {
         let net = strands(3);
-        let sym = SymbolicReachability::explore(&net);
-        let exp = ReachabilityGraph::explore(&net).unwrap();
+        let sym = explore_symbolic(&net);
+        let exp = explore_full(&net).unwrap();
         assert_eq!(sym.deadlock_count(), exp.deadlocks().len() as f64);
     }
 
@@ -494,7 +439,7 @@ mod tests {
         b.transition("go", [p], [q]);
         b.transition("back", [q], [p]);
         let net = b.build().unwrap();
-        let sym = SymbolicReachability::explore(&net);
+        let sym = explore_symbolic(&net);
         assert_eq!(sym.state_count(), 2.0);
         assert!(!sym.has_deadlock());
         assert!(sym.iterations() >= 2);
@@ -503,18 +448,16 @@ mod tests {
     #[test]
     fn both_orders_agree_on_counts() {
         let net = strands(4);
-        let a = SymbolicReachability::explore_with(
+        let a = explore_symbolic_with(
             &net,
             &SymbolicOptions {
                 order: VariableOrder::Interleaved,
-                ..Default::default()
             },
         );
-        let b = SymbolicReachability::explore_with(
+        let b = explore_symbolic_with(
             &net,
             &SymbolicOptions {
                 order: VariableOrder::CurrentThenNext,
-                ..Default::default()
             },
         );
         assert_eq!(a.state_count(), b.state_count());
@@ -524,10 +467,10 @@ mod tests {
     #[test]
     fn deadlock_witness_is_reachable_and_dead() {
         let net = strands(3);
-        let sym = SymbolicReachability::explore(&net);
+        let sym = explore_symbolic(&net);
         let w = sym.deadlock_witness().expect("strands terminate");
         assert!(net.is_dead(w));
-        let rg = ReachabilityGraph::explore(&net).unwrap();
+        let rg = explore_full(&net).unwrap();
         assert!(rg.contains(w));
         // deadlock-free nets have no witness
         let mut b = NetBuilder::new("cycle");
@@ -535,7 +478,7 @@ mod tests {
         let q = b.place("q");
         b.transition("go", [p], [q]);
         b.transition("back", [q], [p]);
-        let live = SymbolicReachability::explore(&b.build().unwrap());
+        let live = explore_symbolic(&b.build().unwrap());
         assert!(live.deadlock_witness().is_none());
     }
 
@@ -543,10 +486,11 @@ mod tests {
     fn bounded_fixpoint_returns_partial_lower_bound() {
         use petri::ExhaustionReason;
         let net = strands(6); // 2^6 = 64 states
-        let outcome = SymbolicReachability::explore_bounded(
+        let outcome = SymbolicReachability::explore(
             &net,
             &SymbolicOptions::default(),
             &Budget::default().cap_states(4),
+            &deadlock_goal(&net),
         );
         let Outcome::Partial {
             result,
@@ -557,7 +501,6 @@ mod tests {
             panic!("expected a partial outcome");
         };
         assert_eq!(reason, ExhaustionReason::States);
-        assert!(result.truncated(), "partial results are lower bounds");
         assert!(result.state_count() < 64.0);
         assert_eq!(coverage.states_stored, result.state_count() as usize);
         assert!(coverage.bytes_estimate > 0);
@@ -568,10 +511,11 @@ mod tests {
         use petri::ExhaustionReason;
         let budget = Budget::default();
         budget.cancel();
-        let outcome = SymbolicReachability::explore_bounded(
+        let outcome = SymbolicReachability::explore(
             &strands(4),
             &SymbolicOptions::default(),
             &budget,
+            &deadlock_goal(&strands(4)),
         );
         assert_eq!(outcome.reason(), Some(ExhaustionReason::Cancelled));
     }
@@ -580,7 +524,7 @@ mod tests {
     fn goal_search_matches_explicit_evaluation() {
         use petri::Property;
         let net = strands(3);
-        let rg = ReachabilityGraph::explore(&net).unwrap();
+        let rg = explore_full(&net).unwrap();
         for text in [
             "EF m(q0) >= 1 and m(q1) >= 1",
             "AG m(q2) = 0",
@@ -589,7 +533,7 @@ mod tests {
             "EF deadlock",
         ] {
             let compiled = Property::parse(text).unwrap().compile(&net).unwrap();
-            let sym = SymbolicReachability::explore_goal_bounded(
+            let sym = SymbolicReachability::explore(
                 &net,
                 &SymbolicOptions::default(),
                 &Budget::default(),
@@ -614,26 +558,17 @@ mod tests {
 
     #[test]
     fn default_goal_is_plain_deadlock_search() {
-        use petri::Property;
+        // `EF deadlock` compiles to the very "no transition enabled" BDD
         let net = strands(4);
-        let compiled = Property::deadlock().compile(&net).unwrap();
-        let plain = SymbolicReachability::explore(&net);
-        let goal = SymbolicReachability::explore_goal_bounded(
-            &net,
-            &SymbolicOptions::default(),
-            &Budget::default(),
-            &compiled,
-        )
-        .into_value();
-        assert_eq!(goal.state_count(), plain.state_count());
-        assert_eq!(goal.deadlock_count(), plain.deadlock_count());
-        assert_eq!(goal.deadlock_witness(), plain.deadlock_witness());
+        let mut enc = Encoding::new(&net, VariableOrder::Interleaved);
+        let goal = enc.goal_bdd(&net, &deadlock_goal(&net));
+        assert_eq!(goal, enc.no_enabled_bdd(&net));
     }
 
     #[test]
     fn peak_is_at_least_relation_size() {
         let net = strands(3);
-        let sym = SymbolicReachability::explore(&net);
+        let sym = explore_symbolic(&net);
         assert!(sym.peak_live_nodes() > 0);
         assert!(sym.allocated_nodes() >= sym.peak_live_nodes() / 2);
     }

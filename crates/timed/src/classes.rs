@@ -51,7 +51,7 @@ impl StateClass {
     }
 }
 
-/// Options for [`ClassGraph::explore_with`].
+/// Options for [`ClassGraph::explore`].
 #[derive(Debug, Clone)]
 pub struct ClassOptions {
     /// Abort with [`TimedError::ClassLimit`] once this many classes exist.
@@ -83,7 +83,7 @@ impl Default for ClassOptions {
 /// let timed = TimedNet::new(b.build()?)
 ///     .with_interval(fast, Interval::new(0, 1))
 ///     .with_interval(slow, Interval::new(10, 20));
-/// let graph = ClassGraph::explore(&timed)?;
+/// let graph = ClassGraph::explore(&timed, &Default::default())?;
 /// assert_eq!(graph.class_count(), 3, "the slow-first interleaving is pruned");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -95,23 +95,13 @@ pub struct ClassGraph {
 }
 
 impl ClassGraph {
-    /// Explores the full state-class graph with default options.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TimedError`] variants for unsafe nets or exhausted
-    /// budgets.
-    pub fn explore(timed: &TimedNet) -> Result<Self, TimedError> {
-        Self::explore_with(timed, &ClassOptions::default())
-    }
-
-    /// Explores the state-class graph with explicit options.
+    /// Explores the state-class graph.
     ///
     /// # Errors
     ///
     /// Returns [`TimedError::NotSafe`] if a firing violates safeness or
     /// [`TimedError::ClassLimit`] when the class budget is exceeded.
-    pub fn explore_with(timed: &TimedNet, opts: &ClassOptions) -> Result<Self, TimedError> {
+    pub fn explore(timed: &TimedNet, opts: &ClassOptions) -> Result<Self, TimedError> {
         let net = timed.net();
         let initial = initial_class(timed);
         let mut classes = vec![initial.clone()];
@@ -325,8 +315,9 @@ fn permute(d: &Dbm, order: &[usize]) -> Dbm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore_full;
     use crate::net::Interval;
-    use petri::{NetBuilder, ReachabilityGraph};
+    use petri::NetBuilder;
 
     #[test]
     fn untimed_intervals_reproduce_the_reachability_graph() {
@@ -335,9 +326,9 @@ mod tests {
             models::nsdp(2),
             models::overtake(2),
         ] {
-            let rg = ReachabilityGraph::explore(&net).unwrap();
+            let rg = explore_full(&net).unwrap();
             let timed = TimedNet::new(net);
-            let graph = ClassGraph::explore(&timed).unwrap();
+            let graph = ClassGraph::explore(&timed, &Default::default()).unwrap();
             assert_eq!(
                 graph.class_count(),
                 rg.state_count(),
@@ -356,11 +347,11 @@ mod tests {
         let slow = b.transition("slow", [p], []);
         let net = b.build().unwrap();
         // untimed: both branches
-        assert_eq!(ReachabilityGraph::explore(&net).unwrap().state_count(), 2);
+        assert_eq!(explore_full(&net).unwrap().state_count(), 2);
         let timed = TimedNet::new(net)
             .with_interval(fast, Interval::new(0, 1))
             .with_interval(slow, Interval::new(5, 9));
-        let graph = ClassGraph::explore(&timed).unwrap();
+        let graph = ClassGraph::explore(&timed, &Default::default()).unwrap();
         // `slow` can never fire first: only the fast branch remains
         assert_eq!(graph.class_count(), 2);
         assert_eq!(graph.edge_count(), 1);
@@ -377,7 +368,7 @@ mod tests {
         let timed = TimedNet::new(net)
             .with_interval(a, Interval::new(0, 5))
             .with_interval(c, Interval::new(3, 9));
-        let graph = ClassGraph::explore(&timed).unwrap();
+        let graph = ClassGraph::explore(&timed, &Default::default()).unwrap();
         assert_eq!(graph.edge_count(), 2, "intervals overlap: both can win");
     }
 
@@ -392,11 +383,11 @@ mod tests {
         let slow = b.transition("slow", [q], [qa]);
         let net = b.build().unwrap();
         // untimed: 4 interleaved states
-        assert_eq!(ReachabilityGraph::explore(&net).unwrap().state_count(), 4);
+        assert_eq!(explore_full(&net).unwrap().state_count(), 4);
         let timed = TimedNet::new(net)
             .with_interval(fast, Interval::new(0, 1))
             .with_interval(slow, Interval::new(10, 20));
-        let graph = ClassGraph::explore(&timed).unwrap();
+        let graph = ClassGraph::explore(&timed, &Default::default()).unwrap();
         // fast must fire first: m0 -> fast -> slow, 3 classes
         assert_eq!(graph.class_count(), 3);
         assert!(graph.has_deadlock(), "both done: terminal class");
@@ -415,7 +406,7 @@ mod tests {
         let timed = TimedNet::new(net)
             .with_interval(fast, Interval::new(1, 1))
             .with_interval(slow, Interval::new(4, 4));
-        let graph = ClassGraph::explore(&timed).unwrap();
+        let graph = ClassGraph::explore(&timed, &Default::default()).unwrap();
         let after_fast = graph
             .edges()
             .iter()
@@ -440,7 +431,7 @@ mod tests {
         let timed = TimedNet::new(net)
             .with_interval(dog, Interval::new(0, 2))
             .with_interval(lazy, Interval::new(5, 9));
-        let graph = ClassGraph::explore(&timed).unwrap();
+        let graph = ClassGraph::explore(&timed, &Default::default()).unwrap();
         // lazy eventually fires: the dog resets to [0,2] on every loop, so
         // time can pass 2 units per firing — lazy's window is reachable
         assert!(
@@ -452,16 +443,16 @@ mod tests {
     #[test]
     fn class_limit_enforced() {
         let timed = TimedNet::new(models::nsdp(2));
-        let err = ClassGraph::explore_with(&timed, &ClassOptions { max_classes: 2 }).unwrap_err();
+        let err = ClassGraph::explore(&timed, &ClassOptions { max_classes: 2 }).unwrap_err();
         assert_eq!(err, TimedError::ClassLimit(2));
     }
 
     #[test]
     fn timed_markings_are_a_subset_of_untimed() {
         let net = models::figures::fig2(3);
-        let rg = ReachabilityGraph::explore(&net).unwrap();
+        let rg = explore_full(&net).unwrap();
         let timed = TimedNet::new(net).with_uniform_interval(Interval::new(1, 2));
-        let graph = ClassGraph::explore(&timed).unwrap();
+        let graph = ClassGraph::explore(&timed, &Default::default()).unwrap();
         for m in graph.reachable_markings() {
             assert!(rg.contains(&m));
         }

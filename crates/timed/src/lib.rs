@@ -31,7 +31,7 @@
 //! let timed = TimedNet::new(b.build()?)
 //!     .with_interval(ok, Interval::new(0, 3))
 //!     .with_interval(boom, Interval::new(10, 10));
-//! let graph = ClassGraph::explore(&timed)?;
+//! let graph = ClassGraph::explore(&timed, &Default::default())?;
 //! // the timeout branch is unreachable in time
 //! assert!(graph.edges().iter().all(|&(_, t, _)| t == ok));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -49,3 +49,16 @@ pub use classes::{ClassGraph, ClassOptions, StateClass};
 pub use dbm::{Dbm, INF};
 pub use error::TimedError;
 pub use net::{Interval, TimedNet};
+
+/// Test shorthand: the complete reachability graph of `net`.
+#[cfg(test)]
+fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}

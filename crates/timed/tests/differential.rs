@@ -4,7 +4,6 @@
 //! restriction of the untimed behaviour.
 
 use models::random::{random_safe_net, RandomNetConfig};
-use petri::ReachabilityGraph;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,8 +28,8 @@ proptest! {
     #[test]
     fn untimed_class_graph_equals_reachability_graph(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let rg = ReachabilityGraph::explore(&net).expect("validated safe");
-        let graph = ClassGraph::explore(&TimedNet::new(net)).expect("within budget");
+        let rg = explore_full(&net).expect("validated safe");
+        let graph = ClassGraph::explore(&TimedNet::new(net), &Default::default()).expect("within budget");
         prop_assert_eq!(graph.class_count(), rg.state_count());
         prop_assert_eq!(graph.edge_count(), rg.edge_count());
         prop_assert_eq!(graph.has_deadlock(), rg.has_deadlock());
@@ -41,7 +40,7 @@ proptest! {
     #[test]
     fn timing_only_restricts(seed in 0u64..100_000, iv_seed in 0u64..1_000) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let rg = ReachabilityGraph::explore(&net).expect("validated safe");
+        let rg = explore_full(&net).expect("validated safe");
         let mut rng = StdRng::seed_from_u64(iv_seed);
         let mut timed = TimedNet::new(net);
         let transitions: Vec<_> = timed.net().transitions().collect();
@@ -50,7 +49,7 @@ proptest! {
             let lft = if rng.gen_bool(0.3) { INF } else { eft + rng.gen_range(0..4i64) };
             timed = timed.with_interval(t, Interval { eft, lft });
         }
-        let graph = ClassGraph::explore(&timed).expect("within budget");
+        let graph = ClassGraph::explore(&timed, &Default::default()).expect("within budget");
         for m in graph.reachable_markings() {
             prop_assert!(
                 rg.contains(&m),
@@ -75,7 +74,7 @@ proptest! {
         for (i, t) in transitions.into_iter().enumerate() {
             timed = timed.with_interval(t, Interval::new(i as i64 % 3, i as i64 % 3 + 2));
         }
-        let graph = ClassGraph::explore(&timed).expect("within budget");
+        let graph = ClassGraph::explore(&timed, &Default::default()).expect("within budget");
         for class in graph.classes() {
             for i in 1..=class.enabled().len() {
                 prop_assert!(class.domain().lower(i) <= class.domain().upper(i));
@@ -83,4 +82,16 @@ proptest! {
             }
         }
     }
+}
+
+/// The complete reachability graph of `net`.
+fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
 }

@@ -21,11 +21,18 @@
 //!
 //! ```
 //! use unfolding::Unfolding;
-//! use petri::ReachabilityGraph;
+//! use petri::{Budget, CheckpointConfig, ReachabilityGraph};
 //!
 //! let net = models::figures::fig1(); // 3 concurrent transitions
-//! let unf = Unfolding::build(&net)?;
-//! let rg = ReachabilityGraph::explore(&net)?;
+//! let unf = Unfolding::build(&net, &Budget::default()).into_value();
+//! let rg = ReachabilityGraph::explore(
+//!     &net,
+//!     &Default::default(),
+//!     &Budget::default(),
+//!     &CheckpointConfig::default(),
+//!     None,
+//! )?
+//! .into_value();
 //! assert_eq!(unf.prefix().event_count(), 3); // prefix: one event each
 //! assert_eq!(rg.state_count(), 8);           // graph: 2^3 interleaved states
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -35,9 +42,20 @@
 #![warn(missing_docs)]
 
 mod branching;
-mod error;
 mod unfold;
 
 pub use branching::{ConditionId, EventId, Prefix};
-pub use error::UnfoldError;
-pub use unfold::{UnfoldOptions, Unfolding};
+pub use unfold::Unfolding;
+
+/// Test shorthand: the complete reachability graph of `net`.
+#[cfg(test)]
+fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}

@@ -14,22 +14,6 @@ use std::time::Instant;
 use petri::{BitSet, Budget, CoverageStats, Marking, Outcome, PetriNet, TransitionId};
 
 use crate::branching::{Condition, ConditionId, Event, EventId, Prefix};
-use crate::error::UnfoldError;
-
-/// Options for [`Unfolding::build_with`].
-#[derive(Debug, Clone)]
-pub struct UnfoldOptions {
-    /// Abort with [`UnfoldError::EventLimit`] once this many events exist.
-    pub max_events: usize,
-}
-
-impl Default for UnfoldOptions {
-    fn default() -> Self {
-        UnfoldOptions {
-            max_events: 1_000_000,
-        }
-    }
-}
 
 /// Approximate bookkeeping bytes per prefix condition (record plus its
 /// share of the by-place and consumer vectors).
@@ -37,21 +21,24 @@ const CONDITION_BYTES: usize = 48;
 /// Approximate fixed bytes per event beyond its marking, local
 /// configuration and pre/postset entries.
 const EVENT_BYTES: usize = 96;
+/// Approximate fixed bytes per cut stored by the marking walk (the vector
+/// header plus its hash-set slot).
+const CUT_OVERHEAD_BYTES: usize = 32;
 
 /// A built finite complete prefix together with its net.
 ///
 /// # Examples
 ///
 /// ```
+/// use petri::Budget;
 /// use unfolding::Unfolding;
 ///
 /// // three concurrent transitions: the prefix has 3 events where the
 /// // reachability graph needs 2^3 = 8 states
 /// let net = models::figures::fig1();
-/// let unf = Unfolding::build(&net)?;
+/// let unf = Unfolding::build(&net, &Budget::default()).into_value();
 /// assert_eq!(unf.prefix().event_count(), 3);
 /// assert_eq!(unf.prefix().cutoff_count(), 0);
-/// # Ok::<(), unfolding::UnfoldError>(())
 /// ```
 #[derive(Debug)]
 pub struct Unfolding {
@@ -319,45 +306,16 @@ impl<'n> Builder<'n> {
 }
 
 impl Unfolding {
-    /// Builds the finite complete prefix with default options.
+    /// Builds the finite complete prefix under a cooperative resource
+    /// [`Budget`], whose state axis counts *events*.
     ///
-    /// # Errors
-    ///
-    /// Returns [`UnfoldError::EventLimit`] if the prefix exceeds the
-    /// default event budget.
-    pub fn build(net: &PetriNet) -> Result<Self, UnfoldError> {
-        Self::build_with(net, &UnfoldOptions::default())
-    }
-
-    /// Builds the finite complete prefix with explicit options.
-    ///
-    /// This is the legacy all-or-nothing entry point; a hit event limit
-    /// discards the partial prefix. Prefer
-    /// [`build_bounded`](Self::build_bounded) for graceful degradation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnfoldError::EventLimit`] when `opts.max_events` is
-    /// exceeded.
-    pub fn build_with(net: &PetriNet, opts: &UnfoldOptions) -> Result<Self, UnfoldError> {
-        match Self::build_bounded(net, opts, &Budget::default()) {
-            Outcome::Complete(unf) => Ok(unf),
-            Outcome::Partial { .. } => Err(UnfoldError::EventLimit(opts.max_events)),
-        }
-    }
-
-    /// Builds the prefix under a cooperative resource [`Budget`].
-    ///
-    /// The budget's state axis counts *events* and its effective cap is the
-    /// tighter of `opts.max_events` and `budget.max_states`. On exhaustion
-    /// the prefix built so far is returned as [`Outcome::Partial`]. A
-    /// partial prefix is a genuine prefix of the unfolding — every marking
-    /// of one of its configurations is reachable, so a deadlock found via
-    /// [`has_deadlock`](Self::has_deadlock) on it is real — but it is not
+    /// On exhaustion the prefix built so far is returned as
+    /// [`Outcome::Partial`]. A partial prefix is a genuine prefix of the
+    /// unfolding — every marking of one of its configurations is
+    /// reachable, so a goal marking found on it is real — but it is not
     /// marking-complete, so the absence of one proves nothing.
-    pub fn build_bounded(net: &PetriNet, opts: &UnfoldOptions, budget: &Budget) -> Outcome<Self> {
+    pub fn build(net: &PetriNet, budget: &Budget) -> Outcome<Self> {
         let start = Instant::now();
-        let budget = budget.clone().cap_states(opts.max_events);
         let mut b = Builder::new(net);
         let mut bytes = b.conditions.len() * CONDITION_BYTES;
         let mut exhausted = None;
@@ -412,9 +370,15 @@ impl Unfolding {
 
     /// Enumerates every reachable marking of the original net by breadth-
     /// first search over the cuts of the prefix — the marking-completeness
-    /// theorem makes this exhaustive. Used as the correctness bridge in
-    /// tests and for the deadlock verdict.
-    pub fn reachable_markings(&self, net: &PetriNet) -> HashSet<Marking> {
+    /// theorem makes this exhaustive on a complete prefix. Used as the
+    /// correctness bridge in tests and for the verdicts below.
+    ///
+    /// The walk stores no states or bytes of its own account, so it polls
+    /// only the deadline and the cancellation flag of `budget`, once per
+    /// cut. A stopped walk returns the markings found so far as
+    /// [`Outcome::Partial`]; its coverage counts cuts.
+    pub fn reachable_markings(&self, net: &PetriNet, budget: &Budget) -> Outcome<HashSet<Marking>> {
+        let start = Instant::now();
         let p = &self.prefix;
         let initial: Vec<ConditionId> = {
             let mut v = p.initial_cut.clone();
@@ -428,6 +392,26 @@ impl Unfolding {
         marks.insert(p.marking_of_cut(&initial, net));
         queue.push_back(initial);
         while let Some(cut) = queue.pop_front() {
+            // zero states and bytes: only the deadline and cancel can trip
+            if let Some(reason) = budget.exceeded(0, 0) {
+                queue.push_front(cut);
+                let bytes = seen_cuts
+                    .iter()
+                    .map(|c| std::mem::size_of_val(c.as_slice()) + CUT_OVERHEAD_BYTES)
+                    .chain(marks.iter().map(Marking::approx_bytes))
+                    .sum();
+                return Outcome::Partial {
+                    result: marks,
+                    reason: budget.stop_reason(reason),
+                    coverage: CoverageStats {
+                        states_stored: seen_cuts.len(),
+                        states_expanded: seen_cuts.len() - queue.len(),
+                        frontier_len: queue.len(),
+                        bytes_estimate: bytes,
+                        elapsed: start.elapsed(),
+                    },
+                };
+            }
             for e in p.events() {
                 let ev = &p.events[e.index()];
                 if !ev.preset.iter().all(|b| cut.binary_search(b).is_ok()) {
@@ -446,53 +430,54 @@ impl Unfolding {
                 }
             }
         }
-        marks
+        Outcome::Complete(marks)
     }
 
     /// Deadlock verdict via the prefix: some reachable marking enables no
-    /// transition.
-    pub fn has_deadlock(&self, net: &PetriNet) -> bool {
-        self.reachable_markings(net).iter().any(|m| net.is_dead(m))
+    /// transition. A dead marking found by a stopped walk is still real.
+    pub fn has_deadlock(&self, net: &PetriNet, budget: &Budget) -> Outcome<bool> {
+        self.reachable_markings(net, budget)
+            .map(|marks| marks.iter().any(|m| net.is_dead(m)))
     }
 
     /// The smallest reachable marking (by [`Marking`]'s order) satisfying
     /// the **goal predicate** of `property` (φ under `EF`, ¬φ under `AG`),
-    /// or `None` if the prefix reaches no goal marking. On a complete
-    /// prefix `None` settles the property; on a partial one a found
-    /// marking is still genuinely reachable, so the witness is real.
+    /// or `None` if the walk reaches no goal marking. On a complete prefix
+    /// and walk `None` settles the property; otherwise a found marking is
+    /// still genuinely reachable, so the witness is real.
     pub fn goal_marking(
         &self,
         net: &PetriNet,
         property: &petri::CompiledProperty,
-    ) -> Option<Marking> {
-        self.reachable_markings(net)
-            .into_iter()
-            .filter(|m| property.goal(net, m))
-            .min()
+        budget: &Budget,
+    ) -> Outcome<Option<Marking>> {
+        self.reachable_markings(net, budget)
+            .map(|marks| marks.into_iter().filter(|m| property.goal(net, m)).min())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use petri::{NetBuilder, ReachabilityGraph};
+    use crate::explore_full;
+    use petri::NetBuilder;
 
     #[test]
     fn fig1_prefix_is_the_net_itself() {
         let net = models::figures::fig1();
-        let unf = Unfolding::build(&net).unwrap();
+        let unf = Unfolding::build(&net, &Budget::default()).into_value();
         assert_eq!(unf.prefix().event_count(), 3);
         assert_eq!(unf.prefix().condition_count(), 6);
         assert_eq!(unf.prefix().cutoff_count(), 0);
         // vs 8 states of the reachability graph — the concurrency win
-        assert_eq!(ReachabilityGraph::explore(&net).unwrap().state_count(), 8);
+        assert_eq!(explore_full(&net).unwrap().state_count(), 8);
     }
 
     #[test]
     fn fig2_prefix_is_linear_in_n() {
         for n in 1..=6 {
             let net = models::figures::fig2(n);
-            let unf = Unfolding::build(&net).unwrap();
+            let unf = Unfolding::build(&net, &Budget::default()).into_value();
             assert_eq!(unf.prefix().event_count(), 2 * n, "n={n}");
             assert_eq!(unf.prefix().condition_count(), 3 * n, "n={n}");
             // vs 3^n reachable markings
@@ -507,7 +492,7 @@ mod tests {
         b.transition("go", [p], [q]);
         b.transition("back", [q], [p]);
         let net = b.build().unwrap();
-        let unf = Unfolding::build(&net).unwrap();
+        let unf = Unfolding::build(&net, &Budget::default()).into_value();
         assert_eq!(unf.prefix().event_count(), 2);
         assert_eq!(unf.prefix().cutoff_count(), 1, "back reaches m0 again");
     }
@@ -521,9 +506,11 @@ mod tests {
         b.transition("a", [p], [x]);
         b.transition("b", [p], [y]);
         let net = b.build().unwrap();
-        let unf = Unfolding::build(&net).unwrap();
+        let unf = Unfolding::build(&net, &Budget::default()).into_value();
         assert_eq!(unf.prefix().event_count(), 2, "both branches present");
-        let marks = unf.reachable_markings(&net);
+        let marks = unf
+            .reachable_markings(&net, &Budget::default())
+            .into_value();
         assert_eq!(marks.len(), 3);
     }
 
@@ -536,7 +523,7 @@ mod tests {
         let r = b.place("r");
         b.transition("t", [p, q], [r]);
         let net = b.build().unwrap();
-        let unf = Unfolding::build(&net).unwrap();
+        let unf = Unfolding::build(&net, &Budget::default()).into_value();
         assert_eq!(unf.prefix().event_count(), 1);
     }
 
@@ -552,29 +539,23 @@ mod tests {
         b.transition("b", [p], [y]);
         b.transition("c", [x, y], [z]);
         let net = b.build().unwrap();
-        let unf = Unfolding::build(&net).unwrap();
+        let unf = Unfolding::build(&net, &Budget::default()).into_value();
         // c never fires: x and y come from conflicting branches
         assert_eq!(unf.prefix().event_count(), 2);
-        let rg = ReachabilityGraph::explore(&net).unwrap();
-        assert_eq!(unf.reachable_markings(&net).len(), rg.state_count());
-    }
-
-    #[test]
-    fn event_limit_enforced() {
-        let err =
-            Unfolding::build_with(&models::nsdp(2), &UnfoldOptions { max_events: 3 }).unwrap_err();
-        assert_eq!(err, UnfoldError::EventLimit(3));
+        let rg = explore_full(&net).unwrap();
+        assert_eq!(
+            unf.reachable_markings(&net, &Budget::default())
+                .into_value()
+                .len(),
+            rg.state_count()
+        );
     }
 
     #[test]
     fn bounded_build_returns_partial_prefix() {
         use petri::ExhaustionReason;
         let net = models::nsdp(2);
-        let outcome = Unfolding::build_bounded(
-            &net,
-            &UnfoldOptions::default(),
-            &Budget::default().cap_states(3),
-        );
+        let outcome = Unfolding::build(&net, &Budget::default().cap_states(3));
         let Outcome::Partial {
             result,
             reason,
@@ -588,10 +569,56 @@ mod tests {
         assert_eq!(coverage.states_stored, 3);
         assert!(coverage.frontier_len > 0, "candidates were left queued");
         // markings of the partial prefix are genuinely reachable
-        let rg = ReachabilityGraph::explore(&net).unwrap();
-        for m in result.reachable_markings(&net) {
+        let rg = explore_full(&net).unwrap();
+        for m in result
+            .reachable_markings(&net, &Budget::default())
+            .into_value()
+        {
             assert!(rg.contains(&m));
         }
+    }
+
+    #[test]
+    fn event_limit_enforced() {
+        use petri::ExhaustionReason;
+        let net = models::nsdp(2);
+        let run = |cap| Unfolding::build(&net, &Budget::default().cap_states(cap));
+        let total = run(usize::MAX).into_value().prefix().event_count();
+        assert!(total > 3);
+        assert_eq!(run(3).reason(), Some(ExhaustionReason::States));
+        // the cap counts events and is inclusive
+        assert_eq!(run(total - 1).reason(), Some(ExhaustionReason::States));
+        let at_cap = run(total);
+        assert_eq!(at_cap.reason(), None);
+        assert_eq!(at_cap.into_value().prefix().event_count(), total);
+    }
+
+    #[test]
+    fn cancelled_walk_of_a_complete_prefix_is_partial() {
+        use petri::ExhaustionReason;
+        let net = models::nsdp(3);
+        let unf = Unfolding::build(&net, &Budget::default());
+        assert!(unf.is_complete());
+        let unf = unf.into_value();
+        let budget = Budget::default();
+        budget.cancel();
+        let walk = unf.reachable_markings(&net, &budget);
+        assert_eq!(walk.reason(), Some(ExhaustionReason::Cancelled));
+        let coverage = walk.coverage().expect("partial walk");
+        assert!(coverage.frontier_len > 0, "cuts were left unwalked");
+        assert_eq!(
+            coverage.states_expanded + coverage.frontier_len,
+            coverage.states_stored
+        );
+        // what the stopped walk found is genuinely reachable
+        let rg = explore_full(&net).unwrap();
+        for m in walk.value() {
+            assert!(rg.contains(m));
+        }
+        // and neither verdict is claimed from it
+        assert!(!unf.has_deadlock(&net, &budget).is_complete());
+        let deadlock = petri::Property::deadlock().compile(&net).unwrap();
+        assert!(!unf.goal_marking(&net, &deadlock, &budget).is_complete());
     }
 
     #[test]
@@ -602,14 +629,21 @@ mod tests {
             models::readers_writers(3),
             models::nsdp(2),
         ] {
-            let unf = Unfolding::build(&net).unwrap();
-            let rg = ReachabilityGraph::explore(&net).unwrap();
-            let marks = unf.reachable_markings(&net);
+            let unf = Unfolding::build(&net, &Budget::default()).into_value();
+            let rg = explore_full(&net).unwrap();
+            let marks = unf
+                .reachable_markings(&net, &Budget::default())
+                .into_value();
             assert_eq!(marks.len(), rg.state_count(), "{}", net.name());
             for s in rg.states() {
                 assert!(marks.contains(rg.marking(s)), "{}", net.name());
             }
-            assert_eq!(unf.has_deadlock(&net), rg.has_deadlock(), "{}", net.name());
+            assert_eq!(
+                unf.has_deadlock(&net, &Budget::default()).into_value(),
+                rg.has_deadlock(),
+                "{}",
+                net.name()
+            );
         }
     }
 
@@ -617,8 +651,8 @@ mod tests {
     fn goal_marking_agrees_with_explicit_search() {
         use petri::Property;
         let net = models::readers_writers(3);
-        let unf = Unfolding::build(&net).unwrap();
-        let rg = ReachabilityGraph::explore(&net).unwrap();
+        let unf = Unfolding::build(&net, &Budget::default()).into_value();
+        let rg = explore_full(&net).unwrap();
         for text in ["EF deadlock", "EF m(writing0) >= 1", "AG m(writing0) = 0"] {
             let compiled = Property::parse(text).unwrap().compile(&net).unwrap();
             let expected = rg
@@ -627,14 +661,19 @@ mod tests {
                 .filter(|m| compiled.goal(&net, m))
                 .min()
                 .cloned();
-            assert_eq!(unf.goal_marking(&net, &compiled), expected, "{text}");
+            assert_eq!(
+                unf.goal_marking(&net, &compiled, &Budget::default())
+                    .into_value(),
+                expected,
+                "{text}"
+            );
         }
     }
 
     #[test]
     fn dot_export_is_well_formed() {
         let net = models::figures::fig2(2);
-        let unf = Unfolding::build(&net).unwrap();
+        let unf = Unfolding::build(&net, &Budget::default()).into_value();
         let dot = unf.prefix().to_dot(&net);
         assert!(dot.starts_with("digraph prefix"));
         assert!(dot.contains("shape=circle"));

@@ -3,9 +3,9 @@
 //! safe nets — completeness and soundness in one assertion.
 
 use models::random::{random_safe_net, RandomNetConfig};
-use petri::ReachabilityGraph;
+use petri::{Budget, Outcome};
 use proptest::prelude::*;
-use unfolding::{UnfoldOptions, Unfolding};
+use unfolding::Unfolding;
 
 fn cfg() -> RandomNetConfig {
     RandomNetConfig {
@@ -26,11 +26,11 @@ proptest! {
     #[test]
     fn prefix_markings_equal_reachability_graph(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let Ok(unf) = Unfolding::build_with(&net, &UnfoldOptions { max_events: 20_000 }) else {
+        let Outcome::Complete(unf) = Unfolding::build(&net, &Budget::default().cap_states(20_000)) else {
             return Ok(());
         };
-        let rg = ReachabilityGraph::explore(&net).expect("validated safe");
-        let marks = unf.reachable_markings(&net);
+        let rg = explore_full(&net).expect("validated safe");
+        let marks = unf.reachable_markings(&net, &Budget::default()).into_value();
         prop_assert_eq!(
             marks.len(),
             rg.state_count(),
@@ -46,11 +46,11 @@ proptest! {
     #[test]
     fn prefix_deadlock_verdict_matches(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let Ok(unf) = Unfolding::build_with(&net, &UnfoldOptions { max_events: 20_000 }) else {
+        let Outcome::Complete(unf) = Unfolding::build(&net, &Budget::default().cap_states(20_000)) else {
             return Ok(());
         };
-        let rg = ReachabilityGraph::explore(&net).expect("validated safe");
-        prop_assert_eq!(unf.has_deadlock(&net), rg.has_deadlock(), "\n{}", petri::to_text(&net));
+        let rg = explore_full(&net).expect("validated safe");
+        prop_assert_eq!(unf.has_deadlock(&net, &Budget::default()).into_value(), rg.has_deadlock(), "\n{}", petri::to_text(&net));
     }
 
     /// Cut-off events never open new behaviour: removing their successors
@@ -60,10 +60,10 @@ proptest! {
     #[test]
     fn event_marks_are_reachable(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let Ok(unf) = Unfolding::build_with(&net, &UnfoldOptions { max_events: 20_000 }) else {
+        let Outcome::Complete(unf) = Unfolding::build(&net, &Budget::default().cap_states(20_000)) else {
             return Ok(());
         };
-        let rg = ReachabilityGraph::explore(&net).expect("validated safe");
+        let rg = explore_full(&net).expect("validated safe");
         for e in unf.prefix().events() {
             prop_assert!(
                 rg.contains(unf.prefix().mark_of(e)),
@@ -72,4 +72,16 @@ proptest! {
             );
         }
     }
+}
+
+/// The complete reachability graph of `net`.
+fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
 }

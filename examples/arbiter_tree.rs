@@ -8,6 +8,7 @@
 use gpo_suite::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
     let n: usize = std::env::args()
         .nth(1)
         .map(|s| s.parse())
@@ -26,15 +27,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut k = 2;
     while k <= n {
         let net = models::asat(k);
-        let full = ReachabilityGraph::explore(&net)?;
-        let po = ReducedReachability::explore(&net)?;
-        let gpo = analyze_with(
+        let full = ReachabilityGraph::explore(&net, &Default::default(), &budget, &ckpt, None)?
+            .into_value();
+        let po = ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?
+            .into_value();
+        let gpo = analyze(
             &net,
             &GpoOptions {
                 valid_set_limit: 1 << 24,
                 ..Default::default()
             },
-        )?;
+            &budget,
+            &ckpt,
+            None,
+        )?
+        .into_value();
         println!(
             "{k:>3} | {:>12} | {:>10} | {:>10} | {:>12}",
             full.state_count(),

@@ -10,6 +10,7 @@
 use gpo_suite::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
     let n: usize = std::env::args()
         .nth(1)
         .map(|s| s.parse())
@@ -23,16 +24,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for k in (2..=n).step_by(2) {
         let net = models::nsdp(k);
-        let full = ReachabilityGraph::explore(&net)?;
-        let po = ReducedReachability::explore(&net)?;
-        let gpo = analyze_with(
+        let full = ReachabilityGraph::explore(&net, &Default::default(), &budget, &ckpt, None)?
+            .into_value();
+        let po = ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?
+            .into_value();
+        let gpo = analyze(
             &net,
             &GpoOptions {
                 valid_set_limit: 1 << 24,
                 max_witnesses: 2,
                 ..Default::default()
             },
-        )?;
+            &budget,
+            &ckpt,
+            None,
+        )?
+        .into_value();
         println!(
             "{k:>3} | {:>12} | {:>10} | {:>10} | {}",
             full.state_count(),

@@ -14,6 +14,7 @@ use std::time::Instant;
 use gpo_suite::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
     let net = match std::env::args().nth(1) {
         Some(path) => parse_net(&std::fs::read_to_string(&path)?)?,
         None => models::readers_writers(10),
@@ -26,25 +27,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let t0 = Instant::now();
-    let full = ReachabilityGraph::explore(&net)?;
+    let full =
+        ReachabilityGraph::explore(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
     let t_full = t0.elapsed();
 
     let t0 = Instant::now();
-    let po = ReducedReachability::explore(&net)?;
+    let po =
+        ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
     let t_po = t0.elapsed();
 
     let t0 = Instant::now();
-    let bdd = SymbolicReachability::explore(&net);
+    let bdd = SymbolicReachability::explore(
+        &net,
+        &Default::default(),
+        &budget,
+        &Property::deadlock().compile(&net)?,
+    )
+    .into_value();
     let t_bdd = t0.elapsed();
 
     let t0 = Instant::now();
-    let gpo = analyze_with(
+    let gpo = analyze(
         &net,
         &GpoOptions {
             valid_set_limit: 1 << 24,
             ..Default::default()
         },
-    )?;
+        &budget,
+        &ckpt,
+        None,
+    )?
+    .into_value();
     let t_gpo = t0.elapsed();
 
     println!(

@@ -9,6 +9,7 @@
 use gpo_suite::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
     let n: usize = std::env::args()
         .nth(1)
         .map(|s| s.parse())
@@ -22,9 +23,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for k in 1..=n {
         let net = models::overtake(k);
-        let full = ReachabilityGraph::explore(&net)?;
-        let po = ReducedReachability::explore(&net)?;
-        let gpo = analyze(&net)?;
+        let full = ReachabilityGraph::explore(&net, &Default::default(), &budget, &ckpt, None)?
+            .into_value();
+        let po = ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?
+            .into_value();
+        let gpo = analyze(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
         // terminal states = one of 3 resolved outcomes per car
         let outcomes = full.deadlocks().len();
         println!(

@@ -6,6 +6,7 @@
 use gpo_suite::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
     // A tiny mutual-exclusion net with a twist: two workers share a tool,
     // and each may also break it (a choice) — after which nobody works.
     let mut b = NetBuilder::new("workshop");
@@ -24,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{net}\n");
 
     // Engine 1: exhaustive reachability — the ground truth.
-    let report = verify(&net)?;
+    let report = verify(&net, &Default::default(), &budget, &Property::deadlock())?.report;
     println!(
         "exhaustive : {} states, deadlock = {}",
         report.state_count, report.has_deadlock
@@ -35,7 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Engine 2: stubborn-set partial-order reduction.
-    let reduced = ReducedReachability::explore(&net)?;
+    let reduced =
+        ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
     println!(
         "stubborn   : {} states, deadlock = {}",
         reduced.state_count(),
@@ -43,7 +45,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Engine 3: symbolic reachability on a from-scratch BDD engine.
-    let symbolic = SymbolicReachability::explore(&net);
+    let symbolic = SymbolicReachability::explore(
+        &net,
+        &Default::default(),
+        &budget,
+        &Property::deadlock().compile(&net)?,
+    )
+    .into_value();
     println!(
         "symbolic   : {} states, {} peak BDD nodes, deadlock = {}",
         symbolic.state_count(),
@@ -52,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Engine 4: the paper's generalized partial order analysis.
-    let gpo = analyze(&net)?;
+    let gpo = analyze(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
     println!(
         "generalized: {} GPN states, |r0| = {}, deadlock = {}",
         gpo.state_count, gpo.valid_set_count, gpo.deadlock_possible

@@ -8,6 +8,7 @@
 use gpo_suite::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
     // the paper's Figure 2 with N = 6: six concurrently marked choices
     let n = 6;
     let net = models::figures::fig2(n);
@@ -18,32 +19,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         net.transition_count()
     );
 
-    let full = ReachabilityGraph::explore(&net)?;
+    let full =
+        ReachabilityGraph::explore(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
     println!(
         "exhaustive graph      : {:>6} states   (3^{n})",
         full.state_count()
     );
 
-    let po = ReducedReachability::explore(&net)?;
+    let po =
+        ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
     println!(
         "stubborn reduction    : {:>6} states   (2^(N+1)-1 — choices survive)",
         po.state_count()
     );
 
-    let bdd = SymbolicReachability::explore(&net);
+    let bdd = SymbolicReachability::explore(
+        &net,
+        &Default::default(),
+        &budget,
+        &Property::deadlock().compile(&net)?,
+    )
+    .into_value();
     println!(
         "BDD reachability      : {:>6} states   ({} peak nodes)",
         bdd.state_count(),
         bdd.peak_live_nodes()
     );
 
-    let gpo = analyze(&net)?;
+    let gpo = analyze(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
     println!(
         "generalized analysis  : {:>6} states   (all choices fired at once)",
         gpo.state_count
     );
 
-    let unf = Unfolding::build(&net)?;
+    let unf = Unfolding::build(&net, &budget).into_value();
     println!(
         "unfolding prefix      : {:>6} events   ({} conditions — branches side by side)",
         unf.prefix().event_count(),
@@ -60,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_interval(a, Interval::new(0, 1))
             .with_interval(b, Interval::new(3, 4));
     }
-    let classes = ClassGraph::explore(&timed)?;
+    let classes = ClassGraph::explore(&timed, &Default::default())?;
     println!(
         "timed class graph     : {:>6} classes  (every race decided by time)",
         classes.class_count()
@@ -83,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         po.has_deadlock(),
         bdd.has_deadlock(),
         gpo.deadlock_possible,
-        unf.has_deadlock(&net),
+        unf.has_deadlock(&net, &budget).into_value(),
         classes.has_deadlock(),
     ];
     println!("  {verdicts:?}");

@@ -26,11 +26,13 @@
 //! ```
 //! use gpo_suite::prelude::*;
 //!
-//! let net = models::nsdp(4);                       // 4 dining philosophers
-//! let full = ReachabilityGraph::explore(&net)?;    // 322 states (Table 1)
-//! let gpo = analyze(&net)?;                        // 3 GPN states
-//! assert_eq!(full.state_count(), 322);
-//! assert_eq!(gpo.state_count, 3);
+//! let net = models::nsdp(4); // 4 dining philosophers
+//! let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
+//! let full = ReachabilityGraph::explore(&net, &Default::default(), &budget, &ckpt, None)?;
+//! let gpo = analyze(&net, &Default::default(), &budget, &ckpt, None)?;
+//! let (full, gpo) = (full.into_value(), gpo.into_value());
+//! assert_eq!(full.state_count(), 322); // Table 1
+//! assert_eq!(gpo.state_count, 3); // GPN states
 //! assert_eq!(gpo.deadlock_possible, full.has_deadlock());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -45,16 +47,14 @@ pub use unfolding;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use gpo_core::{
-        analyze, analyze_bounded, analyze_with, GpnState, GpoOptions, GpoReport, Representation,
-        SetFamily,
-    };
+    pub use gpo_core::{analyze, GpnState, GpoOptions, GpoReport, Representation, SetFamily};
     pub use models;
     pub use partial_order::{ReducedOptions, ReducedReachability, SeedStrategy};
     pub use petri::{
-        parse_net, reduce, to_text, verify, verify_bounded, verify_bounded_reduced, Budget,
-        CoverageStats, ExhaustionReason, Marking, NetBuilder, Outcome, PetriNet, PlaceId,
-        ReachabilityGraph, ReduceOptions, Reduction, ReductionReport, TransitionId, Verdict,
+        parse_net, reduce, to_text, verify, Budget, CheckpointConfig, CoverageStats,
+        ExhaustionReason, ExploreOptions, Marking, NetBuilder, Outcome, PetriNet, PlaceId,
+        Property, ReachabilityGraph, ReduceOptions, Reduction, ReductionReport, TransitionId,
+        Verdict,
     };
     pub use symbolic::{SymbolicOptions, SymbolicReachability};
     pub use timed::{ClassGraph, Interval, TimedNet};

@@ -37,15 +37,11 @@ proptest! {
     #[test]
     fn partial_states_are_subset_of_full(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let full = ReachabilityGraph::explore(&net).expect("validated safe");
+        let full = explore_full(&net).expect("validated safe");
         let reachable = marking_set(&full);
         let cap = (full.state_count() / 2).max(1);
         for threads in THREADS {
-            let outcome = ReachabilityGraph::explore_bounded(
-                &net,
-                &ExploreOptions { threads, ..Default::default() },
-                &Budget::default().cap_states(cap),
-            ).expect("validated safe");
+            let outcome = ReachabilityGraph::explore(&net, &ExploreOptions { threads, ..Default::default() }, &Budget::default().cap_states(cap), &CheckpointConfig::default(), None).expect("validated safe");
             let rg = outcome.into_value();
             let partial = marking_set(&rg);
             prop_assert!(
@@ -66,14 +62,10 @@ proptest! {
     #[test]
     fn coverage_stats_are_consistent(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
-        let full = ReachabilityGraph::explore(&net).expect("validated safe");
+        let full = explore_full(&net).expect("validated safe");
         let cap = (full.state_count() / 2).max(1);
         for threads in THREADS {
-            let outcome = ReachabilityGraph::explore_bounded(
-                &net,
-                &ExploreOptions { threads, ..Default::default() },
-                &Budget::default().cap_states(cap),
-            ).expect("validated safe");
+            let outcome = ReachabilityGraph::explore(&net, &ExploreOptions { threads, ..Default::default() }, &Budget::default().cap_states(cap), &CheckpointConfig::default(), None).expect("validated safe");
             match outcome {
                 Outcome::Complete(rg) => {
                     prop_assert!(
@@ -112,11 +104,7 @@ proptest! {
         let budget = Budget::default();
         budget.cancel();
         for threads in THREADS {
-            let outcome = ReachabilityGraph::explore_bounded(
-                &net,
-                &ExploreOptions { threads, ..Default::default() },
-                &budget,
-            ).expect("validated safe");
+            let outcome = ReachabilityGraph::explore(&net, &ExploreOptions { threads, ..Default::default() }, &budget, &CheckpointConfig::default(), None).expect("validated safe");
             prop_assert_eq!(outcome.reason(), Some(ExhaustionReason::Cancelled));
             let fanout = net.transition_count();
             prop_assert!(
@@ -126,6 +114,68 @@ proptest! {
                 outcome.value().state_count()
             );
         }
+    }
+}
+
+/// The state cap lives in the shared [`Budget`] alone, and every engine
+/// reports hitting it the same way: an honest `Partial` whose reason is
+/// `States`, never an error.
+#[test]
+fn every_engine_reports_a_state_cap_as_partial() {
+    type Row<'a> = (&'a str, Box<dyn Fn(&Budget) -> Outcome<()> + 'a>);
+    let net = models::nsdp(8);
+    let ckpt = CheckpointConfig::default();
+    let deadlock = Property::deadlock().compile(&net).unwrap();
+    let gpo = |representation| GpoOptions {
+        representation,
+        ..Default::default()
+    };
+    let engines: Vec<Row> = vec![
+        (
+            "full",
+            Box::new(|b| {
+                ReachabilityGraph::explore(&net, &ExploreOptions::default(), b, &ckpt, None)
+                    .unwrap()
+                    .map(drop)
+            }),
+        ),
+        (
+            "po",
+            Box::new(|b| {
+                ReducedReachability::explore(&net, &ReducedOptions::default(), b, &ckpt, None)
+                    .unwrap()
+                    .map(drop)
+            }),
+        ),
+        (
+            "gpo",
+            Box::new(|b| {
+                analyze(&net, &gpo(Representation::Explicit), b, &ckpt, None)
+                    .unwrap()
+                    .map(drop)
+            }),
+        ),
+        (
+            "gpo --zdd",
+            Box::new(|b| {
+                analyze(&net, &gpo(Representation::Zdd), b, &ckpt, None)
+                    .unwrap()
+                    .map(drop)
+            }),
+        ),
+        (
+            "bdd",
+            Box::new(|b| {
+                SymbolicReachability::explore(&net, &SymbolicOptions::default(), b, &deadlock)
+                    .map(drop)
+            }),
+        ),
+        ("unfold", Box::new(|b| Unfolding::build(&net, b).map(drop))),
+    ];
+    for (engine, run) in &engines {
+        let outcome = run(&Budget::default().cap_states(2));
+        assert_eq!(outcome.reason(), Some(ExhaustionReason::States), "{engine}");
+        assert!(outcome.coverage().unwrap().states_stored > 0, "{engine}");
     }
 }
 
@@ -146,7 +196,7 @@ fn wide_fanout_overshoot_is_bounded_per_worker() {
         b.transition(format!("t{i}"), [hub], [leaf]);
     }
     let net = b.build().unwrap();
-    let full = ReachabilityGraph::explore(&net).unwrap();
+    let full = explore_full(&net).unwrap();
     let max_state_bytes = full
         .states()
         .map(|s| full.marking(s).approx_bytes() + STATE_OVERHEAD_BYTES)
@@ -155,14 +205,15 @@ fn wide_fanout_overshoot_is_bounded_per_worker() {
 
     for threads in THREADS {
         let state_cap = 4;
-        let outcome = ReachabilityGraph::explore_bounded(
+        let outcome = ReachabilityGraph::explore(
             &net,
             &ExploreOptions {
                 threads,
                 record_edges: false,
-                ..Default::default()
             },
             &Budget::default().cap_states(state_cap),
+            &CheckpointConfig::default(),
+            None,
         )
         .unwrap();
         assert_eq!(outcome.reason(), Some(ExhaustionReason::States));
@@ -183,14 +234,15 @@ fn wide_fanout_overshoot_is_bounded_per_worker() {
         );
 
         let byte_cap = 700;
-        let outcome = ReachabilityGraph::explore_bounded(
+        let outcome = ReachabilityGraph::explore(
             &net,
             &ExploreOptions {
                 threads,
                 record_edges: false,
-                ..Default::default()
             },
             &Budget::default().cap_bytes(byte_cap),
+            &CheckpointConfig::default(),
+            None,
         )
         .unwrap();
         assert_eq!(outcome.reason(), Some(ExhaustionReason::Memory));
@@ -206,4 +258,16 @@ fn wide_fanout_overshoot_is_bounded_per_worker() {
             coverage.bytes_estimate
         );
     }
+}
+
+/// The complete reachability graph of `net`.
+fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
 }

@@ -17,12 +17,12 @@ fn text_round_trip_preserves_analyses() {
         models::figures::fig7(),
     ] {
         let reparsed = parse_net(&to_text(&net)).unwrap();
-        let a = ReachabilityGraph::explore(&net).unwrap();
-        let b = ReachabilityGraph::explore(&reparsed).unwrap();
+        let a = explore_full(&net).unwrap();
+        let b = explore_full(&reparsed).unwrap();
         assert_eq!(a.state_count(), b.state_count(), "{}", net.name());
         assert_eq!(a.has_deadlock(), b.has_deadlock());
-        let ga = analyze(&net).unwrap();
-        let gb = analyze(&reparsed).unwrap();
+        let ga = analyze_all(&net).unwrap();
+        let gb = analyze_all(&reparsed).unwrap();
         assert_eq!(ga.state_count, gb.state_count);
         assert_eq!(ga.deadlock_possible, gb.deadlock_possible);
     }
@@ -33,7 +33,7 @@ fn text_round_trip_preserves_analyses() {
 #[test]
 fn witnesses_replay_end_to_end() {
     let net = models::nsdp(4);
-    let report = analyze_with(
+    let report = analyze_all_with(
         &net,
         &GpoOptions {
             valid_set_limit: 1 << 24,
@@ -43,7 +43,7 @@ fn witnesses_replay_end_to_end() {
     )
     .unwrap();
     assert!(report.deadlock_possible);
-    let rg = ReachabilityGraph::explore(&net).unwrap();
+    let rg = explore_full(&net).unwrap();
     for w in &report.deadlock_witnesses {
         let sid = rg.find(w).expect("witness reachable");
         let path = rg.path_to(sid).expect("path exists");
@@ -65,7 +65,7 @@ fn dot_outputs_are_well_formed() {
         assert!(d.starts_with("digraph"));
         assert!(d.ends_with("}\n"));
         assert_eq!(d.matches("->").count(), net.arc_count());
-        let rg = ReachabilityGraph::explore(&net).unwrap();
+        let rg = explore_full(&net).unwrap();
         let rd = petri::reachability_to_dot(&net, &rg);
         assert!(rd.starts_with("digraph"));
         assert!(rd.contains("penwidth=2"), "initial highlighted");
@@ -88,10 +88,10 @@ proptest! {
             max_states: 3_000,
         };
         let Some(net) = models::random::random_safe_net(seed, &cfg) else { return Ok(()); };
-        let full = ReachabilityGraph::explore(&net).expect("validated safe");
-        let po = ReducedReachability::explore(&net).expect("validated safe");
-        let bdd = SymbolicReachability::explore(&net);
-        let Ok(gpo) = analyze_with(&net, &GpoOptions {
+        let full = explore_full(&net).expect("validated safe");
+        let po = explore_reduced(&net).expect("validated safe");
+        let bdd = explore_symbolic(&net);
+        let Ok(gpo) = analyze_all_with(&net, &GpoOptions {
             valid_set_limit: 1 << 14,
             ..Default::default()
         }) else { return Ok(()); };
@@ -112,4 +112,64 @@ proptest! {
         let reparsed = parse_net(&text).expect("own output parses");
         prop_assert_eq!(to_text(&reparsed), text);
     }
+}
+
+/// The complete reachability graph of `net`.
+fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}
+
+/// The complete stubborn-set reduced graph of `net`.
+fn explore_reduced(
+    net: &petri::PetriNet,
+) -> Result<partial_order::ReducedReachability, petri::NetError> {
+    partial_order::ReducedReachability::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}
+
+/// The complete generalized analysis of `net`.
+fn analyze_all(net: &petri::PetriNet) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
+    analyze_all_with(net, &gpo_core::GpoOptions::default())
+}
+
+/// The complete generalized analysis of `net` under `opts`.
+fn analyze_all_with(
+    net: &petri::PetriNet,
+    opts: &gpo_core::GpoOptions,
+) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
+    gpo_core::analyze(
+        net,
+        opts,
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}
+
+/// The complete symbolic deadlock search over `net`.
+fn explore_symbolic(net: &petri::PetriNet) -> symbolic::SymbolicReachability {
+    let deadlock = petri::Property::deadlock()
+        .compile(net)
+        .expect("deadlock compiles on every net");
+    symbolic::SymbolicReachability::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &deadlock,
+    )
+    .into_value()
 }

@@ -1,6 +1,6 @@
 //! Determinism contract of the parallel GPO analysis (the concurrent-ZDD
 //! refactor's acceptance criterion): for every bundled model, both family
-//! representations, and every thread count, `analyze_with` reports the
+//! representations, and every thread count, `analyze` reports the
 //! same GPN state count, the same verdict, the same valid-set relation
 //! size, the same witness markings, and the same work counters — and
 //! every reported trace still replays to its witness.
@@ -87,7 +87,7 @@ fn analysis_identical_across_thread_counts_and_representations() {
             let mut repr_baseline = None;
             for threads in THREADS {
                 let tag = format!("{name} {representation:?} threads={threads}");
-                let report = analyze_with(&net, &opts(representation, threads)).unwrap();
+                let report = analyze_all_with(&net, &opts(representation, threads)).unwrap();
                 replay(&net, &report, &tag);
                 let obs = observe_repr(&report);
                 match &scalar_baseline {
@@ -107,10 +107,10 @@ fn analysis_identical_across_thread_counts_and_representations() {
 fn zdd_counters_live_only_on_zdd_runs() {
     let net = models::nsdp(4);
     for threads in THREADS {
-        let z = analyze_with(&net, &opts(Representation::Zdd, threads)).unwrap();
+        let z = analyze_all_with(&net, &opts(Representation::Zdd, threads)).unwrap();
         assert!(z.zdd_nodes_allocated > 0, "threads={threads}");
         assert!(z.unique_hits > 0, "threads={threads}");
-        let e = analyze_with(&net, &opts(Representation::Explicit, threads)).unwrap();
+        let e = analyze_all_with(&net, &opts(Representation::Explicit, threads)).unwrap();
         assert_eq!(e.zdd_nodes_allocated, 0, "threads={threads}");
     }
 }
@@ -137,7 +137,7 @@ proptest! {
             for threads in [1usize, 2] {
                 let mut o = opts(representation, threads);
                 o.valid_set_limit = 1 << 16;
-                let Ok(report) = analyze_with(&net, &o) else { return Ok(()); };
+                let Ok(report) = analyze_all_with(&net, &o) else { return Ok(()); };
                 let obs = observe_repr(&report);
                 match &scalar_baseline {
                     None => scalar_baseline = Some(obs.0),
@@ -156,4 +156,19 @@ proptest! {
             }
         }
     }
+}
+
+/// The complete generalized analysis of `net` under `opts`.
+fn analyze_all_with(
+    net: &petri::PetriNet,
+    opts: &gpo_core::GpoOptions,
+) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
+    gpo_core::analyze(
+        net,
+        opts,
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
 }

@@ -23,7 +23,7 @@ fn bs(net: &PetriNet, names: &[&str]) -> BitSet {
 #[test]
 fn fig1_eight_states_six_interleavings() {
     let net = models::figures::fig1();
-    let rg = ReachabilityGraph::explore(&net).unwrap();
+    let rg = explore_full(&net).unwrap();
     assert_eq!(rg.state_count(), 8, "2^3 markings");
     assert_eq!(rg.count_maximal_paths(), Some(6), "3! interleavings");
     assert_eq!(rg.deadlocks().len(), 1);
@@ -33,9 +33,9 @@ fn fig1_eight_states_six_interleavings() {
 fn fig2_po_exponential_gpo_constant() {
     for n in 1..=8usize {
         let net = models::figures::fig2(n);
-        let po = ReducedReachability::explore(&net).unwrap();
+        let po = explore_reduced(&net).unwrap();
         assert_eq!(po.state_count(), (1 << (n + 1)) - 1, "2^(n+1)-1 at n={n}");
-        let gpo = analyze(&net).unwrap();
+        let gpo = analyze_all(&net).unwrap();
         assert_eq!(gpo.state_count, 2, "the generalized analysis at n={n}");
         assert_eq!(gpo.deadlock_possible, po.has_deadlock());
     }
@@ -145,8 +145,46 @@ fn fig7_full_replay() {
 #[test]
 fn fig7_whole_analysis_is_three_states() {
     // s0 -> (fire {A,B}) -> s1 -> (fire {C,D}) -> s2 (terminal)
-    let report = analyze(&models::figures::fig7()).unwrap();
+    let report = analyze_all(&models::figures::fig7()).unwrap();
     assert_eq!(report.state_count, 3);
     assert_eq!(report.multiple_firings, 2);
     assert!(report.deadlock_possible, "the final marking is terminal");
+}
+
+/// The complete reachability graph of `net`.
+fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}
+
+/// The complete stubborn-set reduced graph of `net`.
+fn explore_reduced(
+    net: &petri::PetriNet,
+) -> Result<partial_order::ReducedReachability, petri::NetError> {
+    partial_order::ReducedReachability::explore(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}
+
+/// The complete generalized analysis of `net`.
+fn analyze_all(net: &petri::PetriNet) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
+    gpo_core::analyze(
+        net,
+        &Default::default(),
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
 }

@@ -33,7 +33,7 @@ fn full_graph_identical_across_thread_counts() {
     for (name, net) in model_zoo() {
         let mut baseline: Option<(BTreeSet<Marking>, BTreeSet<Marking>, usize)> = None;
         for threads in THREADS {
-            let rg = ReachabilityGraph::explore_with(
+            let rg = explore_full_with(
                 &net,
                 &ExploreOptions {
                     threads,
@@ -73,7 +73,7 @@ fn reduced_graph_identical_across_thread_counts() {
         ] {
             let mut baseline: Option<(BTreeSet<Marking>, BTreeSet<Marking>, usize)> = None;
             for threads in THREADS {
-                let red = ReducedReachability::explore_with(
+                let red = explore_reduced_with(
                     &net,
                     &ReducedOptions {
                         strategy,
@@ -112,7 +112,7 @@ fn parallel_agrees_with_full_verification_report() {
     // the downstream consumers (verify, gpo differential tests) only look
     // at counts and deadlock flags; cross-check against the serial engine
     for (name, net) in model_zoo() {
-        let serial = ReachabilityGraph::explore_with(
+        let serial = explore_full_with(
             &net,
             &ExploreOptions {
                 threads: 1,
@@ -120,7 +120,7 @@ fn parallel_agrees_with_full_verification_report() {
             },
         )
         .unwrap();
-        let parallel = ReachabilityGraph::explore_with(
+        let parallel = explore_full_with(
             &net,
             &ExploreOptions {
                 threads: 4,
@@ -144,18 +144,21 @@ fn parallel_agrees_with_full_verification_report() {
 fn state_limit_reported_for_any_thread_count() {
     let net = models::nsdp(5);
     for threads in THREADS {
-        let err = ReachabilityGraph::explore_with(
+        let outcome = ReachabilityGraph::explore(
             &net,
             &ExploreOptions {
-                max_states: 10,
                 threads,
                 ..Default::default()
             },
+            &Budget::default().cap_states(10),
+            &CheckpointConfig::default(),
+            None,
         )
-        .unwrap_err();
-        assert!(
-            matches!(err, petri::NetError::StateLimit(10)),
-            "threads={threads}: {err:?}"
+        .unwrap();
+        assert_eq!(
+            outcome.reason(),
+            Some(ExhaustionReason::States),
+            "threads={threads}"
         );
     }
 }
@@ -187,7 +190,7 @@ fn steal_heavy_schedule_identical_across_thread_counts() {
     let mut full_base: Option<(BTreeSet<Marking>, BTreeSet<Marking>, usize)> = None;
     let mut gpo_base: Option<(usize, bool)> = None;
     for threads in THREADS {
-        let rg = ReachabilityGraph::explore_with(
+        let rg = explore_full_with(
             &net,
             &ExploreOptions {
                 threads,
@@ -206,7 +209,7 @@ fn steal_heavy_schedule_identical_across_thread_counts() {
             Some(b) => assert_eq!(b, &obs, "full engine diverges at threads={threads}"),
         }
 
-        let red = ReducedReachability::explore_with(
+        let red = explore_reduced_with(
             &net,
             &ReducedOptions {
                 threads,
@@ -222,7 +225,7 @@ fn steal_heavy_schedule_identical_across_thread_counts() {
 
         // the GPN valid-set relation blows up on the 40×8 comb, so the
         // GPO leg runs a smaller instance of the same steal-heavy shape
-        let gpo = analyze_with(
+        let gpo = analyze_all_with(
             &gpo_net,
             &GpoOptions {
                 threads,
@@ -236,4 +239,49 @@ fn steal_heavy_schedule_identical_across_thread_counts() {
             Some(b) => assert_eq!(b, &obs, "gpo engine diverges at threads={threads}"),
         }
     }
+}
+
+/// The complete reachability graph of `net` under `opts`.
+fn explore_full_with(
+    net: &petri::PetriNet,
+    opts: &petri::ExploreOptions,
+) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        opts,
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}
+
+/// The complete stubborn-set reduced graph of `net` under `opts`.
+fn explore_reduced_with(
+    net: &petri::PetriNet,
+    opts: &partial_order::ReducedOptions,
+) -> Result<partial_order::ReducedReachability, petri::NetError> {
+    partial_order::ReducedReachability::explore(
+        net,
+        opts,
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}
+
+/// The complete generalized analysis of `net` under `opts`.
+fn analyze_all_with(
+    net: &petri::PetriNet,
+    opts: &gpo_core::GpoOptions,
+) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
+    gpo_core::analyze(
+        net,
+        opts,
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
 }

@@ -8,9 +8,7 @@
 
 use gpo_suite::prelude::*;
 use models::random::{random_safe_net, RandomNetConfig};
-use petri::ExploreOptions;
 use proptest::prelude::*;
-use unfolding::UnfoldOptions;
 
 const THREADS: [usize; 2] = [1, 8];
 const ENGINES: [&str; 5] = ["full", "po", "gpo", "bdd", "unfold"];
@@ -41,11 +39,10 @@ fn run_engine(engine: &str, net: &PetriNet, threads: usize) -> EngineRun {
     match engine {
         "full" => {
             let opts = ExploreOptions {
-                max_states: usize::MAX,
                 record_edges: true,
                 threads,
             };
-            let rg = ReachabilityGraph::explore_with(net, &opts).unwrap();
+            let rg = explore_full_with(net, &opts).unwrap();
             EngineRun {
                 deadlock: rg.has_deadlock(),
                 stored: rg.state_count() as f64,
@@ -55,11 +52,10 @@ fn run_engine(engine: &str, net: &PetriNet, threads: usize) -> EngineRun {
         "po" => {
             let opts = ReducedOptions {
                 strategy: SeedStrategy::BestOfEnabled,
-                max_states: usize::MAX,
                 threads,
                 ..Default::default()
             };
-            let red = ReducedReachability::explore_with(net, &opts).unwrap();
+            let red = explore_reduced_with(net, &opts).unwrap();
             EngineRun {
                 deadlock: red.has_deadlock(),
                 stored: red.state_count() as f64,
@@ -73,7 +69,7 @@ fn run_engine(engine: &str, net: &PetriNet, threads: usize) -> EngineRun {
                 threads,
                 ..Default::default()
             };
-            let report = analyze_with(net, &opts).unwrap();
+            let report = analyze_all_with(net, &opts).unwrap();
             EngineRun {
                 deadlock: report.deadlock_possible,
                 stored: report.state_count as f64,
@@ -81,7 +77,7 @@ fn run_engine(engine: &str, net: &PetriNet, threads: usize) -> EngineRun {
             }
         }
         "bdd" => {
-            let sym = SymbolicReachability::explore_with(net, &SymbolicOptions::default());
+            let sym = explore_symbolic_with(net, &SymbolicOptions::default());
             EngineRun {
                 deadlock: sym.has_deadlock(),
                 stored: sym.state_count(),
@@ -89,9 +85,9 @@ fn run_engine(engine: &str, net: &PetriNet, threads: usize) -> EngineRun {
             }
         }
         "unfold" => {
-            let unf = Unfolding::build_with(net, &UnfoldOptions::default()).unwrap();
+            let unf = Unfolding::build(net, &Budget::default()).into_value();
             EngineRun {
-                deadlock: unf.has_deadlock(net),
+                deadlock: unf.has_deadlock(net, &Budget::default()).into_value(),
                 stored: unf.prefix().event_count() as f64,
                 trace: None,
             }
@@ -184,42 +180,6 @@ fn reduction_strictly_shrinks_stored_states_on_reducible_zoo_nets() {
     }
 }
 
-#[test]
-fn verify_bounded_reduced_matches_verify_bounded_on_the_zoo() {
-    for (name, net) in model_zoo() {
-        let budget = Budget::default().cap_states(usize::MAX);
-        let opts = ExploreOptions {
-            max_states: usize::MAX,
-            record_edges: true,
-            threads: 1,
-        };
-        let plain = verify_bounded(&net, &opts, &budget).unwrap();
-        let reduced =
-            verify_bounded_reduced(&net, &opts, &budget, &ReduceOptions::default()).unwrap();
-        assert_eq!(
-            plain.report.has_deadlock, reduced.report.has_deadlock,
-            "{name}: verdict changed"
-        );
-        assert!(plain.reduction.is_none(), "{name}: unreduced run has stats");
-        let stats = reduced.reduction.as_ref().expect("reduction stats");
-        assert_eq!(stats.places_before, net.place_count(), "{name}");
-        if let Some(w) = &reduced.report.deadlock_witness {
-            // the lifted witness replays on the ORIGINAL net into the
-            // reported dead marking
-            let reached = net
-                .fire_sequence(net.initial_marking(), w.iter().copied())
-                .expect("safe")
-                .unwrap_or_else(|| panic!("{name}: lifted witness not fireable"));
-            assert!(net.is_dead(&reached), "{name}: witness marking not dead");
-            assert_eq!(
-                Some(&reached),
-                reduced.report.deadlock_marking.as_ref(),
-                "{name}: reported marking mismatches its witness"
-            );
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -241,8 +201,8 @@ proptest! {
         let again = reduce(&reduction.net, &ReduceOptions::default()).unwrap();
         prop_assert!(again.report.is_noop(), "not a fixpoint\n{}", to_text(&net));
 
-        let plain = ReachabilityGraph::explore(&net).unwrap();
-        let reduced = ReachabilityGraph::explore(&reduction.net).unwrap();
+        let plain = explore_full(&net).unwrap();
+        let reduced = explore_full(&reduction.net).unwrap();
         prop_assert_eq!(
             plain.has_deadlock(),
             reduced.has_deadlock(),
@@ -260,4 +220,75 @@ proptest! {
             prop_assert!(net.is_dead(&reached), "not dead\n{}", to_text(&net));
         }
     }
+}
+
+/// The complete reachability graph of `net`.
+fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    explore_full_with(net, &petri::ExploreOptions::default())
+}
+
+/// The complete reachability graph of `net` under `opts`.
+fn explore_full_with(
+    net: &petri::PetriNet,
+    opts: &petri::ExploreOptions,
+) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    petri::ReachabilityGraph::explore(
+        net,
+        opts,
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}
+
+/// The complete stubborn-set reduced graph of `net` under `opts`.
+fn explore_reduced_with(
+    net: &petri::PetriNet,
+    opts: &partial_order::ReducedOptions,
+) -> Result<partial_order::ReducedReachability, petri::NetError> {
+    partial_order::ReducedReachability::explore(
+        net,
+        opts,
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}
+
+/// The complete generalized analysis of `net` under `opts`.
+fn analyze_all_with(
+    net: &petri::PetriNet,
+    opts: &gpo_core::GpoOptions,
+) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
+    gpo_core::analyze(
+        net,
+        opts,
+        &petri::Budget::default(),
+        &petri::CheckpointConfig::default(),
+        None,
+    )
+    .map(petri::Outcome::into_value)
+}
+
+/// The complete symbolic deadlock search over `net` under `opts`.
+fn explore_symbolic_with(
+    net: &petri::PetriNet,
+    opts: &symbolic::SymbolicOptions,
+) -> symbolic::SymbolicReachability {
+    symbolic::SymbolicReachability::explore(
+        net,
+        opts,
+        &petri::Budget::default(),
+        &deadlock_goal(net),
+    )
+    .into_value()
+}
+
+/// The compiled default property, `EF deadlock`.
+fn deadlock_goal(net: &petri::PetriNet) -> petri::CompiledProperty {
+    petri::Property::deadlock()
+        .compile(net)
+        .expect("deadlock compiles on every net")
 }
