@@ -18,16 +18,15 @@
 //!    over one fully-enabled maximal conflicting set if one exists, else
 //!    over every single-enabled transition.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use petri::checkpoint::{explore_segmented, ByteReader, ByteWriter, CheckpointError, EngineKind};
 use petri::parallel::{explore_frontier_seeded, FrontierOptions, FrontierSeed};
 use petri::{
-    Budget, CheckpointConfig, ConflictInfo, CoverageStats, Marking, Outcome, PetriNet, PlaceId,
-    Snapshot, TransitionId,
+    Budget, CheckpointConfig, ConflictInfo, Marking, Outcome, PetriNet, PlaceId, Snapshot,
+    TransitionId,
 };
 
 use crate::error::GpoError;
@@ -79,10 +78,10 @@ pub struct GpoOptions {
     /// How many deadlock witness markings to materialize (0 disables).
     pub max_witnesses: usize,
     /// Worker threads for the exploration. `1` (the default) runs the
-    /// historical serial loop; larger values ride the shared parallel
-    /// frontier engine. The explored state set, the verdict, the witness
-    /// markings, and the work counters of a complete run are identical
-    /// for every thread count.
+    /// shared frontier loop's FIFO branch on the calling thread; larger
+    /// values run its work-stealing engine. The explored state set, the
+    /// verdict, the witness markings, and the work counters of a complete
+    /// run are identical for every thread count.
     pub threads: usize,
     /// Safety query: places whose *simultaneous* marking is the bad
     /// condition (the paper's §4 remark that safety checks reduce to this
@@ -192,7 +191,8 @@ impl GpoReport {
 /// optionally resuming a prior partial analysis and/or writing crash-safe
 /// snapshots (see [`explore_segmented`] for the segmenting protocol).
 ///
-/// Byte accounting uses each GPN state's representation footprint. On
+/// Byte accounting uses each GPN state's representation footprint plus
+/// the frontier loop's per-state and per-edge overheads. On
 /// exhaustion the report built so far is returned as
 /// [`Outcome::Partial`]: deadlock possibilities and coverage hits found in
 /// a partial run are genuine (their witnesses come from valid histories of
@@ -249,21 +249,7 @@ fn run<F: SetFamily>(
         ckpt,
         prior,
         |p: &Explored<F>| p.states.len(),
-        |segment, prior| {
-            if opts.threads > 1 {
-                explore_parallel(net, &conflicts, s0.clone(), opts, segment, &counters, prior)
-            } else {
-                Ok(explore_serial(
-                    net,
-                    &conflicts,
-                    &ctx,
-                    s0.clone(),
-                    segment,
-                    &counters,
-                    prior,
-                ))
-            }
-        },
+        |segment, prior| explore(net, &conflicts, s0.clone(), opts, segment, &counters, prior),
         |explored| {
             to_snapshot(
                 net,
@@ -329,7 +315,7 @@ fn run<F: SetFamily>(
     })
 }
 
-/// Work counters shared between the serial loop and the parallel workers.
+/// Work counters shared by every thread the frontier loop expands on.
 /// Each state is expanded exactly once and the per-state work is a pure
 /// function of the state, so the relaxed sums are identical for every
 /// thread count on a complete run.
@@ -354,8 +340,8 @@ impl Counters {
     }
 }
 
-/// What an exploration (serial or parallel) produced, before witness
-/// extraction and coverage queries.
+/// What an exploration produced, before witness extraction and coverage
+/// queries.
 struct Explored<F: SetFamily> {
     /// Every discovered GPN state, dense ids with the initial state at 0.
     states: Vec<GpnState<F>>,
@@ -368,109 +354,11 @@ struct Explored<F: SetFamily> {
     expanded: Vec<bool>,
 }
 
-/// The historical breadth-first serial loop (exact same exploration order
-/// and budget-check placement as before the parallel engine existed),
-/// optionally continuing a prior partial exploration.
-fn explore_serial<F: SetFamily>(
-    net: &PetriNet,
-    conflicts: &ConflictInfo,
-    ctx: &F::Context,
-    s0: GpnState<F>,
-    budget: &Budget,
-    counters: &Counters,
-    prior: Option<Explored<F>>,
-) -> Outcome<Explored<F>> {
-    let start = Instant::now();
-    let (mut states, mut pred, mut blocked, mut expanded) = match prior {
-        Some(p) => (p.states, p.pred, p.blocked, p.expanded),
-        None => (vec![s0], vec![None], Vec::new(), vec![false]),
-    };
-    let mut index: HashMap<GpnState<F>, usize> = states
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.clone(), i))
-        .collect();
-    let mut worklist: VecDeque<usize> = (0..states.len()).filter(|&i| !expanded[i]).collect();
-    let mut expanded_count = states.len() - worklist.len();
-    let mut bytes: usize = states.iter().map(GpnState::footprint).sum();
-
-    let mut exhausted = None;
-    while let Some(&frontier) = worklist.front() {
-        if let Some(reason) = budget.exceeded(states.len(), bytes) {
-            exhausted = Some(reason);
-            break;
-        }
-        worklist.pop_front();
-        // take the state out instead of cloning it; the index still holds
-        // an equal key, so the dedup lookups during expansion are unaffected
-        let s = std::mem::replace(
-            &mut states[frontier],
-            GpnState::from_parts(Vec::new(), F::empty(ctx, net.transition_count())),
-        );
-        counters.observe_footprint(s.footprint());
-        let successors = expand(net, conflicts, &s, counters);
-        if successors.is_empty() {
-            blocked.push(frontier);
-        }
-        let mut aborted = None;
-        for (next, firing) in successors {
-            // re-check between successors so a single wide fan-out
-            // overshoots the budget by at most one state (mirrors the
-            // parallel engine's per-insertion check)
-            if let Some(reason) = budget.exceeded(states.len(), bytes) {
-                aborted = Some(reason);
-                break;
-            }
-            if let Entry::Vacant(e) = index.entry(next) {
-                bytes += e.key().footprint();
-                states.push(e.key().clone());
-                pred.push(Some((frontier, firing)));
-                expanded.push(false);
-                worklist.push_back(states.len() - 1);
-                e.insert(states.len() - 1);
-            }
-        }
-        states[frontier] = s;
-        if let Some(reason) = aborted {
-            // this state stays unexpanded so a resumed run re-expands it;
-            // successors stored before the trip keep their pred entry —
-            // the same discovery provenance the parallel engine keeps in
-            // its origin sidecar
-            exhausted = Some(reason);
-            break;
-        }
-        expanded[frontier] = true;
-        expanded_count += 1;
-    }
-
-    let coverage = CoverageStats {
-        states_stored: states.len(),
-        states_expanded: expanded_count,
-        frontier_len: states.len().saturating_sub(expanded_count),
-        bytes_estimate: bytes,
-        elapsed: start.elapsed(),
-    };
-    let explored = Explored {
-        states,
-        pred,
-        blocked,
-        expanded,
-    };
-    match exhausted {
-        None => Outcome::Complete(explored),
-        Some(reason) => Outcome::Partial {
-            result: explored,
-            reason,
-            coverage,
-        },
-    }
-}
-
-/// Runs the expansion over the shared parallel frontier engine. A GPN
-/// state has no successors exactly when its deadlock-possibility check
-/// fires (the valid-set relation is never empty), so the engine's
-/// deadlock ids are precisely the blocked states.
-fn explore_parallel<F: SetFamily>(
+/// Explores one segment over the shared frontier loop. A GPN state has
+/// no successors exactly when its deadlock-possibility check fires (the
+/// valid-set relation is never empty), so the loop's deadlock ids are
+/// precisely the blocked states.
+fn explore<F: SetFamily>(
     net: &PetriNet,
     conflicts: &ConflictInfo,
     s0: GpnState<F>,
@@ -487,19 +375,18 @@ fn explore_parallel<F: SetFamily>(
         // origins survive budget-aborted expansions, unlike recorded
         // edges, so the reach tree below covers every stored state even
         // when its discovering expansion was rolled back
-        record_origins: opts.max_witnesses > 0,
+        record_origins: true,
         budget: budget.clone(),
         ..FrontierOptions::default()
     };
     let (seed, prior_pred) = match prior {
         Some(p) => (
             FrontierSeed {
-                // the snapshot stores the reach tree, not the edge lists,
-                // so prior states get empty succ placeholders; their
-                // parent pointers re-enter through `prior_pred` below
-                succ: vec![Vec::new(); p.states.len()],
                 states: p.states,
                 expanded: p.expanded,
+                // the snapshot stores the reach tree, not the edge lists:
+                // prior parent pointers re-enter through `prior_pred`
+                succ: Vec::new(),
                 deadlocks: p.blocked.iter().map(|&b| b as u32).collect(),
                 edge_count: 0,
             },
@@ -522,11 +409,14 @@ fn explore_parallel<F: SetFamily>(
     )
     .map_err(GpoError::Engine)?;
     Ok(outcome.map(|result| {
+        // at one thread the loop expands in discovery order, so the
+        // breadth-first tree over recorded edges is exactly the
+        // first-insertion tree the origins hold
         let mut pred = extend_reach_tree(prior_pred, &result.succ);
         // a budget-aborted expansion rolls its recorded edges back, so
         // states it discovered are invisible to the BFS above; their
-        // provenance comes from the engine's origin sidecar instead (a
-        // no-op on complete runs)
+        // provenance comes from the loop's origin sidecar instead (as
+        // does every new state's when no edges are recorded)
         for (i, p) in pred.iter_mut().enumerate() {
             if p.is_none() && i > 0 {
                 if let Some(Some((parent, firing))) = result.origin.get(i) {
@@ -1442,6 +1332,29 @@ mod tests {
                 }
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reach_tree_does_not_depend_on_the_witness_count() {
+        // the frontier loop records origins whether or not edges are recorded, so
+        // the PRED section is the same first-insertion tree either way
+        let dir = ckpt_dir("pred");
+        let net = models::nsdp(3);
+        let pred = |max_witnesses| {
+            let path = dir.join(format!("w{max_witnesses}.ckpt"));
+            let opts = GpoOptions {
+                max_witnesses,
+                ..Default::default()
+            };
+            let ckpt = CheckpointConfig::at(&path);
+            analyze(&net, &opts, &Budget::default().cap_states(2), &ckpt, None).unwrap();
+            let snap = petri::checkpoint::read_checkpoint(&path).unwrap();
+            snap.section(section::PRED).unwrap().to_vec()
+        };
+        let with_witnesses = pred(2);
+        assert!(with_witnesses.len() > 8, "the partial run stored a tree");
+        assert_eq!(pred(0), with_witnesses);
         std::fs::remove_dir_all(&dir).ok();
     }
 

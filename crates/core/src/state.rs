@@ -148,9 +148,9 @@ impl<F: SetFamily> GpnState<F> {
     }
 }
 
-/// GPN states ride the generic parallel frontier engine directly; the
-/// byte estimate reuses the representation footprint the serial loop
-/// already accounts with.
+/// GPN states ride the generic frontier loop directly, at every thread
+/// count; the byte estimate is the representation footprint, to which the
+/// loop adds its per-state and per-edge overheads.
 impl<F: SetFamily> petri::parallel::FrontierState for GpnState<F> {
     fn approx_bytes(&self) -> usize {
         self.footprint()

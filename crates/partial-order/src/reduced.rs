@@ -5,28 +5,22 @@
 //! which preserves every reachable deadlock while skipping redundant
 //! interleavings of independent transitions.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use petri::checkpoint::{
-    explore_segmented, read_marking, write_marking, ByteReader, ByteWriter, CheckpointError,
+    explore_segmented, push_state_table, read_state_table, ByteReader, ByteWriter, CheckpointError,
     EngineKind,
 };
-use petri::parallel::{
-    default_threads, explore_frontier_seeded, FrontierOptions, FrontierSeed, STATE_OVERHEAD_BYTES,
-};
+use petri::parallel::{default_threads, explore_frontier_seeded, FrontierOptions, FrontierSeed};
 use petri::{
-    Budget, CheckpointConfig, CoverageStats, Marking, NetError, Outcome, PetriNet, Snapshot,
-    TransitionId,
+    Budget, CheckpointConfig, Marking, NetError, Outcome, PetriNet, Snapshot, TransitionId,
 };
 
 use crate::stubborn::{SeedStrategy, StubbornSets};
 
-/// Section tags of a [`EngineKind::Reduced`] snapshot.
+/// Section tags of a [`EngineKind::Reduced`] snapshot, after the shared
+/// state table ([`push_state_table`] writes tags 1 and 2).
 mod section {
-    pub const STATES: u32 = 1;
-    pub const EXPANDED: u32 = 2;
     pub const DEADLOCKS: u32 = 3;
     pub const COUNTERS: u32 = 4;
     pub const STRATEGY: u32 = 5;
@@ -103,7 +97,7 @@ pub struct ReducedReachability {
     /// Per-state "successors computed" flag; `false` entries are the
     /// frontier a checkpointed run resumes from.
     expanded: Vec<bool>,
-    deadlocks: Vec<usize>,
+    deadlocks: Vec<u32>,
     edge_count: usize,
     elapsed: Duration,
     threads_used: usize,
@@ -137,7 +131,7 @@ impl ReducedReachability {
     ) -> Result<Outcome<Self>, NetError> {
         let visible = opts.visible.as_deref();
         let prior = match resume {
-            Some(snap) => Some(Self::from_snapshot_with(net, snap, opts.strategy, visible)?),
+            Some(snap) => Some(Self::from_snapshot(net, snap, opts.strategy, visible)?),
             None => None,
         };
         explore_segmented(
@@ -146,11 +140,12 @@ impl ReducedReachability {
             prior,
             ReducedReachability::state_count,
             |segment, prior| Self::explore_resumed(net, opts, segment, prior),
-            |red| red.to_snapshot_with(net, opts.strategy, visible),
+            |red| red.to_snapshot(net, opts.strategy, visible),
         )
     }
 
-    /// Continues exploring `prior` (or starts fresh) under `budget`.
+    /// Continues exploring `prior` (or starts fresh) under `budget`: one
+    /// run of the shared frontier loop.
     fn explore_resumed(
         net: &PetriNet,
         opts: &ReducedOptions,
@@ -162,189 +157,71 @@ impl ReducedReachability {
         if let Some(visible) = &opts.visible {
             stubborn = stubborn.with_visible(visible.clone());
         }
-
-        if opts.threads.max(1) > 1 {
-            let (seed, base_elapsed) = match prior {
-                Some(red) => (
-                    FrontierSeed {
-                        // the reduced engine never records edges, so the
-                        // seed's succ lists are empty placeholders
-                        succ: vec![Vec::new(); red.states.len()],
-                        states: red.states,
-                        expanded: red.expanded,
-                        deadlocks: red.deadlocks.into_iter().map(|i| i as u32).collect(),
-                        edge_count: red.edge_count,
-                    },
-                    red.elapsed,
-                ),
-                None => (
-                    FrontierSeed::initial(net.initial_marking().clone()),
-                    Duration::ZERO,
-                ),
-            };
-            // the spread fills the cfg-gated fault-injection field in test builds
-            #[allow(clippy::needless_update)]
-            let outcome = explore_frontier_seeded(
-                seed,
-                &FrontierOptions {
-                    threads: opts.threads,
-                    record_edges: false,
-                    budget: budget.clone(),
-                    ..Default::default()
-                },
-                |m, out| {
-                    for t in stubborn.enabled_stubborn(m) {
-                        out.push((t, net.fire(t, m)?));
-                    }
-                    Ok(())
-                },
-            )?;
-            return Ok(outcome.map(|result| ReducedReachability {
-                states: result.states,
-                expanded: result.expanded,
-                deadlocks: result.deadlocks.into_iter().map(|i| i as usize).collect(),
-                edge_count: result.edge_count,
-                elapsed: base_elapsed + start.elapsed(),
-                threads_used: opts.threads,
-            }));
-        }
-
-        let (mut states, mut expanded, mut deadlocks, mut edge_count, base_elapsed) = match prior {
+        let (seed, base_elapsed) = match prior {
             Some(red) => (
-                red.states,
-                red.expanded,
-                red.deadlocks,
-                red.edge_count,
+                FrontierSeed {
+                    states: red.states,
+                    expanded: red.expanded,
+                    // the reduced engine never records edges
+                    succ: Vec::new(),
+                    deadlocks: red.deadlocks,
+                    edge_count: red.edge_count,
+                },
                 red.elapsed,
             ),
             None => (
-                vec![net.initial_marking().clone()],
-                vec![false],
-                Vec::new(),
-                0,
+                FrontierSeed::initial(net.initial_marking().clone()),
                 Duration::ZERO,
             ),
         };
-        let mut index: HashMap<Marking, usize> = states
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.clone(), i))
-            .collect();
-        let mut bytes = states
-            .iter()
-            .map(|m| m.approx_bytes() + STATE_OVERHEAD_BYTES)
-            .sum::<usize>();
-        let mut worklist: VecDeque<usize> = (0..states.len()).filter(|&i| !expanded[i]).collect();
-        let mut expanded_count = states.len() - worklist.len();
-
-        let mut exhausted = None;
-        while let Some(&frontier) = worklist.front() {
-            if let Some(reason) = budget.exceeded(states.len(), bytes) {
-                exhausted = Some(reason);
-                break;
-            }
-            worklist.pop_front();
-            // take the marking out instead of cloning it; the index still
-            // holds an equal key, so lookups during expansion are unaffected
-            let m = std::mem::replace(&mut states[frontier], Marking::empty(0));
-            let fire = stubborn.enabled_stubborn(&m);
-            if fire.is_empty() {
-                deadlocks.push(frontier);
-            }
-            let count_mark = edge_count;
-            let mut aborted = None;
-            for t in fire {
-                // re-check between successors so a single wide fan-out
-                // overshoots the budget by at most one state (mirrors the
-                // parallel engine's per-insertion check)
-                if let Some(reason) = budget.exceeded(states.len(), bytes) {
-                    aborted = Some(reason);
-                    break;
-                }
-                let next = net.fire(t, &m)?;
-                edge_count += 1;
-                if let Entry::Vacant(e) = index.entry(next) {
-                    bytes += e.key().approx_bytes() + STATE_OVERHEAD_BYTES;
-                    states.push(e.key().clone());
-                    expanded.push(false);
-                    worklist.push_back(states.len() - 1);
-                    e.insert(states.len() - 1);
-                }
-            }
-            states[frontier] = m;
-            if let Some(reason) = aborted {
-                // roll the fired-count back so this state stays cleanly
-                // unexpanded and a resumed run re-counts its edges exactly
-                // once; successors already stored stay reachable frontier
-                edge_count = count_mark;
-                exhausted = Some(reason);
-                break;
-            }
-            expanded[frontier] = true;
-            expanded_count += 1;
-        }
-
-        let elapsed = base_elapsed + start.elapsed();
-        let stored = states.len();
-        let red = ReducedReachability {
-            states,
-            expanded,
-            deadlocks,
-            edge_count,
-            elapsed,
-            threads_used: 1,
-        };
-        Ok(match exhausted {
-            None => Outcome::Complete(red),
-            Some(reason) => Outcome::Partial {
-                result: red,
-                // re-classify at the stop: a cancel raised while the
-                // reason was latched must win deterministically
-                reason: budget.stop_reason(reason),
-                coverage: CoverageStats {
-                    states_stored: stored,
-                    states_expanded: expanded_count,
-                    frontier_len: stored.saturating_sub(expanded_count),
-                    bytes_estimate: bytes,
-                    elapsed,
-                },
+        // the spread fills the cfg-gated fault-injection field in test builds
+        #[allow(clippy::needless_update)]
+        let outcome = explore_frontier_seeded(
+            seed,
+            &FrontierOptions {
+                threads: opts.threads,
+                record_edges: false,
+                budget: budget.clone(),
+                ..Default::default()
             },
-        })
+            |m, out| {
+                for t in stubborn.enabled_stubborn(m) {
+                    out.push((t, net.fire(t, m)?));
+                }
+                Ok(())
+            },
+        )?;
+        let elapsed = base_elapsed + start.elapsed();
+        Ok(outcome
+            .map(|result| ReducedReachability {
+                states: result.states,
+                expanded: result.expanded,
+                deadlocks: result.deadlocks,
+                edge_count: result.edge_count,
+                elapsed,
+                threads_used: opts.threads.max(1),
+            })
+            .with_elapsed(elapsed))
     }
 
-    /// Serializes this (typically partial) reduced graph as a snapshot
-    /// (no visible set: the classical deadlock-preserving exploration).
-    pub fn to_snapshot(&self, net: &PetriNet, strategy: SeedStrategy) -> Snapshot {
-        self.to_snapshot_with(net, strategy, None)
-    }
-
-    /// Like [`to_snapshot`](Self::to_snapshot), also recording the
-    /// visible-transition set of a property-preserving exploration. With
-    /// `None` the snapshot is byte-identical to the legacy layout.
-    pub fn to_snapshot_with(
+    /// Serializes this (typically partial) reduced graph as a snapshot,
+    /// recording the seed strategy and, for a property-preserving
+    /// exploration, its visible-transition set. With `visible` `None` (the
+    /// classical deadlock-preserving exploration) the strategy section is
+    /// the one-byte legacy layout.
+    pub fn to_snapshot(
         &self,
         net: &PetriNet,
         strategy: SeedStrategy,
         visible: Option<&[TransitionId]>,
     ) -> Snapshot {
         let mut snap = Snapshot::new(EngineKind::Reduced, net);
-
-        let mut w = ByteWriter::new();
-        w.u32(net.place_count() as u32);
-        w.usize(self.states.len());
-        for m in &self.states {
-            write_marking(&mut w, m);
-        }
-        snap.push_section(section::STATES, w.into_bytes());
-
-        let mut w = ByteWriter::new();
-        w.bools(&self.expanded);
-        snap.push_section(section::EXPANDED, w.into_bytes());
+        push_state_table(&mut snap, net, &self.states, &self.expanded);
 
         let mut w = ByteWriter::new();
         w.usize(self.deadlocks.len());
         for &d in &self.deadlocks {
-            w.u32(d as u32);
+            w.u32(d);
         }
         snap.push_section(section::DEADLOCKS, w.into_bytes());
 
@@ -370,31 +247,18 @@ impl ReducedReachability {
     }
 
     /// Rebuilds a (typically partial) reduced graph from a snapshot,
-    /// validating engine kind, net fingerprint, stored strategy, and all
-    /// structural invariants.
+    /// validating engine kind, net fingerprint, all structural invariants,
+    /// and the stored strategy and visible-transition set against the
+    /// current run's: a stubborn-set exploration is only a sound prefix
+    /// for the reduction rule and visibility condition it was computed
+    /// under.
     ///
     /// # Errors
     ///
     /// Returns a typed [`CheckpointError`] for foreign, mismatched, or
-    /// inconsistent snapshots.
+    /// inconsistent snapshots, including any strategy or visible-set
+    /// disagreement.
     pub fn from_snapshot(
-        net: &PetriNet,
-        snap: &Snapshot,
-        strategy: SeedStrategy,
-    ) -> Result<Self, CheckpointError> {
-        Self::from_snapshot_with(net, snap, strategy, None)
-    }
-
-    /// Like [`from_snapshot`](Self::from_snapshot), additionally
-    /// validating the stored visible-transition set against the current
-    /// run's: a stubborn-set exploration is only a sound prefix for the
-    /// visibility condition it was computed under.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`CheckpointError`] for foreign, mismatched, or
-    /// inconsistent snapshots, including any visible-set disagreement.
-    pub fn from_snapshot_with(
         net: &PetriNet,
         snap: &Snapshot,
         strategy: SeedStrategy,
@@ -446,43 +310,8 @@ impl ReducedReachability {
             });
         }
 
-        let mut r = ByteReader::new(snap.require_section(section::STATES)?, section::STATES);
-        let place_count = r.u32()? as usize;
-        if place_count != net.place_count() {
-            return Err(r.malformed(format!(
-                "snapshot has {place_count} places, net has {}",
-                net.place_count()
-            )));
-        }
-        let count = r.usize()?;
-        let mut states = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            states.push(read_marking(&mut r, place_count)?);
-        }
-        r.finish()?;
-        if states.is_empty() || &states[0] != net.initial_marking() {
-            return Err(CheckpointError::Malformed {
-                section: section::STATES,
-                detail: "state 0 is not the net's initial marking".into(),
-            });
-        }
-        let distinct: std::collections::HashSet<&Marking> = states.iter().collect();
-        if distinct.len() != states.len() {
-            return Err(CheckpointError::Malformed {
-                section: section::STATES,
-                detail: "duplicate markings in state table".into(),
-            });
-        }
-
-        let mut r = ByteReader::new(snap.require_section(section::EXPANDED)?, section::EXPANDED);
-        let expanded = r.bools()?;
-        r.finish()?;
-        if expanded.len() != count {
-            return Err(CheckpointError::Malformed {
-                section: section::EXPANDED,
-                detail: "expanded bitmap length disagrees with state count".into(),
-            });
-        }
+        let (states, expanded) = read_state_table(snap, net)?;
+        let count = states.len();
 
         let mut r = ByteReader::new(
             snap.require_section(section::DEADLOCKS)?,
@@ -491,8 +320,8 @@ impl ReducedReachability {
         let ndead = r.usize()?;
         let mut deadlocks = Vec::with_capacity(ndead.min(count));
         for _ in 0..ndead {
-            let d = r.u32()? as usize;
-            if d >= count || !expanded[d] {
+            let d = r.u32()?;
+            if d as usize >= count || !expanded[d as usize] {
                 return Err(r.malformed("deadlock id out of range or unexpanded"));
             }
             deadlocks.push(d);
@@ -532,7 +361,7 @@ impl ReducedReachability {
 
     /// The dead markings found.
     pub fn deadlock_markings(&self) -> impl Iterator<Item = &Marking> + '_ {
-        self.deadlocks.iter().map(|&i| &self.states[i])
+        self.deadlocks.iter().map(|&i| &self.states[i as usize])
     }
 
     /// All states of the reduced graph.
@@ -756,7 +585,7 @@ mod tests {
             )
             .unwrap();
             assert!(!partial.is_complete(), "threads={threads}");
-            let snap = partial.value().to_snapshot(&net, opts.strategy);
+            let snap = partial.value().to_snapshot(&net, opts.strategy, None);
             let decoded = petri::Snapshot::from_bytes(&snap.to_bytes()).unwrap();
             let resumed = ReducedReachability::explore(
                 &net,
@@ -780,14 +609,16 @@ mod tests {
     fn snapshot_strategy_mismatch_is_rejected() {
         let net = fig2(3);
         let red = explore_reduced(&net).unwrap();
-        let snap = red.to_snapshot(&net, SeedStrategy::BestOfEnabled);
-        let err = ReducedReachability::from_snapshot(&net, &snap, SeedStrategy::ConflictCluster)
-            .unwrap_err();
+        let snap = red.to_snapshot(&net, SeedStrategy::BestOfEnabled, None);
+        let err =
+            ReducedReachability::from_snapshot(&net, &snap, SeedStrategy::ConflictCluster, None)
+                .unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed { .. }));
         // and the wrong engine kind is caught before anything decodes
         let full_snap = explore_full(&net).unwrap().to_snapshot(&net, true);
-        let err = ReducedReachability::from_snapshot(&net, &full_snap, SeedStrategy::BestOfEnabled)
-            .unwrap_err();
+        let err =
+            ReducedReachability::from_snapshot(&net, &full_snap, SeedStrategy::BestOfEnabled, None)
+                .unwrap_err();
         assert!(matches!(err, CheckpointError::EngineMismatch { .. }));
     }
 

@@ -268,6 +268,17 @@ impl<T> Outcome<T> {
         }
     }
 
+    /// Sets the wall time a partial outcome's coverage reports. Engines
+    /// that resume a prior segment report the time of every segment so
+    /// far, not just the last one.
+    #[must_use]
+    pub fn with_elapsed(mut self, elapsed: Duration) -> Self {
+        if let Outcome::Partial { coverage, .. } = &mut self {
+            coverage.elapsed = elapsed;
+        }
+        self
+    }
+
     /// Maps the inner value while preserving completeness metadata.
     pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Outcome<U> {
         match self {

@@ -1218,6 +1218,85 @@ pub fn read_marking(
     Ok(Marking::from_bits(r.bits(place_count)?))
 }
 
+/// Section tag of the marking table the full and reduced engines share:
+/// the place count, the state count, then every marking in id order.
+const STATES_SECTION: u32 = 1;
+/// Section tag of the per-state "expanded" bitmap the full and reduced
+/// engines share; its `false` entries are the frontier a resume continues.
+const EXPANDED_SECTION: u32 = 2;
+
+/// Writes a marking table and its expanded bitmap as sections 1 and 2.
+pub fn push_state_table(
+    snap: &mut Snapshot,
+    net: &PetriNet,
+    states: &[Marking],
+    expanded: &[bool],
+) {
+    let mut w = ByteWriter::new();
+    w.u32(net.place_count() as u32);
+    w.usize(states.len());
+    for m in states {
+        write_marking(&mut w, m);
+    }
+    snap.push_section(STATES_SECTION, w.into_bytes());
+
+    let mut w = ByteWriter::new();
+    w.bools(expanded);
+    snap.push_section(EXPANDED_SECTION, w.into_bytes());
+}
+
+/// Reads the sections [`push_state_table`] wrote, checking that the place
+/// count matches `net`, that state 0 is its initial marking, that no
+/// marking appears twice and that the bitmap has one flag per state.
+///
+/// # Errors
+///
+/// Returns [`CheckpointError::Malformed`] when a section is absent or
+/// breaks one of those checks.
+pub fn read_state_table(
+    snap: &Snapshot,
+    net: &PetriNet,
+) -> Result<(Vec<Marking>, Vec<bool>), CheckpointError> {
+    let mut r = ByteReader::new(snap.require_section(STATES_SECTION)?, STATES_SECTION);
+    let place_count = r.u32()? as usize;
+    if place_count != net.place_count() {
+        return Err(r.malformed(format!(
+            "snapshot has {place_count} places, net has {}",
+            net.place_count()
+        )));
+    }
+    let count = r.usize()?;
+    let mut states = Vec::with_capacity(count.min(1 << 20));
+    for _ in 0..count {
+        states.push(read_marking(&mut r, place_count)?);
+    }
+    r.finish()?;
+    if states.is_empty() || &states[0] != net.initial_marking() {
+        return Err(CheckpointError::Malformed {
+            section: STATES_SECTION,
+            detail: "state 0 is not the net's initial marking".into(),
+        });
+    }
+    let distinct: std::collections::HashSet<&Marking> = states.iter().collect();
+    if distinct.len() != states.len() {
+        return Err(CheckpointError::Malformed {
+            section: STATES_SECTION,
+            detail: "duplicate markings in state table".into(),
+        });
+    }
+
+    let mut r = ByteReader::new(snap.require_section(EXPANDED_SECTION)?, EXPANDED_SECTION);
+    let expanded = r.bools()?;
+    r.finish()?;
+    if expanded.len() != count {
+        return Err(CheckpointError::Malformed {
+            section: EXPANDED_SECTION,
+            detail: "expanded bitmap length disagrees with state count".into(),
+        });
+    }
+    Ok((states, expanded))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1577,6 +1656,52 @@ mod tests {
         };
         let want: &[&[u8]] = &[&[1], &[1], &[3, 0, 0, 0, 0, 0, 0, 0], b"pdr"];
         assert_eq!(engine.encode(), want.concat());
+    }
+
+    /// Pins the state-table payload bytes the full and reduced engines
+    /// share, on the two-state net `p → q`.
+    #[test]
+    fn state_table_payloads_keep_their_bytes() {
+        let net = sample_net();
+        let q = crate::ids::PlaceId::new(1);
+        let states = vec![
+            net.initial_marking().clone(),
+            Marking::from_places(net.place_count(), [q]),
+        ];
+        let expanded = [true, false];
+        let mut snap = Snapshot::new(EngineKind::Full, &net);
+        push_state_table(&mut snap, &net, &states, &expanded);
+
+        let want: &[&[u8]] = &[
+            &[2, 0, 0, 0],
+            &[2, 0, 0, 0, 0, 0, 0, 0],
+            &[1, 0, 0, 0, 0, 0, 0, 0],
+            &[2, 0, 0, 0, 0, 0, 0, 0],
+        ];
+        assert_eq!(snap.section(STATES_SECTION), Some(&want.concat()[..]));
+        let want: &[&[u8]] = &[&[2, 0, 0, 0, 0, 0, 0, 0], &[1]];
+        assert_eq!(snap.section(EXPANDED_SECTION), Some(&want.concat()[..]));
+
+        let (back, flags) = read_state_table(&snap, &net).unwrap();
+        assert_eq!(back, states);
+        assert_eq!(flags, expanded);
+    }
+
+    #[test]
+    fn state_table_rejects_inconsistent_payloads() {
+        let net = sample_net();
+        let s0 = net.initial_marking().clone();
+        let cases: [(&[Marking], &[bool], &str); 3] = [
+            (&[s0.clone(), s0.clone()], &[true, false], "duplicate"),
+            (&[Marking::empty(2)], &[false], "state 0"),
+            (&[s0], &[false, false], "bitmap length"),
+        ];
+        for (states, expanded, what) in cases {
+            let mut snap = Snapshot::new(EngineKind::Full, &net);
+            push_state_table(&mut snap, &net, states, expanded);
+            let err = read_state_table(&snap, &net).unwrap_err();
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        }
     }
 
     #[test]

@@ -1,10 +1,20 @@
-//! Work-stealing parallel frontier-exploration driver.
+//! The frontier-exploration loop behind every explicit engine.
 //!
-//! Both the exhaustive [`ReachabilityGraph`](crate::ReachabilityGraph) and
-//! the stubborn-set-reduced engine of the `partial-order` crate are
-//! breadth-first fixed-point loops over a hashed set of visited markings.
-//! This module factors that loop into a reusable engine that scales across
-//! cores using only the standard library:
+//! The exhaustive [`ReachabilityGraph`](crate::ReachabilityGraph), the
+//! stubborn-set-reduced engine of the `partial-order` crate and the
+//! generalized partial-order analysis of `gpo-core` are one breadth-first
+//! fixed-point loop over a hashed set of visited states; they differ only
+//! in how a state's successors are computed. This module owns that loop.
+//! It has two branches, picked by [`FrontierOptions::threads`]:
+//!
+//! * **one thread** runs a lock-free FIFO loop on the calling thread: the
+//!   dense state table is the queue (ids are handed out in discovery
+//!   order, so the next unexpanded id is always the queue head) and a
+//!   plain `HashMap` indexes it;
+//! * **two or more threads** run the work-stealing engine.
+//!
+//! The work-stealing engine scales across cores using only the standard
+//! library:
 //!
 //! * a **sharded state index** — `2^k` mutex-guarded `HashMap<Marking, u32>`
 //!   shards keyed by marking hash, so concurrent inserts rarely contend;
@@ -29,21 +39,24 @@
 //!
 //! # Resource governance
 //!
-//! Every worker consults the caller's [`Budget`] before taking an item and
+//! Both branches consult the caller's [`Budget`] before taking an item and
 //! again **before every successor insertion**. When any axis (states,
-//! bytes, deadline, cancellation) is exhausted mid-expansion, the worker
-//! rolls the expansion back — recorded edges are truncated and the state
-//! stays unexpanded, so a resumed run re-expands it exactly once — and the
-//! engine returns [`Outcome::Partial`] with everything discovered so far
-//! plus [`CoverageStats`]. Successor states inserted before the trip stay
-//! stored (they are genuinely reachable frontier states), which bounds the
-//! budget overshoot to roughly **one successor per worker** instead of one
-//! whole expansion's fan-out per worker.
+//! bytes, deadline, cancellation) is exhausted mid-expansion, the
+//! expansion is rolled back — recorded edges and the edge count are
+//! truncated and the state stays unexpanded, so a resumed run re-expands
+//! it exactly once — and the loop returns [`Outcome::Partial`] with
+//! everything discovered so far plus [`CoverageStats`]. Successor states
+//! inserted before the trip stay stored (they are genuinely reachable
+//! frontier states), which bounds the budget overshoot to roughly **one
+//! successor per worker** instead of one whole expansion's fan-out per
+//! worker. Both branches count the same bytes:
+//! [`FrontierState::approx_bytes`] plus [`STATE_OVERHEAD_BYTES`] per
+//! stored state and [`EDGE_BYTES`] per recorded edge.
 //!
 //! The rollback maintains the invariant that `succ[id]` is non-empty only
 //! if `expanded[id]`, which is what keeps edge counts exact across
 //! interrupt/resume cycles. Because a rolled-back expansion's successors
-//! keep no incoming edge, the engine also records an **origin sidecar**
+//! keep no incoming edge, the loop also records an **origin sidecar**
 //! (see [`FrontierOptions::record_origins`]): the `(parent, label)` pair
 //! of the expansion that first inserted each state, never rolled back, so
 //! provenance-hungry callers (the GPO reach tree) stay complete even
@@ -51,8 +64,9 @@
 //!
 //! # Panic safety
 //!
-//! Worker bodies run under `catch_unwind`: a panicking successor callback
-//! (or an injected fault, see [`FrontierOptions::inject_fault_after`] and
+//! Work-stealing worker bodies run under `catch_unwind`: a panicking
+//! successor callback (or an injected fault, see
+//! [`FrontierOptions::inject_fault_after`] and
 //! [`FrontierOptions::inject_fault_on_steal`]) surfaces as
 //! [`NetError::WorkerPanicked`] after all other workers have been joined —
 //! it can neither hang quiescence nor cascade into poisoned-lock panics,
@@ -60,23 +74,26 @@
 //! state is only ever mutated by non-panicking operations, so a poisoned
 //! guard is still consistent). A worker dying mid-steal may drop the batch
 //! it was moving, but the recorded error aborts the whole run before the
-//! lost items could be missed.
+//! lost items could be missed. The one-thread branch spawns no worker: a
+//! panicking callback unwinds into the caller.
 //!
 //! # Determinism contract
 //!
 //! For a fixed model, the reachable state *set*, the deadlock marking
 //! *set*, and the *number* of edges are identical for every thread count;
 //! state **ids may permute** between runs because discovery order races.
-//! Callers that need reproducible ids use one thread (the engines run
-//! their exact historical serial loop in that case).
+//! Callers that need reproducible ids use one thread: the loop's FIFO
+//! branch numbers states in breadth-first discovery order, lists
+//! deadlocks in expansion order after the seed's, and records each
+//! state's origin at its first insertion.
 //!
 //! # Genericity
 //!
-//! The engine is generic over the explored state type (anything
+//! The loop is generic over the explored state type (anything
 //! implementing [`FrontierState`]) and the edge label type, defaulting to
 //! classical [`Marking`]s labelled by [`TransitionId`]s. The generalized
 //! partial-order engine instantiates it with GPN states labelled by firing
-//! records — same deques, same budget governance, same panic safety.
+//! records — same loop, same budget governance, same panic safety.
 
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, VecDeque};
@@ -92,8 +109,8 @@ use crate::ids::TransitionId;
 use crate::marking::Marking;
 
 /// Approximate bookkeeping bytes per stored state beyond the marking
-/// itself (index entry, result slot, queue slot). Shared with the serial
-/// explore loops so byte accounting agrees across thread counts.
+/// itself (index entry, result slot, queue slot). Both branches
+/// count it, so byte accounting agrees across thread counts.
 pub const STATE_OVERHEAD_BYTES: usize = 48;
 /// Approximate bytes per recorded edge.
 pub const EDGE_BYTES: usize = 24;
@@ -136,8 +153,8 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Tuning knobs of [`explore_frontier`].
 #[derive(Debug, Clone)]
 pub struct FrontierOptions {
-    /// Worker count; values below 2 are rounded up to 2 (callers run their
-    /// serial loop instead of this engine for one thread).
+    /// Worker count. `0` and `1` run the FIFO branch on the calling thread
+    /// (reproducible ids); two or more run the work-stealing engine.
     pub threads: usize,
     /// Collect the labelled `(source, transition, target)` edges.
     pub record_edges: bool,
@@ -154,16 +171,17 @@ pub struct FrontierOptions {
     pub budget: Budget,
     /// Fault-injection hook for regression-testing the hang-free
     /// guarantee: the worker that acquires the `n`-th item (own pop,
-    /// injector drain, or steal) panics instead of expanding it. Compiled
-    /// only for tests and the `fault-injection` feature.
+    /// injector drain, or steal) panics instead of expanding it. Honoured
+    /// by the work-stealing engine only. Compiled only for tests and the
+    /// `fault-injection` feature.
     #[cfg(any(test, feature = "fault-injection"))]
     pub inject_fault_after: Option<usize>,
     /// Fault-injection hook aimed at the stealing path: the worker
     /// performing the `n`-th successful steal panics *after* removing the
     /// batch from the victim and before re-homing it — the worst spot,
     /// since the items die with the thief. The recorded error must still
-    /// drain every other worker. Compiled only for tests and the
-    /// `fault-injection` feature.
+    /// drain every other worker. Honoured by the work-stealing engine
+    /// only. Compiled only for tests and the `fault-injection` feature.
     #[cfg(any(test, feature = "fault-injection"))]
     pub inject_fault_on_steal: Option<usize>,
     /// Test hook: start the id allocator at this value instead of the seed
@@ -194,7 +212,7 @@ impl Default for FrontierOptions {
     }
 }
 
-/// What a parallel exploration produced. Ids are dense `0..states.len()`
+/// What an exploration produced. Ids are dense `0..states.len()`
 /// with the initial marking at id 0. On a partial run every stored state
 /// is genuinely reachable, but only expanded states have their successors
 /// (and deadlock classification) recorded.
@@ -216,7 +234,10 @@ pub struct FrontierResult<St = Marking, L = TransitionId> {
     /// provenance belongs to the caller). Empty unless
     /// [`FrontierOptions::record_origins`] was set. Never rolled back.
     pub origin: Vec<Option<(u32, L)>>,
-    /// Ids of expanded states with no successors, in increasing id order.
+    /// Ids of expanded states with no successors: the seed's, then the
+    /// ones found in this run. The work-stealing engine sorts them by id;
+    /// the FIFO branch appends them in expansion order (increasing ids
+    /// within the run).
     pub deadlocks: Vec<u32>,
     /// Total number of fired transitions (edges), recorded or not.
     pub edge_count: usize,
@@ -234,8 +255,8 @@ pub struct FrontierSeed<St = Marking, L = TransitionId> {
     /// Per state id, whether it was already expanded (same length as
     /// `states`).
     pub expanded: Vec<bool>,
-    /// Previously recorded edges per state id (same length as `states`;
-    /// all empty when the prior run did not record edges).
+    /// Previously recorded edges per state id: one list per state, or no
+    /// lists at all when the prior run did not record edges.
     pub succ: Vec<Vec<(L, u32)>>,
     /// Previously classified deadlock ids.
     pub deadlocks: Vec<u32>,
@@ -257,8 +278,8 @@ impl<St, L> FrontierSeed<St, L> {
     }
 }
 
-/// Explores the frontier fixed point of `successors` from `initial` using
-/// `opts.threads` workers.
+/// Explores the frontier fixed point of `successors` from `initial`, on
+/// the calling thread or on `opts.threads` workers.
 ///
 /// `successors` receives a marking and pushes every `(label, successor)`
 /// pair into the scratch vector; pushing nothing marks the state as a
@@ -291,7 +312,11 @@ where
 /// [`FrontierSeed`]). A seed of [`FrontierSeed::initial`] makes this
 /// identical to [`explore_frontier`]; a seed decoded from a checkpoint
 /// resumes the interrupted run, re-enqueuing its frontier in increasing
-/// id order through the global injector.
+/// id order.
+///
+/// With `opts.threads <= 1` the loop runs on the calling thread in FIFO
+/// order, so state ids, deadlock order and origins are reproducible; with
+/// more, it runs on the work-stealing engine (see the module docs).
 ///
 /// Prior states keep their ids; newly discovered states get the next
 /// dense ids. All counts (stored states, byte estimate, expanded states,
@@ -300,14 +325,15 @@ where
 ///
 /// # Errors
 ///
-/// Propagates the first callback error, or [`NetError::WorkerPanicked`]
-/// if a worker thread panicked (all other workers are joined first).
+/// Propagates the first callback error, [`NetError::StateIdOverflow`]
+/// past `u32::MAX - 1` states, or [`NetError::WorkerPanicked`] if a
+/// work-stealing worker panicked (all other workers are joined first).
 ///
 /// # Panics
 ///
 /// Panics if the seed is internally inconsistent (field lengths disagree
 /// or it contains duplicate states) — seeds decoded from checkpoints are
-/// validated before they reach this engine.
+/// validated before they reach the loop.
 pub fn explore_frontier_seeded<St, L, S>(
     seed: FrontierSeed<St, L>,
     opts: &FrontierOptions,
@@ -319,8 +345,224 @@ where
     S: Fn(&St, &mut Vec<(L, St)>) -> Result<(), NetError> + Sync,
 {
     let start = Instant::now();
-    let threads = opts.threads.max(2);
+    assert_eq!(seed.states.len(), seed.expanded.len(), "inconsistent seed");
+    assert!(
+        seed.succ.is_empty() || seed.succ.len() == seed.states.len(),
+        "inconsistent seed"
+    );
+    if opts.threads <= 1 {
+        run_fifo(seed, opts, &successors, start)
+    } else {
+        run_work_stealing(seed, opts, &successors, start)
+    }
+}
+
+/// Bytes a seed already holds under the shared accounting.
+fn seed_bytes<St: FrontierState, L>(seed: &FrontierSeed<St, L>) -> usize {
+    let recorded_edges: usize = seed.succ.iter().map(Vec::len).sum();
+    seed.states
+        .iter()
+        .map(|s| s.approx_bytes() + STATE_OVERHEAD_BYTES)
+        .sum::<usize>()
+        + recorded_edges * EDGE_BYTES
+}
+
+/// The id handed to the first newly discovered state: the seed size,
+/// unless a test raises it through [`FrontierOptions::seed_next_id`].
+fn first_new_id(opts: &FrontierOptions, prior_count: usize) -> u32 {
+    #[cfg(any(test, feature = "fault-injection"))]
+    let forced = opts.seed_next_id;
+    #[cfg(not(any(test, feature = "fault-injection")))]
+    let forced: Option<u32> = {
+        let _ = opts;
+        None
+    };
+    let prior = prior_count as u32;
+    forced.map_or(prior, |id| id.max(prior))
+}
+
+/// Wraps a finished run: complete, or partial with its coverage.
+fn finish<St, L>(
+    result: FrontierResult<St, L>,
+    exhausted: Option<ExhaustionReason>,
+    budget: &Budget,
+    expanded: usize,
+    bytes: usize,
+    start: Instant,
+) -> Outcome<FrontierResult<St, L>> {
+    let Some(reason) = exhausted else {
+        return Outcome::Complete(result);
+    };
+    let stored = result.states.len();
+    Outcome::Partial {
+        result,
+        // re-classify at the stop: a cancel raised while the reason was
+        // latched must win deterministically
+        reason: budget.stop_reason(reason),
+        coverage: CoverageStats {
+            states_stored: stored,
+            states_expanded: expanded,
+            // every dequeued-but-aborted item ends the run unexpanded, so
+            // the saturating difference counts the whole frontier
+            // (expanded ≤ stored always holds; saturate anyway so a
+            // miscount can never wrap)
+            frontier_len: stored.saturating_sub(expanded),
+            bytes_estimate: bytes,
+            elapsed: start.elapsed(),
+        },
+    }
+}
+
+/// The one-thread branch: a FIFO loop on the calling thread. New states
+/// get the next dense id, so ids follow discovery order and the queue is
+/// simply the unexpanded ids in increasing order — the state table itself,
+/// walked by a cursor.
+fn run_fifo<St, L, S>(
+    seed: FrontierSeed<St, L>,
+    opts: &FrontierOptions,
+    successors: &S,
+    start: Instant,
+) -> Result<Outcome<FrontierResult<St, L>>, NetError>
+where
+    St: FrontierState,
+    L: Clone,
+    S: Fn(&St, &mut Vec<(L, St)>) -> Result<(), NetError>,
+{
+    let budget = &opts.budget;
+    let mut bytes = seed_bytes(&seed);
+    let id_skip = first_new_id(opts, seed.states.len()) as usize - seed.states.len();
+    let FrontierSeed {
+        mut states,
+        mut expanded,
+        mut succ,
+        mut deadlocks,
+        mut edge_count,
+    } = seed;
+    let mut index: HashMap<St, u32> = HashMap::with_capacity(states.len());
+    for (id, state) in states.iter().enumerate() {
+        let prev = index.insert(state.clone(), id as u32);
+        assert!(prev.is_none(), "duplicate state in seed");
+    }
+    if opts.record_edges {
+        succ.resize_with(states.len(), Vec::new);
+    }
+    let mut origin: Vec<Option<(u32, L)>> = if opts.record_origins {
+        (0..states.len()).map(|_| None).collect()
+    } else {
+        Vec::new()
+    };
+    let mut expanded_count = expanded.iter().filter(|&&e| e).count();
+
+    let mut succs: Vec<(L, St)> = Vec::new();
+    let mut exhausted = None;
+    let mut head = 0;
+    loop {
+        while head < states.len() && expanded[head] {
+            head += 1;
+        }
+        if head == states.len() {
+            break;
+        }
+        if let Some(reason) = budget.exceeded(states.len(), bytes) {
+            exhausted = Some(reason);
+            break;
+        }
+        let sid = head;
+        head += 1;
+        successors(&states[sid], &mut succs)?;
+
+        let count_mark = edge_count;
+        for (label, next) in succs.drain(..) {
+            // re-check between insertions: one huge fan-out must not blow
+            // past the budget by more than a single successor
+            if let Some(reason) = budget.exceeded(states.len(), bytes) {
+                exhausted = Some(reason);
+                break;
+            }
+            let nid = match index.entry(next) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    // u32::MAX is reserved, as in the work-stealing allocator
+                    let nid = u32::try_from(states.len() + id_skip)
+                        .ok()
+                        .filter(|&id| id != u32::MAX)
+                        .ok_or(NetError::StateIdOverflow)?;
+                    bytes += e.key().approx_bytes() + STATE_OVERHEAD_BYTES;
+                    states.push(e.key().clone());
+                    expanded.push(false);
+                    if opts.record_edges {
+                        succ.push(Vec::new());
+                    }
+                    if opts.record_origins {
+                        origin.push(Some((sid as u32, label.clone())));
+                    }
+                    e.insert(nid);
+                    nid
+                }
+            };
+            edge_count += 1;
+            if opts.record_edges {
+                bytes += EDGE_BYTES;
+                succ[sid].push((label, nid));
+            }
+        }
+        if exhausted.is_some() {
+            // roll the expansion back so `sid` stays cleanly unexpanded;
+            // the successors already stored stay, their provenance in the
+            // origin sidecar
+            let rolled = edge_count - count_mark;
+            if opts.record_edges {
+                bytes -= rolled * EDGE_BYTES;
+                let kept = succ[sid].len() - rolled;
+                succ[sid].truncate(kept);
+            }
+            edge_count = count_mark;
+            break;
+        }
+        if edge_count == count_mark {
+            deadlocks.push(sid as u32);
+        }
+        expanded[sid] = true;
+        expanded_count += 1;
+    }
+
+    drop(index);
+    succ.resize_with(states.len(), Vec::new);
+    let result = FrontierResult {
+        states,
+        expanded,
+        succ,
+        origin,
+        deadlocks,
+        edge_count,
+    };
+    Ok(finish(
+        result,
+        exhausted,
+        budget,
+        expanded_count,
+        bytes,
+        start,
+    ))
+}
+
+/// The branch for two or more threads: the work-stealing engine described
+/// in the module docs.
+fn run_work_stealing<St, L, S>(
+    seed: FrontierSeed<St, L>,
+    opts: &FrontierOptions,
+    successors: &S,
+    start: Instant,
+) -> Result<Outcome<FrontierResult<St, L>>, NetError>
+where
+    St: FrontierState,
+    L: Clone + Send,
+    S: Fn(&St, &mut Vec<(L, St)>) -> Result<(), NetError> + Sync,
+{
+    let threads = opts.threads;
     let shard_count = (threads * 8).next_power_of_two();
+    let seed_bytes = seed_bytes(&seed);
+    let first_id = first_new_id(opts, seed.states.len());
 
     let FrontierSeed {
         states: seed_states,
@@ -329,17 +571,8 @@ where
         deadlocks: seed_deadlocks,
         edge_count: seed_edge_count,
     } = seed;
-    assert_eq!(seed_states.len(), seed_expanded.len(), "inconsistent seed");
-    assert_eq!(seed_states.len(), seed_succ.len(), "inconsistent seed");
-
     let prior_count = seed_states.len();
     let prior_expanded = seed_expanded.iter().filter(|&&e| e).count();
-    let recorded_edges: usize = seed_succ.iter().map(Vec::len).sum();
-    let seed_bytes: usize = seed_states
-        .iter()
-        .map(|s| s.approx_bytes() + STATE_OVERHEAD_BYTES)
-        .sum::<usize>()
-        + recorded_edges * EDGE_BYTES;
 
     let shards: Vec<Mutex<HashMap<St, u32>>> = (0..shard_count)
         .map(|_| Mutex::new(HashMap::new()))
@@ -355,16 +588,8 @@ where
     }
     let pending = injector.len();
 
-    #[cfg(any(test, feature = "fault-injection"))]
-    let first_id = opts
-        .seed_next_id
-        .unwrap_or(prior_count as u32)
-        .max(prior_count as u32);
-    #[cfg(not(any(test, feature = "fault-injection")))]
-    let first_id = prior_count as u32;
-
     let shared = Shared {
-        successors: &successors,
+        successors,
         shards,
         shard_mask: shard_count - 1,
         next_id: AtomicU32::new(first_id),
@@ -474,29 +699,14 @@ where
         deadlocks,
         edge_count,
     };
-    Ok(match control.exhausted {
-        None => Outcome::Complete(result),
-        Some(reason) => {
-            let expanded = shared.expanded.load(Ordering::Relaxed);
-            Outcome::Partial {
-                result,
-                // re-classify at the stop: a cancel raised while the
-                // reason was latched must win deterministically
-                reason: shared.budget.stop_reason(reason),
-                coverage: CoverageStats {
-                    states_stored: state_count,
-                    states_expanded: expanded,
-                    // every dequeued-but-aborted in-flight item ends the
-                    // run unexpanded, so the saturating difference counts
-                    // the whole frontier (expanded ≤ stored always holds;
-                    // saturate anyway so a miscount can never wrap)
-                    frontier_len: state_count.saturating_sub(expanded),
-                    bytes_estimate: shared.bytes.load(Ordering::Relaxed),
-                    elapsed: start.elapsed(),
-                },
-            }
-        }
-    })
+    Ok(finish(
+        result,
+        control.exhausted,
+        shared.budget,
+        shared.expanded.load(Ordering::Relaxed),
+        shared.bytes.load(Ordering::Relaxed),
+        start,
+    ))
 }
 
 /// Error/exhaustion state shared by all workers, guarded by the control
@@ -949,7 +1159,7 @@ mod tests {
     #[test]
     fn hypercube_explored_completely() {
         let net = concurrent(4);
-        for threads in [2, 3, 8] {
+        for threads in [1, 2, 3, 8] {
             let outcome = explore_frontier(
                 net.initial_marking().clone(),
                 &opts(threads),
@@ -975,7 +1185,7 @@ mod tests {
     fn state_set_is_thread_count_invariant() {
         use std::collections::BTreeSet;
         let net = concurrent(5);
-        let sets: Vec<BTreeSet<Marking>> = [2usize, 4, 16]
+        let sets: Vec<BTreeSet<Marking>> = [1usize, 2, 4, 16]
             .iter()
             .map(|&threads| {
                 explore_frontier(
@@ -990,8 +1200,9 @@ mod tests {
                 .collect()
             })
             .collect();
-        assert_eq!(sets[0], sets[1]);
-        assert_eq!(sets[1], sets[2]);
+        for set in &sets[1..] {
+            assert_eq!(set, &sets[0]);
+        }
         assert_eq!(sets[0].len(), 32);
     }
 
@@ -1005,7 +1216,7 @@ mod tests {
         let expected_states = 33 + 32 * 6;
         let expected_edges = 32 * 7;
         let mut reference: Option<(BTreeSet<Marking>, BTreeSet<Marking>)> = None;
-        for threads in [2usize, 4, 8] {
+        for threads in [1usize, 2, 4, 8] {
             let r = explore_frontier(
                 net.initial_marking().clone(),
                 &opts(threads),
@@ -1035,31 +1246,6 @@ mod tests {
     #[test]
     fn state_budget_yields_partial_not_error() {
         let net = concurrent(6);
-        let outcome = explore_frontier(
-            net.initial_marking().clone(),
-            &FrontierOptions {
-                threads: 4,
-                record_edges: false,
-                budget: Budget::default().cap_states(10),
-                ..Default::default()
-            },
-            net_successors(&net),
-        )
-        .unwrap();
-        assert_eq!(outcome.reason(), Some(ExhaustionReason::States));
-        let coverage = outcome.coverage().unwrap().clone();
-        let r = outcome.into_value();
-        assert!(r.states.len() > 10, "limit was actually hit");
-        // the per-successor re-check caps the overshoot at one successor
-        // per worker, much tighter than one expansion's fan-out per worker
-        assert!(r.states.len() <= 10 + 4, "bounded overshoot");
-        assert_eq!(coverage.states_stored, r.states.len());
-        assert_eq!(
-            coverage.frontier_len,
-            coverage.states_stored - coverage.states_expanded
-        );
-        assert!(coverage.frontier_len > 0, "something left unexplored");
-        // every stored marking is genuinely reachable
         let full = explore_frontier(
             net.initial_marking().clone(),
             &opts(2),
@@ -1067,8 +1253,41 @@ mod tests {
         )
         .unwrap()
         .into_value();
-        for m in &r.states {
-            assert!(full.states.contains(m), "partial ⊆ full");
+        for threads in [1, 4] {
+            let outcome = explore_frontier(
+                net.initial_marking().clone(),
+                &FrontierOptions {
+                    threads,
+                    record_edges: false,
+                    budget: Budget::default().cap_states(10),
+                    ..Default::default()
+                },
+                net_successors(&net),
+            )
+            .unwrap();
+            assert_eq!(outcome.reason(), Some(ExhaustionReason::States));
+            let coverage = outcome.coverage().unwrap().clone();
+            let r = outcome.into_value();
+            assert!(
+                r.states.len() > 10,
+                "threads={threads}: limit was actually hit"
+            );
+            // the per-successor re-check caps the overshoot at one successor
+            // per worker, much tighter than one expansion's fan-out per worker
+            assert!(
+                r.states.len() <= 10 + threads,
+                "threads={threads}: bounded overshoot"
+            );
+            assert_eq!(coverage.states_stored, r.states.len());
+            assert_eq!(
+                coverage.frontier_len,
+                coverage.states_stored - coverage.states_expanded
+            );
+            assert!(coverage.frontier_len > 0, "something left unexplored");
+            // every stored marking is genuinely reachable
+            for m in &r.states {
+                assert!(full.states.contains(m), "partial ⊆ full");
+            }
         }
     }
 
@@ -1078,32 +1297,6 @@ mod tests {
         // be consulted only before dequeue, so this single expansion with
         // fan-out 256 blew past max_states/max_bytes by the whole fan-out
         let net = star(256);
-        let threads = 4;
-        let outcome = explore_frontier(
-            net.initial_marking().clone(),
-            &FrontierOptions {
-                threads,
-                budget: Budget::default().cap_states(4),
-                ..Default::default()
-            },
-            net_successors(&net),
-        )
-        .unwrap();
-        assert_eq!(outcome.reason(), Some(ExhaustionReason::States));
-        let coverage = outcome.coverage().unwrap().clone();
-        let r = outcome.into_value();
-        assert!(r.states.len() > 4, "limit was actually hit");
-        assert!(
-            r.states.len() <= 4 + threads,
-            "stored {} states: overshoot must be ≤ one successor per worker",
-            r.states.len()
-        );
-        assert_eq!(
-            coverage.states_expanded + coverage.frontier_len,
-            coverage.states_stored
-        );
-
-        // same bound on the bytes axis, in units of the largest successor
         let full = explore_frontier(
             net.initial_marking().clone(),
             &opts(2),
@@ -1117,28 +1310,61 @@ mod tests {
             .map(|m| m.approx_bytes() + STATE_OVERHEAD_BYTES)
             .max()
             .unwrap();
-        let cap = 700;
-        // record_edges off so the estimate is monotone (see
-        // byte_budget_yields_partial) and the bound is purely per-state
-        let outcome = explore_frontier(
-            net.initial_marking().clone(),
-            &FrontierOptions {
-                threads,
-                record_edges: false,
-                budget: Budget::default().cap_bytes(cap),
-                ..Default::default()
-            },
-            net_successors(&net),
-        )
-        .unwrap();
-        assert_eq!(outcome.reason(), Some(ExhaustionReason::Memory));
-        let coverage = outcome.coverage().unwrap();
-        assert!(coverage.bytes_estimate > cap, "limit was actually hit");
-        assert!(
-            coverage.bytes_estimate <= cap + threads * max_footprint,
-            "estimate {} bytes: overshoot must be ≤ one successor per worker",
-            coverage.bytes_estimate
-        );
+        for threads in [1, 4] {
+            let outcome = explore_frontier(
+                net.initial_marking().clone(),
+                &FrontierOptions {
+                    threads,
+                    budget: Budget::default().cap_states(4),
+                    ..Default::default()
+                },
+                net_successors(&net),
+            )
+            .unwrap();
+            assert_eq!(outcome.reason(), Some(ExhaustionReason::States));
+            let coverage = outcome.coverage().unwrap().clone();
+            let r = outcome.into_value();
+            assert!(
+                r.states.len() > 4,
+                "threads={threads}: limit was actually hit"
+            );
+            assert!(
+                r.states.len() <= 4 + threads,
+                "threads={threads}: stored {} states: overshoot must be ≤ one successor per worker",
+                r.states.len()
+            );
+            assert_eq!(
+                coverage.states_expanded + coverage.frontier_len,
+                coverage.states_stored
+            );
+
+            // same bound on the bytes axis, in units of the largest successor
+            let cap = 700;
+            // record_edges off so the estimate is monotone (see
+            // byte_budget_yields_partial) and the bound is purely per-state
+            let outcome = explore_frontier(
+                net.initial_marking().clone(),
+                &FrontierOptions {
+                    threads,
+                    record_edges: false,
+                    budget: Budget::default().cap_bytes(cap),
+                    ..Default::default()
+                },
+                net_successors(&net),
+            )
+            .unwrap();
+            assert_eq!(outcome.reason(), Some(ExhaustionReason::Memory));
+            let coverage = outcome.coverage().unwrap();
+            assert!(
+                coverage.bytes_estimate > cap,
+                "threads={threads}: limit was actually hit"
+            );
+            assert!(
+                coverage.bytes_estimate <= cap + threads * max_footprint,
+                "threads={threads}: estimate {} bytes: overshoot must be ≤ one successor per worker",
+                coverage.bytes_estimate
+            );
+        }
     }
 
     #[test]
@@ -1146,7 +1372,7 @@ mod tests {
         // the rollback invariant that keeps resume edge counts exact:
         // succ[id] is non-empty only if expanded[id]
         let net = concurrent(6);
-        for threads in [2, 4, 8] {
+        for threads in [1, 2, 4, 8] {
             let outcome = explore_frontier(
                 net.initial_marking().clone(),
                 &FrontierOptions {
@@ -1180,26 +1406,28 @@ mod tests {
     #[test]
     fn origins_give_complete_discovery_provenance() {
         let net = concurrent(4);
-        let r = explore_frontier(
-            net.initial_marking().clone(),
-            &FrontierOptions {
-                threads: 4,
-                record_origins: true,
-                ..Default::default()
-            },
-            net_successors(&net),
-        )
-        .unwrap()
-        .into_value();
-        assert_eq!(r.origin.len(), r.states.len());
-        assert!(r.origin[0].is_none(), "the seed has no origin");
-        for (id, o) in r.origin.iter().enumerate().skip(1) {
-            let (parent, t) = o.expect("every discovered state has an origin");
-            assert_eq!(
-                net.fire(t, &r.states[parent as usize]).unwrap(),
-                r.states[id],
-                "origin edge replays"
-            );
+        for threads in [1, 4] {
+            let r = explore_frontier(
+                net.initial_marking().clone(),
+                &FrontierOptions {
+                    threads,
+                    record_origins: true,
+                    ..Default::default()
+                },
+                net_successors(&net),
+            )
+            .unwrap()
+            .into_value();
+            assert_eq!(r.origin.len(), r.states.len(), "threads={threads}");
+            assert!(r.origin[0].is_none(), "the seed has no origin");
+            for (id, o) in r.origin.iter().enumerate().skip(1) {
+                let (parent, t) = o.expect("every discovered state has an origin");
+                assert_eq!(
+                    net.fire(t, &r.states[parent as usize]).unwrap(),
+                    r.states[id],
+                    "threads={threads}: origin edge replays"
+                );
+            }
         }
     }
 
@@ -1209,56 +1437,63 @@ mod tests {
         // their origin even though the rolled-back edge is gone — this is
         // what lets the GPO engine build witness traces on partial runs
         let net = concurrent(6);
-        let outcome = explore_frontier(
-            net.initial_marking().clone(),
-            &FrontierOptions {
-                threads: 4,
-                record_origins: true,
-                budget: Budget::default().cap_states(10),
-                ..Default::default()
-            },
-            net_successors(&net),
-        )
-        .unwrap();
-        assert!(!outcome.is_complete());
-        let r = outcome.into_value();
-        let mut has_incoming = vec![false; r.states.len()];
-        for edges in &r.succ {
-            for &(_, dst) in edges {
-                has_incoming[dst as usize] = true;
+        for threads in [1, 4] {
+            let outcome = explore_frontier(
+                net.initial_marking().clone(),
+                &FrontierOptions {
+                    threads,
+                    record_origins: true,
+                    budget: Budget::default().cap_states(10),
+                    ..Default::default()
+                },
+                net_successors(&net),
+            )
+            .unwrap();
+            assert!(!outcome.is_complete(), "threads={threads}");
+            let r = outcome.into_value();
+            let mut has_incoming = vec![false; r.states.len()];
+            for edges in &r.succ {
+                for &(_, dst) in edges {
+                    has_incoming[dst as usize] = true;
+                }
+            }
+            let mut orphans = 0;
+            for (id, edged) in has_incoming.iter().enumerate().skip(1) {
+                let (parent, t) = r.origin[id].expect("origin recorded for every discovery");
+                assert_eq!(
+                    net.fire(t, &r.states[parent as usize]).unwrap(),
+                    r.states[id]
+                );
+                if !edged {
+                    orphans += 1;
+                }
+            }
+            // at one thread the trip lands mid-expansion of the state
+            // that stored the 11th marking, so its successors are orphans;
+            // with more workers it depends on which one tripped first
+            if threads == 1 {
+                assert!(orphans > 0, "the aborted expansion left orphans");
             }
         }
-        let mut orphans = 0;
-        for (id, edged) in has_incoming.iter().enumerate().skip(1) {
-            let (parent, t) = r.origin[id].expect("origin recorded for every discovery");
-            assert_eq!(
-                net.fire(t, &r.states[parent as usize]).unwrap(),
-                r.states[id]
-            );
-            if !edged {
-                orphans += 1;
-            }
-        }
-        // not asserted > 0: whether an edgeless discovery exists depends
-        // on which worker tripped the budget first
-        let _ = orphans;
     }
 
     #[test]
     fn expired_deadline_yields_partial() {
         let net = concurrent(5);
-        let outcome = explore_frontier(
-            net.initial_marking().clone(),
-            &FrontierOptions {
-                threads: 2,
-                budget: Budget::default().with_timeout(Duration::ZERO),
-                ..Default::default()
-            },
-            net_successors(&net),
-        )
-        .unwrap();
-        assert_eq!(outcome.reason(), Some(ExhaustionReason::Time));
-        assert!(!outcome.value().states.is_empty(), "initial state kept");
+        for threads in [1, 2] {
+            let outcome = explore_frontier(
+                net.initial_marking().clone(),
+                &FrontierOptions {
+                    threads,
+                    budget: Budget::default().with_timeout(Duration::ZERO),
+                    ..Default::default()
+                },
+                net_successors(&net),
+            )
+            .unwrap();
+            assert_eq!(outcome.reason(), Some(ExhaustionReason::Time));
+            assert!(!outcome.value().states.is_empty(), "initial state kept");
+        }
     }
 
     #[test]
@@ -1266,53 +1501,62 @@ mod tests {
         let net = concurrent(5);
         let budget = Budget::default();
         budget.cancel();
-        let outcome = explore_frontier(
-            net.initial_marking().clone(),
-            &FrontierOptions {
-                threads: 2,
-                budget,
-                ..Default::default()
-            },
-            net_successors(&net),
-        )
-        .unwrap();
-        assert_eq!(outcome.reason(), Some(ExhaustionReason::Cancelled));
+        for threads in [1, 2] {
+            let outcome = explore_frontier(
+                net.initial_marking().clone(),
+                &FrontierOptions {
+                    threads,
+                    budget: budget.clone(),
+                    ..Default::default()
+                },
+                net_successors(&net),
+            )
+            .unwrap();
+            assert_eq!(
+                outcome.reason(),
+                Some(ExhaustionReason::Cancelled),
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
     fn byte_budget_yields_partial() {
         let net = concurrent(8);
-        // record_edges off so the estimate is monotone: rolled-back edge
-        // bytes could otherwise dip the final figure back under the cap
-        let outcome = explore_frontier(
-            net.initial_marking().clone(),
-            &FrontierOptions {
-                threads: 2,
-                record_edges: false,
-                budget: Budget::default().cap_bytes(600),
-                ..Default::default()
-            },
-            net_successors(&net),
-        )
-        .unwrap();
-        assert_eq!(outcome.reason(), Some(ExhaustionReason::Memory));
-        let coverage = outcome.coverage().unwrap();
-        assert!(coverage.bytes_estimate > 600);
+        for threads in [1, 2] {
+            // record_edges off so the estimate is monotone: rolled-back edge
+            // bytes could otherwise dip the final figure back under the cap
+            let outcome = explore_frontier(
+                net.initial_marking().clone(),
+                &FrontierOptions {
+                    threads,
+                    record_edges: false,
+                    budget: Budget::default().cap_bytes(600),
+                    ..Default::default()
+                },
+                net_successors(&net),
+            )
+            .unwrap();
+            assert_eq!(outcome.reason(), Some(ExhaustionReason::Memory));
+            let coverage = outcome.coverage().unwrap();
+            assert!(coverage.bytes_estimate > 600, "threads={threads}");
+        }
     }
 
     #[test]
     fn callback_error_propagates() {
         let net = concurrent(3);
-        let err = explore_frontier(
-            net.initial_marking().clone(),
-            &opts(2),
-            |_m: &Marking, _out: &mut Vec<(TransitionId, Marking)>| {
-                Err(NetError::Reduction("boom".into()))
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, NetError::Reduction("boom".into()));
-        let _ = net;
+        for threads in [1, 2] {
+            let err = explore_frontier(
+                net.initial_marking().clone(),
+                &opts(threads),
+                |_m: &Marking, _out: &mut Vec<(TransitionId, Marking)>| {
+                    Err(NetError::Reduction("boom".into()))
+                },
+            )
+            .unwrap_err();
+            assert_eq!(err, NetError::Reduction("boom".into()), "threads={threads}");
+        }
     }
 
     #[test]
@@ -1449,7 +1693,7 @@ mod tests {
         // whole run fails closed with StateIdOverflow — there is no
         // partial result a resume could observe
         let net = concurrent(4); // needs 15 fresh ids, only 2 remain
-        for threads in [2, 8] {
+        for threads in [1, 2, 8] {
             let start = Instant::now();
             let err = explore_frontier(
                 net.initial_marking().clone(),
@@ -1482,103 +1726,198 @@ mod tests {
         .unwrap()
         .into_value();
 
-        // interrupt a run early, then resume it from its own result
-        let partial = explore_frontier(
-            net.initial_marking().clone(),
-            &FrontierOptions {
-                threads: 2,
-                budget: Budget::default().cap_states(10),
-                ..Default::default()
-            },
-            net_successors(&net),
-        )
-        .unwrap();
-        assert!(!partial.is_complete());
-        let p = partial.into_value();
-        assert!(p.expanded.iter().any(|&e| !e), "a frontier remains");
-        let seed = FrontierSeed {
-            states: p.states,
-            expanded: p.expanded,
-            succ: p.succ,
-            deadlocks: p.deadlocks,
-            edge_count: p.edge_count,
-        };
-        let resumed = explore_frontier_seeded(seed, &opts(2), net_successors(&net))
-            .unwrap()
-            .into_value();
+        for threads in [1, 2] {
+            // interrupt a run early, then resume it from its own result
+            let partial = explore_frontier(
+                net.initial_marking().clone(),
+                &FrontierOptions {
+                    threads,
+                    budget: Budget::default().cap_states(10),
+                    ..Default::default()
+                },
+                net_successors(&net),
+            )
+            .unwrap();
+            assert!(!partial.is_complete(), "threads={threads}");
+            let p = partial.into_value();
+            assert!(p.expanded.iter().any(|&e| !e), "a frontier remains");
+            let seed = FrontierSeed {
+                states: p.states,
+                expanded: p.expanded,
+                succ: p.succ,
+                deadlocks: p.deadlocks,
+                edge_count: p.edge_count,
+            };
+            let resumed = explore_frontier_seeded(seed, &opts(threads), net_successors(&net))
+                .unwrap()
+                .into_value();
 
-        assert_eq!(resumed.states.len(), reference.states.len());
-        assert_eq!(resumed.edge_count, reference.edge_count);
-        assert!(resumed.expanded.iter().all(|&e| e), "nothing left over");
-        let ref_states: BTreeSet<&Marking> = reference.states.iter().collect();
-        let res_states: BTreeSet<&Marking> = resumed.states.iter().collect();
-        assert_eq!(ref_states, res_states);
-        let ref_dead: BTreeSet<&Marking> = reference
-            .deadlocks
-            .iter()
-            .map(|&d| &reference.states[d as usize])
-            .collect();
-        let res_dead: BTreeSet<&Marking> = resumed
-            .deadlocks
-            .iter()
-            .map(|&d| &resumed.states[d as usize])
-            .collect();
-        assert_eq!(ref_dead, res_dead);
-        // every recorded edge (old and new) still replays correctly
-        let mut total = 0;
-        for (src, edges) in resumed.succ.iter().enumerate() {
-            for &(t, dst) in edges {
-                assert_eq!(
-                    net.fire(t, &resumed.states[src]).unwrap(),
-                    resumed.states[dst as usize]
-                );
-                total += 1;
+            assert_eq!(resumed.states.len(), reference.states.len());
+            assert_eq!(resumed.edge_count, reference.edge_count);
+            assert!(resumed.expanded.iter().all(|&e| e), "nothing left over");
+            let ref_states: BTreeSet<&Marking> = reference.states.iter().collect();
+            let res_states: BTreeSet<&Marking> = resumed.states.iter().collect();
+            assert_eq!(ref_states, res_states, "threads={threads}");
+            let ref_dead: BTreeSet<&Marking> = reference
+                .deadlocks
+                .iter()
+                .map(|&d| &reference.states[d as usize])
+                .collect();
+            let res_dead: BTreeSet<&Marking> = resumed
+                .deadlocks
+                .iter()
+                .map(|&d| &resumed.states[d as usize])
+                .collect();
+            assert_eq!(ref_dead, res_dead, "threads={threads}");
+            // every recorded edge (old and new) still replays correctly
+            let mut total = 0;
+            for (src, edges) in resumed.succ.iter().enumerate() {
+                for &(t, dst) in edges {
+                    assert_eq!(
+                        net.fire(t, &resumed.states[src]).unwrap(),
+                        resumed.states[dst as usize]
+                    );
+                    total += 1;
+                }
             }
+            assert_eq!(total, resumed.edge_count, "threads={threads}");
         }
-        assert_eq!(total, resumed.edge_count);
     }
 
     #[test]
     fn fully_expanded_seed_returns_immediately_complete() {
         let net = concurrent(3);
-        let full = explore_frontier(
-            net.initial_marking().clone(),
-            &opts(2),
-            net_successors(&net),
-        )
-        .unwrap()
-        .into_value();
-        let seed = FrontierSeed {
-            states: full.states.clone(),
-            expanded: full.expanded.clone(),
-            succ: full.succ,
-            deadlocks: full.deadlocks.clone(),
-            edge_count: full.edge_count,
-        };
-        let again = explore_frontier_seeded(seed, &opts(2), net_successors(&net)).unwrap();
-        assert!(again.is_complete());
-        let r = again.into_value();
-        assert_eq!(r.states, full.states, "ids are preserved exactly");
-        assert_eq!(r.deadlocks, full.deadlocks);
-        assert_eq!(r.edge_count, full.edge_count);
+        for threads in [1, 2] {
+            let full = explore_frontier(
+                net.initial_marking().clone(),
+                &opts(threads),
+                net_successors(&net),
+            )
+            .unwrap()
+            .into_value();
+            let seed = FrontierSeed {
+                states: full.states.clone(),
+                expanded: full.expanded.clone(),
+                succ: full.succ,
+                deadlocks: full.deadlocks.clone(),
+                edge_count: full.edge_count,
+            };
+            let again =
+                explore_frontier_seeded(seed, &opts(threads), net_successors(&net)).unwrap();
+            assert!(again.is_complete(), "threads={threads}");
+            let r = again.into_value();
+            assert_eq!(r.states, full.states, "ids are preserved exactly");
+            assert_eq!(r.deadlocks, full.deadlocks);
+            assert_eq!(r.edge_count, full.edge_count);
+        }
     }
 
     #[test]
     fn zero_state_budget_keeps_only_the_initial_marking() {
         let net = concurrent(3);
-        let outcome = explore_frontier(
+        for threads in [1, 2] {
+            let outcome = explore_frontier(
+                net.initial_marking().clone(),
+                &FrontierOptions {
+                    threads,
+                    budget: Budget::default().cap_states(0),
+                    ..Default::default()
+                },
+                net_successors(&net),
+            )
+            .unwrap();
+            assert_eq!(outcome.reason(), Some(ExhaustionReason::States));
+            let r = outcome.into_value();
+            assert_eq!(r.states.len(), 1, "initial marking is always stored");
+            assert_eq!(&r.states[0], net.initial_marking());
+        }
+    }
+
+    /// The one-thread branch is the reference the engines' outputs are
+    /// pinned to: a plain breadth-first search with a FIFO queue numbers
+    /// states, lists deadlocks and records origins exactly like it.
+    #[test]
+    fn one_thread_is_breadth_first_discovery_order() {
+        use std::collections::VecDeque;
+        let net = comb(6, 2);
+        let succ = net_successors(&net);
+        let mut states = vec![net.initial_marking().clone()];
+        let mut index = HashMap::from([(states[0].clone(), 0u32)]);
+        let mut origin = vec![None];
+        let mut edges: Vec<Vec<(TransitionId, u32)>> = vec![Vec::new()];
+        let mut deadlocks = Vec::new();
+        let mut queue = VecDeque::from([0u32]);
+        while let Some(sid) = queue.pop_front() {
+            let mut out = Vec::new();
+            succ(&states[sid as usize], &mut out).unwrap();
+            if out.is_empty() {
+                deadlocks.push(sid);
+            }
+            for (t, next) in out {
+                let nid = *index.entry(next.clone()).or_insert_with(|| {
+                    states.push(next);
+                    origin.push(Some((sid, t)));
+                    edges.push(Vec::new());
+                    queue.push_back(states.len() as u32 - 1);
+                    states.len() as u32 - 1
+                });
+                edges[sid as usize].push((t, nid));
+            }
+        }
+
+        let r = explore_frontier(
             net.initial_marking().clone(),
             &FrontierOptions {
-                threads: 2,
-                budget: Budget::default().cap_states(0),
+                threads: 1,
+                record_origins: true,
+                ..Default::default()
+            },
+            succ,
+        )
+        .unwrap()
+        .into_value();
+        assert_eq!(r.states, states);
+        assert_eq!(r.succ, edges);
+        assert_eq!(r.origin, origin);
+        assert_eq!(r.deadlocks, deadlocks);
+    }
+
+    /// A resumed one-thread run keeps the seed's deadlocks first and
+    /// appends the new ones in expansion order; it also accepts a seed
+    /// without edge lists.
+    #[test]
+    fn one_thread_resume_appends_deadlocks_after_the_seeds() {
+        let net = star(2);
+        let full = explore_frontier(
+            net.initial_marking().clone(),
+            &opts(1),
+            net_successors(&net),
+        )
+        .unwrap()
+        .into_value();
+        assert_eq!(full.deadlocks, vec![1, 2]);
+        // a prior run that expanded leaf 2 but not yet leaf 1
+        let seed = FrontierSeed {
+            states: full.states.clone(),
+            expanded: vec![true, false, true],
+            succ: Vec::new(),
+            deadlocks: vec![2],
+            edge_count: 2,
+        };
+        let r = explore_frontier_seeded(
+            seed,
+            &FrontierOptions {
+                threads: 1,
+                record_edges: false,
                 ..Default::default()
             },
             net_successors(&net),
         )
-        .unwrap();
-        assert_eq!(outcome.reason(), Some(ExhaustionReason::States));
-        let r = outcome.into_value();
-        assert_eq!(r.states.len(), 1, "initial marking is always stored");
-        assert_eq!(&r.states[0], net.initial_marking());
+        .unwrap()
+        .into_value();
+        assert_eq!(r.states, full.states, "no new states");
+        assert_eq!(r.deadlocks, vec![2, 1]);
+        assert_eq!(r.edge_count, 2);
+        assert_eq!(r.succ.len(), r.states.len(), "one (empty) list per state");
     }
 }

@@ -5,29 +5,23 @@
 //! reduced analyses are compared against, and the "States" column of the
 //! paper's Table 1.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use crate::budget::{Budget, CoverageStats, Outcome};
+use crate::budget::{Budget, Outcome};
 use crate::checkpoint::{
-    explore_segmented, read_marking, write_marking, ByteReader, ByteWriter, CheckpointConfig,
-    CheckpointError, EngineKind, Snapshot,
+    explore_segmented, push_state_table, read_state_table, ByteReader, ByteWriter,
+    CheckpointConfig, CheckpointError, EngineKind, Snapshot,
 };
 use crate::error::NetError;
 use crate::ids::TransitionId;
 use crate::marking::Marking;
 use crate::net::PetriNet;
-use crate::parallel::{
-    default_threads, explore_frontier_seeded, FrontierOptions, FrontierSeed, EDGE_BYTES,
-    STATE_OVERHEAD_BYTES,
-};
+use crate::parallel::{default_threads, explore_frontier_seeded, FrontierOptions, FrontierSeed};
 
-/// Section tags of a [`EngineKind::Full`] snapshot.
+/// Section tags of a [`EngineKind::Full`] snapshot, after the shared state
+/// table ([`push_state_table`] writes tags 1 and 2).
 mod section {
-    pub const STATES: u32 = 1;
-    pub const EXPANDED: u32 = 2;
     pub const EDGES: u32 = 3;
     pub const DEADLOCKS: u32 = 4;
     pub const COUNTERS: u32 = 5;
@@ -44,23 +38,14 @@ impl StateId {
     }
 
     /// Internal constructor for indexes already known to be in range
-    /// (anything `< states.len()` of a built graph, since every insertion
-    /// went through [`try_new`](Self::try_new)).
+    /// (anything `< states.len()` of a built graph, since the frontier
+    /// loop hands out `u32` ids).
     fn new(i: usize) -> Self {
         debug_assert!(
             u32::try_from(i).is_ok(),
             "state index validated at insertion"
         );
         StateId(i as u32)
-    }
-
-    /// Fallible constructor used at state-insertion time: a net with more
-    /// than `u32::MAX` states yields [`NetError::StateIdOverflow`] instead
-    /// of panicking.
-    fn try_new(i: usize) -> Result<Self, NetError> {
-        u32::try_from(i)
-            .map(StateId)
-            .map_err(|_| NetError::StateIdOverflow)
     }
 }
 
@@ -77,10 +62,10 @@ pub struct ExploreOptions {
     /// disable to save memory when only the state count matters.
     pub record_edges: bool,
     /// Worker threads for the frontier exploration. The default is the
-    /// machine's available parallelism; `1` runs the exact historical
-    /// serial loop (fully deterministic state ids). For any thread count
-    /// the reachable state set, deadlock set, and edge count are
-    /// identical; ids may permute when `threads > 1`.
+    /// machine's available parallelism; `1` runs the frontier loop's
+    /// FIFO branch on the calling thread (fully deterministic state ids).
+    /// For any thread count the reachable state set, deadlock set, and
+    /// edge count are identical; ids may permute when `threads > 1`.
     pub threads: usize,
 }
 
@@ -142,10 +127,10 @@ impl ReachabilityGraph {
     ///
     /// When any budget axis (states, bytes, deadline, cancellation) is
     /// exhausted, the graph built so far is returned as
-    /// [`Outcome::Partial`] with [`CoverageStats`] — every stored marking
-    /// is genuinely reachable, so a deadlock found in a partial graph is a
-    /// real counterexample, but deadlock *freedom* can only be concluded
-    /// from [`Outcome::Complete`].
+    /// [`Outcome::Partial`] with [`CoverageStats`](crate::CoverageStats) —
+    /// every stored marking is genuinely reachable, so a deadlock found in
+    /// a partial graph is a real counterexample, but deadlock *freedom* can
+    /// only be concluded from [`Outcome::Complete`].
     ///
     /// * `resume` — a snapshot previously produced by an interrupted run of
     ///   this engine over the *same net* (validated via the embedded
@@ -183,157 +168,15 @@ impl ReachabilityGraph {
         )
     }
 
-    /// Continues exploring `prior` (or starts fresh) under `budget`.
+    /// Continues exploring `prior` (or starts fresh) under `budget`: one
+    /// run of the shared [`parallel`](crate::parallel) frontier loop.
     fn explore_resumed(
         net: &PetriNet,
         opts: &ExploreOptions,
         budget: &Budget,
         prior: Option<Self>,
     ) -> Result<Outcome<Self>, NetError> {
-        if opts.threads.max(1) > 1 {
-            return Self::explore_parallel(net, opts, budget, prior);
-        }
         let start = Instant::now();
-        let (mut states, mut expanded, mut succ, mut deadlocks, mut edge_count, base_elapsed) =
-            match prior {
-                Some(g) => (
-                    g.states,
-                    g.expanded,
-                    g.succ,
-                    g.deadlocks,
-                    g.edge_count,
-                    g.elapsed,
-                ),
-                None => (
-                    vec![net.initial_marking().clone()],
-                    vec![false],
-                    vec![Vec::new()],
-                    Vec::new(),
-                    0,
-                    Duration::ZERO,
-                ),
-            };
-        let mut index: HashMap<Marking, StateId> = states
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.clone(), StateId::new(i)))
-            .collect();
-        let recorded_edges: usize = succ.iter().map(Vec::len).sum();
-        let mut bytes = states
-            .iter()
-            .map(|m| m.approx_bytes() + STATE_OVERHEAD_BYTES)
-            .sum::<usize>()
-            + recorded_edges * EDGE_BYTES;
-        let mut worklist: VecDeque<usize> = (0..states.len()).filter(|&i| !expanded[i]).collect();
-        let mut expanded_count = states.len() - worklist.len();
-
-        let mut exhausted = None;
-        while let Some(&frontier) = worklist.front() {
-            if let Some(reason) = budget.exceeded(states.len(), bytes) {
-                exhausted = Some(reason);
-                break;
-            }
-            worklist.pop_front();
-            let sid = StateId::new(frontier);
-            // take the marking out instead of cloning it; the index still
-            // holds an equal key, so lookups during expansion are unaffected
-            let m = std::mem::replace(&mut states[frontier], Marking::empty(0));
-            let mut any = false;
-            let edges_mark = succ[sid.index()].len();
-            let count_mark = edge_count;
-            let mut aborted = None;
-            for t in net.transitions() {
-                if !net.enabled(t, &m) {
-                    continue;
-                }
-                // re-check between successors so a single wide fan-out
-                // overshoots the budget by at most one state (mirrors the
-                // parallel engine's per-insertion check)
-                if let Some(reason) = budget.exceeded(states.len(), bytes) {
-                    aborted = Some(reason);
-                    break;
-                }
-                any = true;
-                let next = net.fire(t, &m)?;
-                let nid = match index.entry(next) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        let nid = StateId::try_new(states.len())?;
-                        bytes += e.key().approx_bytes() + STATE_OVERHEAD_BYTES;
-                        states.push(e.key().clone());
-                        expanded.push(false);
-                        succ.push(Vec::new());
-                        worklist.push_back(nid.index());
-                        e.insert(nid);
-                        nid
-                    }
-                };
-                edge_count += 1;
-                if opts.record_edges {
-                    bytes += EDGE_BYTES;
-                    succ[sid.index()].push((t, nid));
-                }
-            }
-            states[frontier] = m;
-            if let Some(reason) = aborted {
-                // roll the interrupted expansion back so this state stays
-                // cleanly unexpanded (succ recorded ⟺ expanded) and a
-                // resumed run re-expands it exactly once; successors
-                // already stored stay — they are genuinely reachable
-                let rolled = succ[sid.index()].len() - edges_mark;
-                bytes -= rolled * EDGE_BYTES;
-                succ[sid.index()].truncate(edges_mark);
-                edge_count = count_mark;
-                exhausted = Some(reason);
-                break;
-            }
-            expanded[frontier] = true;
-            expanded_count += 1;
-            if !any {
-                deadlocks.push(sid);
-            }
-        }
-
-        let elapsed = base_elapsed + start.elapsed();
-        let stored = states.len();
-        let graph = ReachabilityGraph {
-            states,
-            expanded,
-            succ,
-            initial: StateId::new(0),
-            deadlocks,
-            edge_count,
-            elapsed,
-            threads_used: 1,
-        };
-        Ok(match exhausted {
-            None => Outcome::Complete(graph),
-            // re-classify at the stop: a cancel raised while the reason
-            // was latched must win deterministically (supervisor races)
-            Some(reason) => Outcome::Partial {
-                result: graph,
-                reason: budget.stop_reason(reason),
-                coverage: CoverageStats {
-                    states_stored: stored,
-                    states_expanded: expanded_count,
-                    frontier_len: stored.saturating_sub(expanded_count),
-                    bytes_estimate: bytes,
-                    elapsed,
-                },
-            },
-        })
-    }
-
-    /// The multi-threaded path of [`explore_resumed`](Self::explore_resumed),
-    /// built on the shared [`parallel`](crate::parallel) frontier engine.
-    fn explore_parallel(
-        net: &PetriNet,
-        opts: &ExploreOptions,
-        budget: &Budget,
-        prior: Option<Self>,
-    ) -> Result<Outcome<Self>, NetError> {
-        let start = Instant::now();
-        let threads = opts.threads;
         let (seed, base_elapsed) = match prior {
             Some(g) => (
                 FrontierSeed {
@@ -359,7 +202,7 @@ impl ReachabilityGraph {
         let outcome = explore_frontier_seeded(
             seed,
             &FrontierOptions {
-                threads,
+                threads: opts.threads,
                 record_edges: opts.record_edges,
                 budget: budget.clone(),
                 ..Default::default()
@@ -373,29 +216,30 @@ impl ReachabilityGraph {
                 Ok(())
             },
         )?;
-        Ok(outcome.map(|result| ReachabilityGraph {
-            states: result.states,
-            expanded: result.expanded,
-            succ: result
-                .succ
-                .into_iter()
-                .map(|edges| {
-                    edges
-                        .into_iter()
-                        .map(|(t, dst)| (t, StateId::new(dst as usize)))
-                        .collect()
-                })
-                .collect(),
-            initial: StateId::new(0),
-            deadlocks: result
-                .deadlocks
-                .into_iter()
-                .map(|id| StateId::new(id as usize))
-                .collect(),
-            edge_count: result.edge_count,
-            elapsed: base_elapsed + start.elapsed(),
-            threads_used: threads,
-        }))
+        let elapsed = base_elapsed + start.elapsed();
+        // the conversions below reuse each vector's allocation in place
+        // (same element layout), so the graph never holds a second copy
+        Ok(outcome
+            .map(|result| ReachabilityGraph {
+                states: result.states,
+                expanded: result.expanded,
+                succ: result
+                    .succ
+                    .into_iter()
+                    .map(|edges| {
+                        edges
+                            .into_iter()
+                            .map(|(t, dst)| (t, StateId(dst)))
+                            .collect()
+                    })
+                    .collect(),
+                initial: StateId::new(0),
+                deadlocks: result.deadlocks.into_iter().map(StateId).collect(),
+                edge_count: result.edge_count,
+                elapsed,
+                threads_used: opts.threads.max(1),
+            })
+            .with_elapsed(elapsed))
     }
 
     /// Serializes this (typically partial) graph as a checkpoint snapshot.
@@ -405,18 +249,7 @@ impl ReachabilityGraph {
     /// resumed run cannot silently end up with half-recorded edges.
     pub fn to_snapshot(&self, net: &PetriNet, record_edges: bool) -> Snapshot {
         let mut snap = Snapshot::new(EngineKind::Full, net);
-
-        let mut w = ByteWriter::new();
-        w.u32(net.place_count() as u32);
-        w.usize(self.states.len());
-        for m in &self.states {
-            write_marking(&mut w, m);
-        }
-        snap.push_section(section::STATES, w.into_bytes());
-
-        let mut w = ByteWriter::new();
-        w.bools(&self.expanded);
-        snap.push_section(section::EXPANDED, w.into_bytes());
+        push_state_table(&mut snap, net, &self.states, &self.expanded);
 
         let mut w = ByteWriter::new();
         w.u8(u8::from(record_edges));
@@ -459,44 +292,8 @@ impl ReachabilityGraph {
         record_edges: bool,
     ) -> Result<Self, CheckpointError> {
         snap.validate(EngineKind::Full, net.fingerprint())?;
-
-        let mut r = ByteReader::new(snap.require_section(section::STATES)?, section::STATES);
-        let place_count = r.u32()? as usize;
-        if place_count != net.place_count() {
-            return Err(r.malformed(format!(
-                "snapshot has {place_count} places, net has {}",
-                net.place_count()
-            )));
-        }
-        let count = r.usize()?;
-        let mut states = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            states.push(read_marking(&mut r, place_count)?);
-        }
-        r.finish()?;
-        if states.is_empty() || &states[0] != net.initial_marking() {
-            return Err(CheckpointError::Malformed {
-                section: section::STATES,
-                detail: "state 0 is not the net's initial marking".into(),
-            });
-        }
-        let distinct: std::collections::HashSet<&Marking> = states.iter().collect();
-        if distinct.len() != states.len() {
-            return Err(CheckpointError::Malformed {
-                section: section::STATES,
-                detail: "duplicate markings in state table".into(),
-            });
-        }
-
-        let mut r = ByteReader::new(snap.require_section(section::EXPANDED)?, section::EXPANDED);
-        let expanded = r.bools()?;
-        r.finish()?;
-        if expanded.len() != count {
-            return Err(CheckpointError::Malformed {
-                section: section::EXPANDED,
-                detail: "expanded bitmap length disagrees with state count".into(),
-            });
-        }
+        let (states, expanded) = read_state_table(snap, net)?;
+        let count = states.len();
 
         let mut r = ByteReader::new(snap.require_section(section::EDGES)?, section::EDGES);
         let snap_recorded = r.u8()? != 0;

@@ -115,6 +115,33 @@ fn zdd_counters_live_only_on_zdd_runs() {
     }
 }
 
+/// A capped run counts the same bytes at every thread count: the frontier
+/// loop adds its per-state and per-edge overheads at one thread too, so
+/// `--mem-limit` trips at the same point.
+#[test]
+fn capped_runs_count_the_same_bytes_at_every_thread_count() {
+    let net = models::nsdp(4);
+    for representation in [Representation::Explicit, Representation::Zdd] {
+        let bytes: Vec<usize> = [1, 2]
+            .into_iter()
+            .map(|threads| {
+                gpo_core::analyze(
+                    &net,
+                    &opts(representation, threads),
+                    &petri::Budget::default().cap_states(2),
+                    &petri::CheckpointConfig::default(),
+                    None,
+                )
+                .unwrap()
+                .coverage()
+                .expect("the cap stops the run")
+                .bytes_estimate
+            })
+            .collect();
+        assert_eq!(bytes[0], bytes[1], "{representation:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
