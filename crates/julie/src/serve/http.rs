@@ -111,9 +111,25 @@ pub fn respond_json(
     extra_headers: &[(&str, &str)],
     body: &Json,
 ) -> io::Result<()> {
-    let payload = body.render();
+    respond(
+        stream,
+        status,
+        "application/json",
+        extra_headers,
+        &body.render(),
+    )
+}
+
+/// Writes a complete response of `content_type` and flushes.
+pub fn respond(
+    stream: &mut TcpStream,
+    status: u16,
+    content_type: &str,
+    extra_headers: &[(&str, &str)],
+    payload: &str,
+) -> io::Result<()> {
     let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
         reason(status),
         payload.len()
     );

@@ -14,7 +14,7 @@
 //!   exactly once. Its presence makes the job immune to re-runs.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use petri::checkpoint::{read_checkpoint, write_checkpoint};
@@ -299,8 +299,9 @@ impl JobState {
 pub struct JobResult {
     /// Terminal state (`Done`, `Failed` or `Cancelled`).
     pub state: JobState,
-    /// The rendered report JSON, when the engine produced one.
-    pub report_json: Option<String>,
+    /// The rendered report JSON, when the engine produced one. Shared,
+    /// so the job table and the results cache hold one copy.
+    pub report_json: Option<Arc<str>>,
     /// The failure / cancellation message, when there is one.
     pub error: Option<String>,
     /// For `engine=auto` jobs: the solo engine that won the race. The
@@ -316,7 +317,7 @@ impl JobResult {
             (
                 "report".to_string(),
                 match &self.report_json {
-                    Some(r) => Json::Raw(r.clone()),
+                    Some(r) => Json::Raw(r.to_string()),
                     None => Json::Null,
                 },
             ),
@@ -342,7 +343,7 @@ impl JobResult {
         )?;
         let report_json = match j.get("report") {
             Some(Json::Null) | None => None,
-            Some(r) => Some(r.render()),
+            Some(r) => Some(r.render().into()),
         };
         let error = j.get("error").and_then(Json::as_str).map(str::to_string);
         // journals written before the portfolio existed have no winner
@@ -380,6 +381,15 @@ pub fn result_path(dir: &Path) -> PathBuf {
 /// surfaced to admission / the worker.
 const JOURNAL_ATTEMPTS: u32 = 3;
 
+/// Journal write attempts that followed a failed attempt.
+static JOURNAL_RETRIES: AtomicU64 = AtomicU64::new(0);
+
+/// How many journal writes this process has attempted again after a
+/// failed attempt (`julie_journal_retries_total`).
+pub fn journal_retries() -> u64 {
+    JOURNAL_RETRIES.load(Ordering::Relaxed)
+}
+
 /// Deterministic jitter in milliseconds for retry `attempt` on `path`,
 /// derived from a hash so concurrent writers don't retry in lockstep
 /// (the tree has no `rand` dependency).
@@ -408,6 +418,7 @@ fn journal_write(path: &Path, fingerprint: u64, tag: u32, doc: &Json) -> Result<
     let mut last_err = String::new();
     for attempt in 0..JOURNAL_ATTEMPTS {
         if attempt > 0 {
+            JOURNAL_RETRIES.fetch_add(1, Ordering::Relaxed);
             let backoff = 10u64 << (attempt - 1);
             std::thread::sleep(std::time::Duration::from_millis(
                 backoff + retry_jitter_ms(path, attempt),

@@ -16,10 +16,15 @@
 //! * `GET /jobs` — list all jobs.
 //! * `GET /jobs/{id}` — one job's status document.
 //! * `GET /jobs/{id}/wait` — chunked stream of status documents until the
-//!   job is terminal; a client disconnect cancels the job.
+//!   job is terminal: the current one, then one on each state change,
+//!   and a heartbeat every 250 ms while nothing changes. A client
+//!   disconnect (a failed write) cancels the job.
 //! * `DELETE /jobs/{id}` — cancel; `409` once terminal.
 //! * `GET /healthz` — liveness plus load counters (`queue_depth`,
 //!   `active_workers`, `cache_hits`, `cache_misses`, `draining`).
+//! * `GET /metrics` — the same counters, terminal jobs by engine and
+//!   state, journal retries, and a histogram of admission-to-terminal
+//!   latency, in the Prometheus text format (0.0.4).
 //!
 //! Robustness model: submissions are journaled (atomic rename + CRC)
 //! before they are acknowledged; engines checkpoint periodically under a
@@ -30,19 +35,26 @@
 
 pub mod http;
 pub mod job;
+pub mod metrics;
 pub mod scheduler;
 pub mod store;
 
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::json::Json;
 use crate::signals;
 
-use self::http::{read_request, respond_json, ChunkedWriter, Request};
+use self::http::{read_request, respond, respond_json, ChunkedWriter, Request};
 use self::store::{Admission, CancelOutcome, Store};
+
+/// How long `/wait` blocks between documents while its job's state does
+/// not change. The heartbeat write is what notices a client that left.
+const HEARTBEAT: Duration = Duration::from_millis(250);
 
 /// Parsed `julie serve` configuration.
 struct ServeConfig {
@@ -89,79 +101,89 @@ pub fn serve(args: &[String]) -> Result<u8, String> {
     let (terminal, requeued) = store.recover()?;
     println!("recovered {terminal} finished and {requeued} in-flight jobs from the journal");
 
-    signals::install();
     let listener =
         TcpListener::bind(&cfg.addr).map_err(|e| format!("cannot bind `{}`: {e}", cfg.addr))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot configure listener: {e}"))?;
     let local = listener
         .local_addr()
         .map_err(|e| format!("cannot read bound address: {e}"))?;
-    // the startup line scripts and tests parse to find the bound port
-    println!("listening on {local}");
 
+    // nothing is ever sent: the receiver disconnects once every worker
+    // has dropped its sender, by returning or by panicking
+    let (alive, all_exited) = mpsc::channel::<()>();
     let mut workers = Vec::new();
     for _ in 0..cfg.workers {
         let store = store.clone();
         let every = cfg.checkpoint_every;
+        let alive = alive.clone();
         workers.push(std::thread::spawn(move || {
+            let _alive = alive;
             scheduler::worker_loop(store, every)
         }));
     }
+    drop(alive);
 
-    // glibc restarts syscalls after our handler runs, so a blocking
-    // accept would never observe the signal: poll instead
-    loop {
+    // glibc restarts a blocked accept after the signal handler runs, so
+    // the watcher wakes it with a connection of its own, once a signal
+    // arrived, until the loop below has seen the flag
+    let stopped = Arc::new(AtomicBool::new(false));
+    let wake = wake_addr(local);
+    signals::on_termination({
+        let stopped = stopped.clone();
+        move || {
+            if stopped.load(Ordering::SeqCst) {
+                return true;
+            }
+            let _ = TcpStream::connect(wake);
+            false
+        }
+    });
+    // the startup line scripts and tests parse to find the bound port
+    println!("listening on {local}");
+
+    for stream in listener.incoming() {
         if signals::termination_requested() {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let store = store.clone();
-                let max_job_states = cfg.max_job_states;
-                std::thread::spawn(move || {
-                    let _ = handle_connection(stream, &store, max_job_states);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(e) => return Err(format!("accept failed: {e}")),
-        }
+        let stream = stream.map_err(|e| format!("accept failed: {e}"))?;
+        let store = store.clone();
+        let max_job_states = cfg.max_job_states;
+        std::thread::spawn(move || {
+            let _ = handle_connection(stream, &store, max_job_states);
+        });
     }
+    stopped.store(true, Ordering::SeqCst);
 
     // graceful drain: no new admissions, every running budget tripped;
     // workers exit after their current job checkpoints
     println!("shutdown requested, draining");
     drop(listener);
     store.begin_drain();
-    let deadline = Instant::now() + Duration::from_secs(cfg.drain_secs);
-    for w in workers {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() || !join_within(w, remaining) {
-            return Err(format!(
-                "drain deadline ({}s) exceeded with {} jobs still running",
-                cfg.drain_secs,
-                store.running_count()
-            ));
-        }
+    let within = Duration::from_secs(cfg.drain_secs);
+    if all_exited.recv_timeout(within) == Err(RecvTimeoutError::Timeout) {
+        return Err(format!(
+            "drain deadline ({}s) exceeded with {} jobs still running",
+            cfg.drain_secs,
+            store.running_count()
+        ));
+    }
+    if workers.into_iter().any(|w| w.join().is_err()) {
+        return Err("a worker thread panicked".into());
     }
     println!("drained, all jobs checkpointed or finished");
     Ok(0)
 }
 
-/// Joins a worker thread with a deadline, polling because std threads
-/// have no timed join.
-fn join_within(handle: std::thread::JoinHandle<()>, within: Duration) -> bool {
-    let deadline = Instant::now() + within;
-    while !handle.is_finished() {
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(10));
+/// Where a connection to the listener bound at `local` goes: loopback at
+/// the bound port when the bind address was unspecified.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let mut addr = local;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
     }
-    handle.join().is_ok()
+    addr
 }
 
 fn error_json(msg: &str) -> Json {
@@ -192,6 +214,13 @@ fn route(
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => respond_json(stream, 200, &[], &store.healthz_json()),
+        ("GET", ["metrics"]) => respond(
+            stream,
+            200,
+            "text/plain; version=0.0.4",
+            &[],
+            &store.metrics_text(),
+        ),
         ("POST", ["jobs"]) => submit(req, stream, store, max_job_states),
         ("GET", ["jobs"]) => respond_json(stream, 200, &[], &store.list_json()),
         ("GET", ["jobs", id]) => match store.status_json(id) {
@@ -273,24 +302,25 @@ fn submit(
     }
 }
 
-/// Streams status documents until the job is terminal. A failed write
-/// means the client went away — per the protocol, that cancels the job.
+/// Streams status documents until the job is terminal: the current one,
+/// then the next one as soon as the state changes or [`HEARTBEAT`]
+/// passes. A failed write means the client went away — per the protocol,
+/// that cancels the job.
 fn wait(id: &str, stream: &mut TcpStream, store: &Store) -> io::Result<()> {
-    if store.status_json(id).is_none() {
+    let mut next = store.next_status(id, None, HEARTBEAT);
+    if next.is_none() {
         return respond_json(stream, 404, &[], &error_json("no such job"));
     }
     let mut w = ChunkedWriter::start(stream, 200)?;
-    loop {
-        let Some((doc, terminal)) = store.status(id) else {
-            return Ok(());
-        };
+    while let Some((doc, state)) = next {
         if let Err(e) = w.send(&doc.render()) {
             let _ = store.cancel(id);
             return Err(e);
         }
-        if terminal {
+        if state.is_terminal() {
             return w.finish();
         }
-        std::thread::sleep(Duration::from_millis(250));
+        next = store.next_status(id, Some(&state), HEARTBEAT);
     }
+    Ok(())
 }

@@ -1,20 +1,28 @@
 //! The in-memory job table of `julie serve`, backed by the on-disk
-//! journal in [`super::job`]. All mutation goes through one mutex; the
-//! condvar wakes workers when jobs are queued or a drain begins.
+//! journal in [`super::job`]. All mutation goes through one mutex. Two
+//! condvars wake its waiters: `work` wakes workers when jobs are queued
+//! or a drain begins, and `changed` wakes `/wait` streams whenever a job
+//! changes state.
 //!
 //! Admission control: `queued + running >= queue_bound` rejects the
 //! submission *before* anything is journaled — the caller turns that into
 //! `503 + Retry-After`. Admitted submissions are journaled first and
 //! acknowledged second, so an acknowledged job is always recoverable.
+//!
+//! Memory: a terminal job drops its net text, which its journaled
+//! `spec.job` keeps for recovery, and each distinct report is one
+//! `Arc<str>` shared by the job table and the results cache.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use crate::json::Json;
 
 use super::job::{self, JobResult, JobSpec, JobState};
+use super::metrics::Metrics;
 
 /// One tracked job.
 pub struct Job {
@@ -22,8 +30,9 @@ pub struct Job {
     pub spec: JobSpec,
     /// Current lifecycle state.
     pub state: JobState,
-    /// Rendered report JSON once the engine finished.
-    pub report_json: Option<String>,
+    /// Rendered report JSON once the engine finished, shared with the
+    /// results cache.
+    pub report_json: Option<Arc<str>>,
     /// Failure / cancellation message.
     pub error: Option<String>,
     /// The budget cancel flag shared with the running engine.
@@ -71,15 +80,32 @@ struct Inner {
     queue: VecDeque<String>,
     running: usize,
     next_id: u64,
-    cache: HashMap<String, String>,
+    cache: HashMap<String, Arc<str>>,
     draining: bool,
     /// Wall times of recently finished jobs (bounded rolling window);
     /// their mean drives the `Retry-After` estimate on 503s.
     recent_walls: VecDeque<std::time::Duration>,
     /// When each currently running job was claimed.
     started: HashMap<String, std::time::Instant>,
-    cache_hits: u64,
-    cache_misses: u64,
+    /// When each queued or running job was admitted (by this process:
+    /// recovery re-admits the jobs it re-queues).
+    admitted: HashMap<String, Instant>,
+    metrics: Metrics,
+}
+
+impl Inner {
+    /// Books job `id`, which has just reached a terminal state: drops its
+    /// net text and counts it in the metrics.
+    fn settle(&mut self, id: &str) {
+        let Some(jb) = self.jobs.get_mut(id) else {
+            return;
+        };
+        jb.spec.net_text = String::new();
+        if let Some(admitted) = self.admitted.remove(id) {
+            self.metrics
+                .observe(&jb.spec.engine, &jb.state, admitted.elapsed());
+        }
+    }
 }
 
 /// The shared job store.
@@ -90,6 +116,7 @@ pub struct Store {
     workers: usize,
     inner: Mutex<Inner>,
     work: Condvar,
+    changed: Condvar,
 }
 
 impl Store {
@@ -109,10 +136,11 @@ impl Store {
                 draining: false,
                 recent_walls: VecDeque::new(),
                 started: HashMap::new(),
-                cache_hits: 0,
-                cache_misses: 0,
+                admitted: HashMap::new(),
+                metrics: Metrics::default(),
             }),
             work: Condvar::new(),
+            changed: Condvar::new(),
         }
     }
 
@@ -166,14 +194,21 @@ impl Store {
                 jb.state = result.state;
                 jb.report_json = result.report_json;
                 jb.error = result.error;
+                jb.spec.net_text = String::new();
                 if jb.state == JobState::Done {
-                    if let (Some(key), Some(report)) = (jb.spec.cache_key(), &jb.report_json) {
-                        inner.cache.entry(key).or_insert_with(|| report.clone());
+                    if let (Some(key), Some(report)) = (jb.spec.cache_key(), &mut jb.report_json) {
+                        // cache hits journal the report they were served,
+                        // so equal reports share the cache's copy
+                        let cached = inner.cache.entry(key).or_insert_with(|| report.clone());
+                        if cached == report {
+                            *report = cached.clone();
+                        }
                     }
                 }
                 terminal += 1;
             } else {
                 inner.queue.push_back(id.clone());
+                inner.admitted.insert(id.clone(), Instant::now());
                 requeued += 1;
             }
             inner.jobs.insert(id, jb);
@@ -194,8 +229,9 @@ impl Store {
     /// Admits `spec`: enforces the queue bound, journals the spec, and
     /// either queues the job or satisfies it from the results cache.
     pub fn submit(&self, spec: JobSpec) -> Result<Admission, String> {
+        let admitted = Instant::now();
         let dir = job::job_dir(&self.data_dir, &spec.id);
-        let (cached_report, key) = {
+        let cached_report = {
             let mut inner = self.lock();
             if inner.draining {
                 return Ok(Admission::Draining);
@@ -203,14 +239,13 @@ impl Store {
             if inner.queue.len() + inner.running >= self.queue_bound {
                 return Ok(Admission::OverCapacity);
             }
-            let key = spec.cache_key();
-            let hit = key.as_ref().and_then(|k| inner.cache.get(k).cloned());
+            let hit = spec.cache_key().and_then(|k| inner.cache.get(&k).cloned());
             if hit.is_some() {
-                inner.cache_hits += 1;
+                inner.metrics.cache_hits += 1;
             } else {
-                inner.cache_misses += 1;
+                inner.metrics.cache_misses += 1;
             }
-            (hit, key)
+            hit
         };
         // journal outside the lock — fsync is slow
         job::write_spec(&dir, &spec)?;
@@ -236,12 +271,14 @@ impl Store {
                     cached: true,
                 },
             );
-            let _ = key; // already in the cache
+            inner.admitted.insert(id.clone(), admitted);
+            inner.settle(&id);
             return Ok(Admission::Accepted { id, cached: true });
         }
         let mut inner = self.lock();
         // the bound may have been crossed while we were journaling; admit
         // anyway (the spec is durable) — the window is one submission wide
+        inner.admitted.insert(id.clone(), admitted);
         inner.jobs.insert(
             id.clone(),
             Job {
@@ -276,6 +313,7 @@ impl Store {
                 let cancel = jb.cancel.clone();
                 inner.running += 1;
                 inner.started.insert(id.clone(), std::time::Instant::now());
+                self.changed.notify_all();
                 return Some((id, spec, cancel));
             }
             inner = self
@@ -328,6 +366,9 @@ impl Store {
         jb.state = result.state;
         jb.report_json = result.report_json;
         jb.error = result.error;
+        inner.settle(id);
+        drop(inner);
+        self.changed.notify_all();
         Ok(())
     }
 
@@ -342,6 +383,8 @@ impl Store {
         if let Some(jb) = inner.jobs.get_mut(id) {
             jb.state = JobState::Queued;
         }
+        drop(inner);
+        self.changed.notify_all();
     }
 
     /// Cancels a job on behalf of a client (DELETE or disconnect).
@@ -358,6 +401,8 @@ impl Store {
                     jb.error = Some("cancelled before running".into());
                     let fp = jb.spec.fingerprint;
                     inner.queue.retain(|q| q != id);
+                    inner.settle(id);
+                    self.changed.notify_all();
                     (CancelOutcome::Cancelled, Some(fp))
                 }
                 JobState::Running => {
@@ -433,10 +478,13 @@ impl Store {
             ("ok".into(), Json::Bool(true)),
             ("queue_depth".into(), Json::num(inner.queue.len())),
             ("active_workers".into(), Json::num(inner.running)),
-            ("cache_hits".into(), Json::num(inner.cache_hits as usize)),
+            (
+                "cache_hits".into(),
+                Json::num(inner.metrics.cache_hits as usize),
+            ),
             (
                 "cache_misses".into(),
-                Json::num(inner.cache_misses as usize),
+                Json::num(inner.metrics.cache_misses as usize),
             ),
             ("draining".into(), Json::Bool(inner.draining)),
         ])
@@ -452,24 +500,58 @@ impl Store {
         self.status(id).map(|(doc, _)| doc)
     }
 
+    /// The `GET /metrics` document: the metrics counters plus the queue
+    /// gauges, read under one lock.
+    pub fn metrics_text(&self) -> String {
+        let inner = self.lock();
+        inner.metrics.render(inner.queue.len(), inner.running)
+    }
+
     /// The wire status document for one job, if it exists, and whether
     /// its `state` is terminal. Both come from one lock acquisition, so
     /// the flag always describes the document it is returned with.
     pub fn status(&self, id: &str) -> Option<(Json, bool)> {
-        let inner = self.lock();
+        let (doc, state) = self.document(id, self.lock())?;
+        Some((doc, state.is_terminal()))
+    }
+
+    /// Blocks until job `id`'s state differs from `seen` or `heartbeat`
+    /// passes, then returns its status document and the state the
+    /// document shows. With `seen` `None` it returns at once.
+    pub fn next_status(
+        &self,
+        id: &str,
+        seen: Option<&JobState>,
+        heartbeat: Duration,
+    ) -> Option<(Json, JobState)> {
+        let unchanged = |inner: &mut Inner| {
+            seen.is_some_and(|seen| inner.jobs.get(id).is_some_and(|j| j.state == *seen))
+        };
+        let (inner, _) = self
+            .changed
+            .wait_timeout_while(self.lock(), heartbeat, unchanged)
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        self.document(id, inner)
+    }
+
+    /// Job `id`'s status document and the state it shows. The fields come
+    /// from `inner`, which is released before the checkpoint file is
+    /// looked up.
+    fn document(&self, id: &str, inner: MutexGuard<'_, Inner>) -> Option<(Json, JobState)> {
         let jb = inner.jobs.get(id)?;
-        let checkpointed = job::ckpt_path(&job::job_dir(&self.data_dir, id)).exists();
-        let doc = Json::Obj(vec![
+        let state = jb.state.clone();
+        let mut fields = vec![
             ("id".into(), Json::str(id)),
-            ("state".into(), Json::str(jb.state.as_str())),
+            ("state".into(), Json::str(state.as_str())),
             ("net".into(), Json::str(&jb.spec.net_name)),
             ("engine".into(), Json::str(&jb.spec.engine)),
-            ("checkpointed".into(), Json::Bool(checkpointed)),
+        ];
+        let rest = [
             ("cached".into(), Json::Bool(jb.cached)),
             (
                 "report".into(),
                 match &jb.report_json {
-                    Some(r) => Json::Raw(r.clone()),
+                    Some(r) => Json::Raw(r.to_string()),
                     None => Json::Null,
                 },
             ),
@@ -480,8 +562,12 @@ impl Store {
                     None => Json::Null,
                 },
             ),
-        ]);
-        Some((doc, jb.state.is_terminal()))
+        ];
+        drop(inner);
+        let checkpointed = job::ckpt_path(&job::job_dir(&self.data_dir, id)).exists();
+        fields.push(("checkpointed".into(), Json::Bool(checkpointed)));
+        fields.extend(rest);
+        Some((Json::Obj(fields), state))
     }
 
     /// The wire listing of all jobs.
@@ -572,6 +658,90 @@ mod tests {
             assert_consistent(&store, &id);
             assert!(store.status(&id).unwrap().1, "finished jobs are terminal");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn done(report: &str) -> JobResult {
+        JobResult {
+            state: JobState::Done,
+            report_json: Some(report.into()),
+            error: None,
+            winner: None,
+        }
+    }
+
+    #[test]
+    fn terminal_jobs_drop_their_net_text_and_share_cached_reports() {
+        let dir = std::env::temp_dir().join(format!("julie-store-memory-{}", std::process::id()));
+        let store = Store::new(dir.clone(), 64, 1);
+        // no wall-clock budget: the results cache answers the repeat
+        let submit = || {
+            let body = Json::parse(r#"{"net": "net n\npl p *\npl q\ntr go : p -> q\n"}"#).unwrap();
+            let spec = JobSpec::from_submission(&body, store.assign_id(), 100)
+                .unwrap()
+                .0;
+            match store.submit(spec).unwrap() {
+                Admission::Accepted { id, cached } => (id, cached),
+                _ => panic!("admission refused"),
+            }
+        };
+        let (fresh, cached) = submit();
+        assert!(!cached);
+        let (_, claimed, _) = store.next_job().unwrap();
+        assert!(!claimed.net_text.is_empty(), "the worker gets the net");
+        store
+            .finish(&fresh, done(r#"{"verdict":"deadlock"}"#))
+            .unwrap();
+        let (hit, cached) = submit();
+        assert!(cached);
+
+        let inner = store.lock();
+        let key = inner.jobs[&hit].spec.cache_key().unwrap();
+        for id in [&fresh, &hit] {
+            let jb = &inner.jobs[id];
+            assert!(jb.spec.net_text.is_empty(), "{id} keeps its net text");
+            let report = jb.report_json.as_ref().unwrap();
+            assert!(
+                Arc::ptr_eq(report, &inner.cache[&key]),
+                "{id} copies the report"
+            );
+        }
+        drop(inner);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `/wait` stream parks in `next_status`; the finishing worker must
+    /// wake it, not its heartbeat.
+    #[test]
+    fn next_status_wakes_on_the_state_change_not_the_heartbeat() {
+        let dir = std::env::temp_dir().join(format!("julie-store-wake-{}", std::process::id()));
+        let store = Arc::new(Store::new(dir.clone(), 64, 1));
+        let Admission::Accepted { id, .. } = store.submit(spec(&store)).unwrap() else {
+            panic!("admission refused");
+        };
+        store.next_job().unwrap();
+        let (parking, parked) = std::sync::mpsc::channel();
+        let waiter = {
+            let store = store.clone();
+            let id = id.clone();
+            std::thread::spawn(move || {
+                let start = Instant::now();
+                parking.send(()).unwrap();
+                let heartbeat = Duration::from_secs(30);
+                let (doc, state) = store
+                    .next_status(&id, Some(&JobState::Running), heartbeat)
+                    .unwrap();
+                (doc, state, start.elapsed())
+            })
+        };
+        parked.recv().unwrap();
+        // journaling the result takes a while before the state changes,
+        // so the waiter is parked by then
+        store.finish(&id, done("{}")).unwrap();
+        let (doc, state, waited) = waiter.join().unwrap();
+        assert_eq!(state, JobState::Done);
+        assert_eq!(doc.get("state").and_then(Json::as_str), Some("done"));
+        assert!(waited < Duration::from_secs(5), "woke after {waited:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

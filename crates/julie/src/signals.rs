@@ -2,12 +2,12 @@
 //!
 //! The petri crate forbids `unsafe`, so the one `extern "C"` call a signal
 //! handler needs lives here in the binary. The handler only flips
-//! `static` atomics — the async-signal-safe minimum — and everything else
-//! polls those flags: `julie check` runs a watcher thread that trips the
-//! run's [`petri::Budget`] cancel flag (so the engine stops cooperatively
-//! and writes its final `--checkpoint` snapshot), and `julie serve` polls
-//! [`termination_requested`] from its accept loop to begin a graceful
-//! drain.
+//! `static` atomics — the async-signal-safe minimum — and a watcher
+//! thread ([`on_termination`]) polls those flags and acts on them: `julie
+//! check` trips the run's [`petri::Budget`] cancel flag (so the engine
+//! stops cooperatively and writes its final `--checkpoint` snapshot), and
+//! `julie serve` connects to its own listener, which wakes the blocking
+//! accept loop to begin a graceful drain.
 //!
 //! On non-Unix targets installation is a no-op and the flags stay false.
 
@@ -33,8 +33,8 @@ mod imp {
 
     extern "C" {
         // POSIX signal(2). glibc gives it BSD semantics (handler stays
-        // installed, syscalls restart), which is why callers must poll the
-        // flag instead of waiting for an EINTR that never comes.
+        // installed, syscalls restart), so a blocked call never sees an
+        // EINTR: the watcher of `on_termination` must wake it instead.
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
 
@@ -56,21 +56,28 @@ mod imp {
 }
 
 /// Installs the SIGINT/SIGTERM handler (idempotent; no-op off Unix).
-pub fn install() {
+fn install() {
     imp::install();
 }
 
-/// Installs the handler and spawns a watcher that trips `cancel` when a
-/// termination signal arrives, turning the signal into an ordinary
-/// cooperative budget exhaustion. The watcher is a daemon thread; it dies
-/// with the process.
-pub fn cancel_on_termination(cancel: Arc<AtomicBool>) {
+/// Installs the handler and spawns a watcher that, once a termination
+/// signal has arrived, calls `act` every 25 ms until it returns true. The
+/// watcher is a daemon thread; it dies with the process.
+pub fn on_termination(mut act: impl FnMut() -> bool + Send + 'static) {
     install();
     std::thread::spawn(move || loop {
-        if termination_requested() {
-            cancel.store(true, Ordering::SeqCst);
+        if termination_requested() && act() {
             return;
         }
         std::thread::sleep(Duration::from_millis(25));
+    });
+}
+
+/// Trips `cancel` when a termination signal arrives, turning the signal
+/// into an ordinary cooperative budget exhaustion.
+pub fn cancel_on_termination(cancel: Arc<AtomicBool>) {
+    on_termination(move || {
+        cancel.store(true, Ordering::SeqCst);
+        true
     });
 }

@@ -89,3 +89,16 @@ fn persistent_write_failure_surfaces_after_the_retry_budget() {
     let err = job::write_result(dir, 0, &result).expect_err("no directory, no journal");
     assert!(err.contains("after 3 attempts"), "{err}");
 }
+
+/// The retry counter behind `julie_journal_retries_total` rises when a
+/// transient fault is absorbed.
+#[test]
+fn an_absorbed_fault_counts_as_a_journal_retry() {
+    let dir = temp_dir("retry-count");
+    let before = job::journal_retries();
+    fault::arm(fault::STAGE_TMP_WRITE);
+    job::write_spec(&dir, &sample_spec()).expect("one transient fault is absorbed");
+    fault::disarm();
+    assert!(job::journal_retries() > before, "no retry counted");
+    std::fs::remove_dir_all(&dir).ok();
+}

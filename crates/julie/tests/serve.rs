@@ -498,6 +498,18 @@ fn sigterm_drains_running_jobs_to_checkpoints() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An idle server waits inside `accept`, which the signal handler cannot
+/// interrupt: SIGTERM must still wake it, and it exits 0 at once.
+#[test]
+fn sigterm_stops_an_idle_server_promptly() {
+    let dir = temp_dir("idle-term");
+    let server = Server::start(&dir, &[]);
+    let (success, rest) = server.sigterm_and_wait(Duration::from_secs(5));
+    assert!(success, "idle server exits 0; tail: {rest}");
+    assert!(rest.contains("drained"), "drain completion logged: {rest}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------
 // cancellation
 // ---------------------------------------------------------------------
@@ -799,6 +811,61 @@ fn healthz_counters_and_retry_after_estimate() {
     assert!(
         (1..=60).contains(&retry_after),
         "estimate is clamped: {retry_after}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `GET /metrics` speaks the Prometheus text format: after one fresh job
+/// and one cache hit it counts two terminal jobs, one hit, one miss and
+/// two latency samples.
+#[test]
+fn metrics_count_terminal_jobs_cache_traffic_and_latency() {
+    let dir = temp_dir("metrics");
+    let text = petri::to_text(&models::nsdp(4));
+    let server = Server::start(&dir, &[]);
+    let fresh = submit(server.port, &text, ",\"engine\":\"po\"");
+    let (status, _, payload) = request(server.port, "GET", &format!("/jobs/{fresh}/wait"), None);
+    assert_eq!(status, 200);
+    assert_eq!(state_of(payload.lines().last().unwrap()), "done");
+    let hit = submit(server.port, &text, ",\"engine\":\"po\"");
+    assert!(status_doc(server.port, &hit).contains("\"cached\":true"));
+
+    let (status, head, metrics) = request(server.port, "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    assert!(head.contains("text/plain; version=0.0.4"), "{head}");
+    for family in [
+        "julie_jobs_total",
+        "julie_queue_depth",
+        "julie_active_workers",
+        "julie_cache_hits_total",
+        "julie_cache_misses_total",
+        "julie_journal_retries_total",
+        "julie_job_latency_seconds",
+    ] {
+        for tag in ["# HELP", "# TYPE"] {
+            let line = format!("{tag} {family} ");
+            assert!(metrics.contains(&line), "no `{line}`: {metrics}");
+        }
+    }
+    let value = |series: &str| -> f64 {
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no sample `{series}`: {metrics}"))
+    };
+    let terminal: f64 = metrics
+        .lines()
+        .filter(|l| l.starts_with("julie_jobs_total{"))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<f64>().unwrap())
+        .sum();
+    assert_eq!(terminal, 2.0, "{metrics}");
+    assert_eq!(value("julie_jobs_total{engine=\"po\",state=\"done\"}"), 2.0);
+    assert_eq!(value("julie_cache_hits_total"), 1.0);
+    assert_eq!(value("julie_cache_misses_total"), 1.0);
+    assert_eq!(value("julie_job_latency_seconds_count"), 2.0);
+    assert_eq!(
+        value("julie_job_latency_seconds_bucket{le=\"+Inf\"}"),
+        value("julie_job_latency_seconds_count")
     );
     std::fs::remove_dir_all(&dir).ok();
 }
