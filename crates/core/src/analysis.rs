@@ -711,10 +711,11 @@ fn from_snapshot<F: SetFamily>(
 }
 
 /// Materializes witness markings (and their projected classical traces)
-/// from the blocked states, canonically: collect up to the budget per
-/// blocked state, order by witness marking, keep the first
-/// `max_witnesses`. The blocked-state *set* does not depend on the
-/// exploration order, so every thread count reports the same witnesses.
+/// from the blocked states, canonically: collect up to the budget of
+/// histories per blocked state, order by witness marking, keep the first
+/// history of each distinct marking, then the first `max_witnesses`. The
+/// blocked-state *set* does not depend on the exploration order, so every
+/// thread count reports the same witnesses.
 fn extract_witnesses<F: SetFamily>(
     net: &PetriNet,
     explored: &Explored<F>,
@@ -726,20 +727,18 @@ fn extract_witnesses<F: SetFamily>(
     }
     let mut blocked = explored.blocked.clone();
     blocked.sort_unstable();
-    let mut candidates: Vec<(Marking, usize)> = Vec::new();
+    let mut candidates: Vec<(Marking, usize, petri::BitSet)> = Vec::new();
     for &i in &blocked {
         let s = &explored.states[i];
         for v in crate::semantics::blocked_histories(net, s).some_sets(max_witnesses) {
-            candidates.push((s.marking_of_history(net, &v), i));
+            candidates.push((s.marking_of_history(net, &v), i, v));
         }
     }
+    // stable: the first candidate of each marking survives the dedup
     candidates.sort_by(|a, b| a.0.cmp(&b.0));
+    candidates.dedup_by(|a, b| a.0 == b.0);
     candidates.truncate(max_witnesses);
-    for (witness, i) in candidates {
-        let s = &explored.states[i];
-        let Some(v) = history_of_witness(net, s, &witness) else {
-            continue;
-        };
+    for (witness, i, v) in candidates {
         report
             .deadlock_traces
             .push(project_trace(net, &explored.states, &explored.pred, i, &v));
@@ -752,19 +751,6 @@ fn extract_witnesses<F: SetFamily>(
 enum Firing {
     Multiple(Vec<TransitionId>),
     Single(TransitionId),
-}
-
-/// Recovers the blocked history that produced `witness` in state `s` (the
-/// valid set `v` with `marking_of_history(v) == witness`).
-fn history_of_witness<F: SetFamily>(
-    net: &PetriNet,
-    s: &GpnState<F>,
-    witness: &Marking,
-) -> Option<petri::BitSet> {
-    crate::semantics::blocked_histories(net, s)
-        .some_sets(64)
-        .into_iter()
-        .find(|v| &s.marking_of_history(net, v) == witness)
 }
 
 /// Walks the provenance chain back to the root and projects each fired set
@@ -1433,6 +1419,69 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, GpoError::Checkpoint(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The witnesses of `net` under `max_witnesses`, after checking that
+    /// they are distinct dead markings whose traces replay.
+    fn replayed_witnesses(
+        net: &PetriNet,
+        representation: Representation,
+        max_witnesses: usize,
+    ) -> Vec<Marking> {
+        let opts = GpoOptions {
+            representation,
+            max_witnesses,
+            ..Default::default()
+        };
+        let report = analyze_all_with(net, &opts).unwrap();
+        let witnesses = report.deadlock_witnesses;
+        assert_eq!(report.deadlock_traces.len(), witnesses.len());
+        for (trace, witness) in report.deadlock_traces.iter().zip(&witnesses) {
+            let reached = net
+                .fire_sequence(net.initial_marking(), trace.iter().copied())
+                .expect("safe")
+                .expect("fireable");
+            assert_eq!(&reached, witness, "{representation:?}");
+            assert!(net.is_dead(witness), "{representation:?}");
+        }
+        let distinct: std::collections::HashSet<&Marking> = witnesses.iter().collect();
+        assert_eq!(distinct.len(), witnesses.len(), "{representation:?}");
+        witnesses
+    }
+
+    #[test]
+    fn witnesses_are_distinct_past_the_64th() {
+        // 7 independent two-way choices: 128 dead markings, all in one
+        // GPN state
+        let mut b = petri::NetBuilder::new("choices");
+        for i in 0..7 {
+            let c = b.place_marked(format!("c{i}"));
+            let (l, r) = (b.place(format!("l{i}")), b.place(format!("r{i}")));
+            b.transition(format!("left{i}"), [c], [l]);
+            b.transition(format!("right{i}"), [c], [r]);
+        }
+        let net = b.build().unwrap();
+        for representation in [Representation::Explicit, Representation::Zdd] {
+            let witnesses = replayed_witnesses(&net, representation, 100);
+            assert_eq!(witnesses.len(), 100, "{representation:?}");
+        }
+    }
+
+    #[test]
+    fn parallel_transitions_report_their_dead_marking_once() {
+        let mut b = petri::NetBuilder::new("parallel");
+        let p = b.place_marked("p");
+        let q = b.place("q");
+        b.transition("t1", [p], [q]);
+        b.transition("t2", [p], [q]);
+        let net = b.build().unwrap();
+        let dead = Marking::from_places(net.place_count(), [q]);
+        for representation in [Representation::Explicit, Representation::Zdd] {
+            assert_eq!(
+                replayed_witnesses(&net, representation, 3),
+                vec![dead.clone()]
+            );
+        }
     }
 
     #[test]

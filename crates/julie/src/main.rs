@@ -48,7 +48,7 @@ use petri::pnml::looks_like_pnml;
 use petri::{
     net_to_dot, parse_net, parse_pnml, place_invariants, reachability_to_dot, to_text, Budget,
     CheckpointConfig, ConflictInfo, ExploreOptions, Observed, Outcome, PetriNet, Property,
-    PropertyStamp, ReachabilityGraph, ReduceOptions, Reduction, ReductionStamp, Snapshot, Verdict,
+    ReachabilityGraph, ReduceOptions, Reduction, Snapshot, StampedReduction, Verdict,
 };
 use unfolding::Unfolding;
 
@@ -408,21 +408,15 @@ fn property_from_args(args: &[String]) -> Result<Property, String> {
 /// property fails closed with a flag-precise diagnostic — a visible-set
 /// exploration for one property proves nothing about another.
 fn check_resume_property(snap: &Snapshot, property: &Property) -> Result<(), String> {
-    let stamp = match PropertyStamp::from_snapshot(snap) {
-        Some(Ok(s)) => Some(s),
-        Some(Err(e)) => return Err(format!("corrupt property stamp in --resume snapshot: {e}")),
-        None => None,
-    };
     let current = property.to_string();
-    match stamp {
+    match &snap.stamp.property {
         None if !property.is_default() => Err(format!(
             "--resume snapshot was written without --property; drop --property to resume it, \
              or restart with --property '{current}' and a fresh --checkpoint"
         )),
-        Some(st) if st.property != current => Err(format!(
-            "--resume snapshot was written with --property '{}' but this run uses \
-             --property '{current}'; pass --property '{}' to resume it",
-            st.property, st.property
+        Some(st) if *st != current => Err(format!(
+            "--resume snapshot was written with --property '{st}' but this run uses \
+             --property '{current}'; pass --property '{st}' to resume it"
         )),
         _ => Ok(()),
     }
@@ -430,20 +424,15 @@ fn check_resume_property(snap: &Snapshot, property: &Property) -> Result<(), Str
 
 /// Turns a `--resume` net-fingerprint mismatch involving `--reduce` into a
 /// precise misuse diagnostic, instead of the engine's generic one: the
-/// snapshot's [`ReductionStamp`] records how the checkpointed run derived
-/// its net, so we can tell the user exactly which flag to change.
+/// snapshot's [`RunStamp::reduction`] records how the checkpointed run
+/// derived its net, so we can tell the user exactly which flag to change.
 fn check_resume_stamp(
     snap: &Snapshot,
     reduction: Option<&Reduction>,
     rules: &str,
     original: &PetriNet,
 ) -> Result<(), String> {
-    let stamp = match ReductionStamp::from_snapshot(snap) {
-        Some(Ok(s)) => Some(s),
-        Some(Err(e)) => return Err(format!("corrupt reduction stamp in --resume snapshot: {e}")),
-        None => None,
-    };
-    match (reduction, stamp) {
+    match (reduction, &snap.stamp.reduction) {
         (Some(_), None) if snap.fingerprint == original.fingerprint() => Err(format!(
             "--resume snapshot was written without --reduce; drop --reduce to resume it, \
              or restart with --reduce={rules} and a fresh --checkpoint"
@@ -549,7 +538,7 @@ fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
             }
         }
     }
-    // engine-stamp direction check: a solo run must not resume a
+    // stamped-leg direction check: a solo run must not resume a
     // portfolio snapshot, and --engine=auto must not resume a solo one
     if let Some(snap) = &resume {
         portfolio::check_resume_engine(snap, engine == AUTO)?;
@@ -594,26 +583,18 @@ fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
         }
         // stamp every snapshot this run writes, so a later --resume with
         // different reduction flags fails with a precise diagnostic
-        ckpt.annotations.push(
-            ReductionStamp {
-                rules: rules.clone(),
-                original_fingerprint: original.fingerprint(),
-                places: target.place_count(),
-                transitions: target.transition_count(),
-            }
-            .section(),
-        );
+        ckpt.stamp.reduction = Some(StampedReduction {
+            rules: rules.clone(),
+            original_fingerprint: original.fingerprint(),
+            places: target.place_count(),
+            transitions: target.transition_count(),
+        });
     }
     if !property.is_default() {
         // same fail-closed story for --property: snapshots record the
         // property their exploration preserved (default runs stay
         // byte-identical to pre-property snapshots)
-        ckpt.annotations.push(
-            PropertyStamp {
-                property: property.to_string(),
-            }
-            .section(),
-        );
+        ckpt.stamp.property = Some(property.to_string());
     }
 
     // SIGINT/SIGTERM become a cooperative budget exhaustion: the engine

@@ -22,17 +22,16 @@
 //!   ones after a configurable delay, so easy nets never pay for `full`;
 //! * when every leg exhausts its budget the supervisor degrades to the
 //!   partial result with the highest coverage (most states stored);
-//! * only one designated leg checkpoints (under an [`EngineStamp`] with
-//!   `portfolio: true`), so `--resume` re-enters the race with that leg
-//!   continuing from its snapshot — or fails closed on a solo snapshot.
+//! * only one designated leg checkpoints (its name in the snapshot's
+//!   [`RunStamp::leg`](petri::RunStamp::leg)), so `--resume` re-enters the
+//!   race with that leg continuing from its snapshot — or fails closed on
+//!   a solo snapshot.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use petri::{
-    Budget, CheckpointConfig, EngineStamp, ExhaustionReason, PetriNet, Reduction, Snapshot, Verdict,
-};
+use petri::{Budget, CheckpointConfig, ExhaustionReason, PetriNet, Reduction, Snapshot, Verdict};
 
 use crate::engine::{self, run_engine, RunSpec, ENGINES};
 use crate::report::{CheckReport, LegReport};
@@ -148,18 +147,12 @@ pub struct PortfolioOutcome {
     pub legs: Vec<LegReport>,
 }
 
-/// Validates `--engine` against a `--resume` snapshot's engine stamp,
+/// Validates `--engine` against a `--resume` snapshot's stamped leg,
 /// failing closed (naming both sides) when a solo run is pointed at a
-/// portfolio snapshot or vice versa. Solo snapshots written before the
-/// portfolio existed carry no stamp; the envelope's engine kind names
-/// them.
+/// portfolio snapshot or vice versa. A solo snapshot has no leg; the
+/// envelope's engine kind names it.
 pub fn check_resume_engine(snap: &Snapshot, auto: bool) -> Result<(), String> {
-    let stamp = match EngineStamp::from_snapshot(snap) {
-        Some(Ok(s)) => Some(s),
-        Some(Err(e)) => return Err(format!("corrupt engine stamp in --resume snapshot: {e}")),
-        None => None,
-    };
-    match (auto, stamp) {
+    match (auto, &snap.stamp.leg) {
         (true, None) => Err(format!(
             "--resume snapshot was written by a solo --engine={} run but this run uses \
              --engine=auto; pass --engine={} to resume it, or restart with --engine=auto \
@@ -167,17 +160,10 @@ pub fn check_resume_engine(snap: &Snapshot, auto: bool) -> Result<(), String> {
             snap.engine.name(),
             snap.engine.name()
         )),
-        (true, Some(st)) if !st.portfolio => Err(format!(
-            "--resume snapshot was written by a solo --engine={} run but this run uses \
-             --engine=auto; pass --engine={} to resume it, or restart with --engine=auto \
-             and a fresh --checkpoint",
-            st.engine, st.engine
-        )),
-        (false, Some(st)) if st.portfolio => Err(format!(
-            "--resume snapshot was written by --engine=auto (leg `{}`) but this run uses a \
+        (false, Some(leg)) => Err(format!(
+            "--resume snapshot was written by --engine=auto (leg `{leg}`) but this run uses a \
              solo engine; pass --engine=auto to re-enter the race, or restart with a fresh \
-             --checkpoint",
-            st.engine
+             --checkpoint"
         )),
         _ => Ok(()),
     }
@@ -306,9 +292,9 @@ fn leg_body(
 /// *shared* budget (SIGINT, serve drain) storms every leg.
 ///
 /// Checkpointing: when `ckpt` is enabled, exactly one leg — the one a
-/// `resume` snapshot's [`EngineStamp`] names, else the first
-/// checkpoint-capable leg in schedule order — writes snapshots, annotated
-/// with an `EngineStamp { portfolio: true }`.
+/// `resume` snapshot's stamped leg names, else the first
+/// checkpoint-capable leg in schedule order — writes snapshots, stamped
+/// with its name as their [`RunStamp::leg`](petri::RunStamp::leg).
 #[allow(clippy::too_many_arguments)]
 pub fn run_portfolio(
     original: &PetriNet,
@@ -331,18 +317,15 @@ pub fn run_portfolio(
     let resumed_engine = match resume {
         Some(snap) => {
             check_resume_engine(snap, true)?;
-            let stamp = EngineStamp::from_snapshot(snap)
-                .expect("checked above")
-                .expect("checked above");
-            if !names.contains(&stamp.engine) {
+            let leg = snap.stamp.leg.clone().expect("checked above");
+            if !names.contains(&leg) {
                 return Err(format!(
-                    "--resume snapshot belongs to leg `{}` which is not in the schedule \
+                    "--resume snapshot belongs to leg `{leg}` which is not in the schedule \
                      ({}); add it via --legs or restart with a fresh --checkpoint",
-                    stamp.engine,
                     names.join(", ")
                 ));
             }
-            Some(stamp.engine)
+            Some(leg)
         }
         None => None,
     };
@@ -389,13 +372,7 @@ pub fn run_portfolio(
         leg_spec.engine = leg.engine.clone();
         let leg_ckpt = if ckpt_leg.as_deref() == Some(leg.engine.as_str()) && attempt == 0 {
             let mut cfg = ckpt.clone();
-            cfg.annotations.push(
-                EngineStamp {
-                    engine: leg.engine.clone(),
-                    portfolio: true,
-                }
-                .section(),
-            );
+            cfg.stamp.leg = Some(leg.engine.clone());
             cfg
         } else {
             CheckpointConfig::default()
@@ -706,14 +683,10 @@ mod tests {
         assert!(err.contains("--engine=auto"), "{err}");
         assert!(err.contains("gpo"), "{err}");
         // solo + portfolio snapshot: rejected the other way
-        solo.push_section(
-            petri::ENGINE_SECTION,
-            EngineStamp {
-                engine: "po".into(),
-                portfolio: true,
-            }
-            .encode(),
-        );
+        solo.stamp = petri::RunStamp {
+            leg: Some("po".into()),
+            ..petri::RunStamp::default()
+        };
         let err = check_resume_engine(&solo, false).unwrap_err();
         assert!(err.contains("--engine=auto"), "{err}");
         assert!(err.contains("po"), "{err}");

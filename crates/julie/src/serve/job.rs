@@ -8,8 +8,8 @@
 //!   acknowledges it. A restarted server re-queues every job that has a
 //!   spec but no result.
 //! * `run.ckpt` — the engine's periodic snapshot (checkpointing engines only),
-//!   stamped with a [`JobStamp`] so a snapshot is only resumed inside the
-//!   job it belongs to.
+//!   whose [`RunStamp::job`](petri::RunStamp::job) names the job, so a
+//!   snapshot is only resumed inside the job it belongs to.
 //! * `result.job` — the terminal state plus the final report, written
 //!   exactly once. Its presence makes the job immune to re-runs.
 
@@ -17,8 +17,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use petri::checkpoint::{read_checkpoint, write_checkpoint};
-use petri::{parse_net, EngineKind, JobStamp, PetriNet, Snapshot};
+use petri::checkpoint::write_checkpoint;
+use petri::{parse_net, CheckpointError, EngineKind, PetriNet, RunStamp, Snapshot, StampedJob};
 
 use crate::engine::{check_selector, DEFAULT_ENGINE};
 use crate::json::Json;
@@ -144,9 +144,9 @@ impl JobSpec {
         b
     }
 
-    /// The stamp written into every engine snapshot of this job.
-    pub fn stamp(&self) -> JobStamp {
-        JobStamp {
+    /// The job stamped into every engine snapshot of this job.
+    pub fn stamp(&self) -> StampedJob {
+        StampedJob {
             id: self.id.clone(),
             max_states: self.max_states as u64,
             max_bytes: if self.mem_limit_mb == 0 {
@@ -412,6 +412,7 @@ fn journal_write(path: &Path, fingerprint: u64, tag: u32, doc: &Json) -> Result<
     let mut snap = Snapshot {
         engine: EngineKind::Full,
         fingerprint,
+        stamp: RunStamp::default(),
         sections: Vec::new(),
     };
     snap.push_section(tag, doc.render().into_bytes());
@@ -436,8 +437,12 @@ fn journal_write(path: &Path, fingerprint: u64, tag: u32, doc: &Json) -> Result<
 }
 
 fn journal_read(path: &Path, tag: u32) -> Result<Json, String> {
-    let snap =
-        read_checkpoint(path).map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
+    // the spec and result sections have kept their layout since format 1,
+    // so a server upgraded across a format bump keeps its journaled jobs
+    let snap = std::fs::read(path)
+        .map_err(CheckpointError::Io)
+        .and_then(|bytes| Snapshot::from_bytes_since(&bytes, 1))
+        .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
     let payload = snap
         .require_section(tag)
         .map_err(|e| format!("`{}`: {e}", path.display()))?;

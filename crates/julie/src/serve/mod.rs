@@ -27,8 +27,9 @@
 //!   latency, in the Prometheus text format (0.0.4).
 //!
 //! Robustness model: submissions are journaled (atomic rename + CRC)
-//! before they are acknowledged; engines checkpoint periodically under a
-//! [`petri::JobStamp`]; a SIGKILL'd server recovers every acknowledged
+//! before they are acknowledged; engines checkpoint periodically, each
+//! snapshot stamped with its job ([`petri::RunStamp::job`]); a SIGKILL'd
+//! server recovers every acknowledged
 //! job on restart and resumes in-flight ones from their snapshots.
 //! SIGTERM stops admissions, trips every running budget, and drains to
 //! final checkpoints within `--drain-secs`.

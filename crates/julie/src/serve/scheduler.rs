@@ -9,7 +9,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use petri::checkpoint::read_checkpoint_with_fallback;
-use petri::{CheckpointConfig, ExhaustionReason, JobStamp, Snapshot};
+use petri::{CheckpointConfig, ExhaustionReason, Snapshot};
 
 use crate::engine::{run_engine, RunSpec};
 use crate::portfolio::{run_portfolio, PortfolioOptions, AUTO};
@@ -153,19 +153,17 @@ mod heap {
 }
 
 /// Loads the job's engine snapshot when one exists *and* provably belongs
-/// to this job under the same budget (via its [`JobStamp`]). Anything
-/// else — missing, torn beyond the `.prev` fallback, foreign — means
-/// starting from the initial marking, which is always sound.
+/// to this job under the same budget (via its stamped
+/// [`job`](petri::RunStamp::job)). Anything else — missing, torn beyond
+/// the `.prev` fallback, foreign, another format version — means starting
+/// from the initial marking, which is always sound.
 fn load_resume(spec: &JobSpec, dir: &std::path::Path) -> Option<Snapshot> {
     let path = job::ckpt_path(dir);
     if !path.exists() {
         return None;
     }
     let snap = read_checkpoint_with_fallback(&path).ok()?;
-    match JobStamp::from_snapshot(&snap) {
-        Some(Ok(stamp)) if stamp == spec.stamp() => Some(snap),
-        _ => None,
-    }
+    (snap.stamp.job.as_ref() == Some(&spec.stamp())).then_some(snap)
 }
 
 fn run_job(
@@ -201,7 +199,7 @@ fn run_job(
     let dir = job::job_dir(&store.data_dir, id);
     let (ckpt, resume) = if run.supports_checkpoint() {
         let mut cfg = CheckpointConfig::periodic(job::ckpt_path(&dir), checkpoint_every);
-        cfg.annotations.push(spec.stamp().section());
+        cfg.stamp.job = Some(spec.stamp());
         (cfg, load_resume(spec, &dir))
     } else {
         (CheckpointConfig::default(), None)
@@ -256,5 +254,54 @@ fn run_job(
             })
         }
         Err(e) => fail(e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::json::Json;
+    use petri::{EngineKind, RunStamp, StampedJob};
+
+    /// A moved or copied `run.ckpt` must not resume: only a snapshot
+    /// stamped for this job id and budget, in this build's format, does.
+    #[test]
+    fn load_resume_ignores_foreign_snapshots() {
+        let dir = std::env::temp_dir().join(format!("julie-load-resume-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let body =
+            Json::parse(r#"{"net": "net n\npl p *\npl q\ntr go : p -> q\n", "max_states": 50}"#)
+                .unwrap();
+        let (spec, net) = JobSpec::from_submission(&body, "j000003".into(), 100).unwrap();
+        let stamped = |job: Option<StampedJob>| {
+            let mut snap = Snapshot::new(EngineKind::Full, &net);
+            snap.stamp = RunStamp {
+                job,
+                ..RunStamp::default()
+            };
+            snap.to_bytes()
+        };
+        let resumes = |bytes: Vec<u8>| {
+            std::fs::write(job::ckpt_path(&dir), bytes).unwrap();
+            load_resume(&spec, &dir).is_some()
+        };
+        let ours = spec.stamp();
+        assert!(load_resume(&spec, &dir).is_none(), "no snapshot yet");
+        assert!(resumes(stamped(Some(ours.clone()))), "this job and budget");
+        let other_job = StampedJob {
+            id: "j000004".into(),
+            ..ours.clone()
+        };
+        assert!(!resumes(stamped(Some(other_job))), "another job id");
+        let other_budget = StampedJob {
+            max_states: 51,
+            ..ours.clone()
+        };
+        assert!(!resumes(stamped(Some(other_budget))), "another budget");
+        assert!(!resumes(stamped(None)), "unstamped");
+        let mut old = stamped(Some(ours));
+        old[8..12].copy_from_slice(&1u32.to_le_bytes()); // the format version
+        assert!(!resumes(old), "another format version");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

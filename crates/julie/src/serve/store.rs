@@ -670,6 +670,38 @@ mod tests {
         }
     }
 
+    /// A server upgraded across a checkpoint format bump keeps the jobs
+    /// its predecessor journaled: spec and result files of format 1 load.
+    #[test]
+    fn recover_reads_format_1_journals() {
+        let dir = std::env::temp_dir().join(format!("julie-store-v1-{}", std::process::id()));
+        let store = Store::new(dir.clone(), 64, 1);
+        let submit = || match store.submit(spec(&store)).unwrap() {
+            Admission::Accepted { id, .. } => id,
+            _ => panic!("admission refused"),
+        };
+        let finished = submit();
+        store.next_job().unwrap();
+        store.finish(&finished, done("{}")).unwrap();
+        let queued = submit();
+        for id in [&finished, &queued] {
+            let job_dir = job::job_dir(&dir, id);
+            for path in [job::spec_path(&job_dir), job::result_path(&job_dir)] {
+                if let Ok(mut bytes) = std::fs::read(&path) {
+                    bytes[8..12].copy_from_slice(&1u32.to_le_bytes()); // the format version
+                    std::fs::write(&path, bytes).unwrap();
+                }
+            }
+        }
+        let restarted = Store::new(dir.clone(), 64, 1);
+        assert_eq!(
+            restarted.recover().unwrap(),
+            (1, 1),
+            "1 finished, 1 requeued"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn terminal_jobs_drop_their_net_text_and_share_cached_reports() {
         let dir = std::env::temp_dir().join(format!("julie-store-memory-{}", std::process::id()));

@@ -5,11 +5,13 @@
 //! durable, versioned, checksummed snapshot format so a run can be
 //! resumed exactly where it stopped:
 //!
-//! * **Envelope**: an 8-byte magic, a format version, an engine tag, and
-//!   the [fingerprint](PetriNet::fingerprint) of the net being analyzed,
-//!   followed by tagged sections each carrying its own CRC-32. Loading
-//!   validates all of it and rejects corrupt or mismatched snapshots with
-//!   typed [`CheckpointError`]s instead of producing garbage verdicts.
+//! * **Envelope**: an 8-byte magic, the format version (2), an engine tag,
+//!   and the [fingerprint](PetriNet::fingerprint) of the net being
+//!   analyzed, followed by tagged sections each carrying its own CRC-32.
+//!   One of them may be the [`RunStamp`]: which reduction, property,
+//!   portfolio leg and service job the run belonged to. Loading validates
+//!   all of it and rejects corrupt or mismatched snapshots with typed
+//!   [`CheckpointError`]s instead of producing garbage verdicts.
 //! * **Atomic writes**: snapshots are written to a temp file, fsynced,
 //!   and renamed into place; the previous generation is kept as
 //!   `<path>.prev` so a crash *during* a checkpoint write still leaves a
@@ -38,7 +40,10 @@ use crate::net::PetriNet;
 /// File magic: identifies a julie checkpoint.
 pub const MAGIC: [u8; 8] = *b"JULIECKP";
 /// Current snapshot format version. Bump on any layout change.
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Version 2 replaced version 1's four stamp sections with one
+/// [`RunStamp`] section.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Which engine produced a snapshot. Resuming requires the same engine
 /// (and, for the GPO engine, the same family representation): replaying a
@@ -190,23 +195,29 @@ pub struct Section {
     pub payload: Vec<u8>,
 }
 
-/// A validated in-memory snapshot: the envelope header plus its sections.
+/// A validated in-memory snapshot: the envelope header, its run stamp and
+/// its engine sections.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// Engine that produced (and may resume) this snapshot.
     pub engine: EngineKind,
     /// Fingerprint of the net the snapshot belongs to.
     pub fingerprint: u64,
+    /// The run the snapshot belongs to, decoded once at load. Written as
+    /// one section after the engine sections, and not at all when it is
+    /// the default.
+    pub stamp: RunStamp,
     /// Engine-defined sections, in write order.
     pub sections: Vec<Section>,
 }
 
 impl Snapshot {
-    /// Starts an empty snapshot for `engine` over `net`.
+    /// Starts an empty, unstamped snapshot for `engine` over `net`.
     pub fn new(engine: EngineKind, net: &PetriNet) -> Self {
         Snapshot {
             engine,
             fingerprint: net.fingerprint(),
+            stamp: RunStamp::default(),
             sections: Vec::new(),
         }
     }
@@ -265,20 +276,22 @@ impl Snapshot {
     /// magic[8] version:u32 engine:u32 fingerprint:u64 section_count:u32
     /// ( tag:u32 len:u64 crc32:u32 payload[len] )*
     /// ```
+    ///
+    /// A stamped snapshot's last section is its [`RunStamp`].
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(
-            32 + self
-                .sections
-                .iter()
-                .map(|s| 16 + s.payload.len())
-                .sum::<usize>(),
-        );
+        let stamp = (self.stamp != RunStamp::default()).then(|| Section {
+            tag: RUN_SECTION,
+            payload: self.stamp.encode(),
+        });
+        let sections: Vec<&Section> = self.sections.iter().chain(&stamp).collect();
+        let mut buf =
+            Vec::with_capacity(32 + sections.iter().map(|s| 16 + s.payload.len()).sum::<usize>());
         buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         buf.extend_from_slice(&self.engine.tag().to_le_bytes());
         buf.extend_from_slice(&self.fingerprint.to_le_bytes());
-        buf.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for s in &self.sections {
+        buf.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+        for s in sections {
             buf.extend_from_slice(&s.tag.to_le_bytes());
             buf.extend_from_slice(&(s.payload.len() as u64).to_le_bytes());
             buf.extend_from_slice(&crc32(&s.payload).to_le_bytes());
@@ -292,9 +305,22 @@ impl Snapshot {
     /// # Errors
     ///
     /// Returns the typed [`CheckpointError`] describing the first problem
-    /// found: bad magic, version/engine mismatch, truncation, or a
-    /// per-section CRC failure. Never panics on arbitrary input.
+    /// found: bad magic, version/engine mismatch, truncation, a
+    /// per-section CRC failure, or a malformed run stamp. Never panics on
+    /// arbitrary input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        Self::from_bytes_since(bytes, FORMAT_VERSION)
+    }
+
+    /// [`from_bytes`](Self::from_bytes) that also accepts the older format
+    /// versions `oldest..FORMAT_VERSION`. Only for files whose sections
+    /// kept their layout since `oldest`; the envelope itself has not
+    /// changed since version 1.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_bytes`](Self::from_bytes).
+    pub fn from_bytes_since(bytes: &[u8], oldest: u32) -> Result<Self, CheckpointError> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], CheckpointError> {
             let end = pos.checked_add(n).ok_or(CheckpointError::Truncated)?;
@@ -310,7 +336,7 @@ impl Snapshot {
             return Err(CheckpointError::BadMagic);
         }
         let version = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-        if version != FORMAT_VERSION {
+        if !(oldest..=FORMAT_VERSION).contains(&version) {
             return Err(CheckpointError::VersionMismatch {
                 found: version,
                 expected: FORMAT_VERSION,
@@ -323,6 +349,7 @@ impl Snapshot {
         })?;
         let fingerprint = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
         let section_count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
+        let mut stamp = None;
         let mut sections = Vec::new();
         for _ in 0..section_count {
             let tag = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
@@ -333,10 +360,17 @@ impl Snapshot {
             if crc32(payload) != crc {
                 return Err(CheckpointError::ChecksumMismatch { section: tag });
             }
-            sections.push(Section {
-                tag,
-                payload: payload.to_vec(),
-            });
+            if tag != RUN_SECTION {
+                sections.push(Section {
+                    tag,
+                    payload: payload.to_vec(),
+                });
+            } else if stamp.replace(RunStamp::decode(payload)?).is_some() {
+                return Err(CheckpointError::Malformed {
+                    section: tag,
+                    detail: "second run stamp".into(),
+                });
+            }
         }
         if pos != bytes.len() {
             return Err(CheckpointError::Malformed {
@@ -347,6 +381,7 @@ impl Snapshot {
         Ok(Snapshot {
             engine,
             fingerprint,
+            stamp: stamp.unwrap_or_default(),
             sections,
         })
     }
@@ -491,11 +526,10 @@ pub struct CheckpointConfig {
     /// and continues in-process. `None` snapshots only on budget
     /// exhaustion. Requires `path`.
     pub every: Option<usize>,
-    /// Extra caller-supplied sections appended to every snapshot the
-    /// engine writes (e.g. the [`ReductionStamp`] of a `--reduce` run).
-    /// Engines ignore tags they do not know, so annotations are
-    /// format-compatible with older readers.
-    pub annotations: Vec<Section>,
+    /// The run stamp of every snapshot written. Each layer sets its own
+    /// field: the CLI its reduction and property, the portfolio its leg,
+    /// the service its job.
+    pub stamp: RunStamp,
 }
 
 impl CheckpointConfig {
@@ -504,7 +538,7 @@ impl CheckpointConfig {
         CheckpointConfig {
             path: Some(path.into()),
             every: None,
-            annotations: Vec::new(),
+            stamp: RunStamp::default(),
         }
     }
 
@@ -513,21 +547,13 @@ impl CheckpointConfig {
         CheckpointConfig {
             path: Some(path.into()),
             every: Some(every),
-            annotations: Vec::new(),
+            stamp: RunStamp::default(),
         }
     }
 
     /// `true` when nothing is ever written (pure resume or plain run).
     pub fn is_disabled(&self) -> bool {
         self.path.is_none()
-    }
-
-    /// Appends the configured annotation sections to a snapshot about to
-    /// be written. Engines call this right before [`write_checkpoint`].
-    pub fn annotate(&self, snapshot: &mut Snapshot) {
-        for s in &self.annotations {
-            snapshot.push_section(s.tag, s.payload.clone());
-        }
     }
 }
 
@@ -537,7 +563,7 @@ impl CheckpointConfig {
 /// `None`) under the budget it is handed. With `ckpt.every` set, each
 /// segment's budget caps stored states at `stored(prior) + every`, so the
 /// engine quiesces at its frontier barrier at that point. Every partial
-/// segment is serialized by `snapshot`, annotated and written to
+/// segment is serialized by `snapshot`, stamped and written to
 /// `ckpt.path`; then `budget` is re-checked against the segment's
 /// coverage, so the synthetic cap continues in-process while a genuine
 /// exhaustion of the caller's budget ends the run.
@@ -571,7 +597,7 @@ pub fn explore_segmented<T, E: From<CheckpointError>>(
         };
         if let Some(path) = &ckpt.path {
             let mut snap = snapshot(&result);
-            ckpt.annotate(&mut snap);
+            snap.stamp = ckpt.stamp.clone();
             write_checkpoint(path, &snap)?;
         }
         match budget.exceeded(coverage.states_stored, coverage.bytes_estimate) {
@@ -588,25 +614,43 @@ pub fn explore_segmented<T, E: From<CheckpointError>>(
 }
 
 // ---------------------------------------------------------------------
-// Reduction stamp
+// Run stamp
 // ---------------------------------------------------------------------
 
-/// Section tag reserved across *all* engines for the reduction stamp.
-///
-/// Far outside the small per-engine tag ranges, so it can never collide
-/// with an engine-defined section.
-pub const REDUCTION_SECTION: u32 = 0x5244_5543; // "RDUC"
+/// Section tag of the [`RunStamp`]; far outside the small per-engine tag
+/// ranges, so it can never collide with an engine-defined section.
+const RUN_SECTION: u32 = 0x5255_4E53; // "RUNS"
 
-/// Records, inside every snapshot written by a reduced run, how the net
-/// the snapshot belongs to was derived: which rules ran and what the
-/// *original* net's fingerprint was.
-///
-/// The envelope fingerprint of such a snapshot is the **reduced** net's,
-/// so resuming against a differently-reduced (or unreduced) net already
-/// fails closed; the stamp exists so the CLI can turn that generic
-/// mismatch into a precise misuse diagnostic.
+/// Which run a snapshot belongs to, beyond the engine and net fingerprint
+/// of the envelope. A snapshot's stored states are only a sound prefix of
+/// the run that wrote them, so a resume compares each field against its
+/// own flags and fails closed (the CLI) or starts over (the service) on
+/// any difference. Each layer owns one field; an unset field means the
+/// layer was not involved. Default (`EF deadlock`, unreduced, solo,
+/// CLI) runs write no stamp at all.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunStamp {
+    /// How a `--reduce` run derived the net it explored. The envelope
+    /// fingerprint of such a snapshot is the reduced net's, so resuming
+    /// against another reduction already fails closed; this field lets
+    /// the CLI name the flag to change.
+    pub reduction: Option<StampedReduction>,
+    /// Canonical text of a non-default property (e.g.
+    /// `"AG m(critical) <= 0"`): a stubborn-set exploration for one
+    /// property is not a sound prefix for another.
+    pub property: Option<String>,
+    /// CLI name of the portfolio (`--engine=auto`) leg that wrote the
+    /// snapshot; `None` for a solo run. A resume re-enters the race with
+    /// this leg continuing from the snapshot.
+    pub leg: Option<String>,
+    /// The `julie serve` job the snapshot belongs to, so a moved or copied
+    /// snapshot is ignored instead of silently resumed.
+    pub job: Option<StampedJob>,
+}
+
+/// The [`RunStamp::reduction`] of a `--reduce` run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReductionStamp {
+pub struct StampedReduction {
     /// Canonical rule list of the pass (e.g. `"sp,st,rp,it,dt"`).
     pub rules: String,
     /// Fingerprint of the original (unreduced) net.
@@ -617,141 +661,10 @@ pub struct ReductionStamp {
     pub transitions: usize,
 }
 
-impl ReductionStamp {
-    /// Serializes the stamp to a section payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u8(1); // stamp layout version
-        w.u64(self.original_fingerprint);
-        w.usize(self.places);
-        w.usize(self.transitions);
-        w.str(&self.rules);
-        w.into_bytes()
-    }
-
-    /// Parses a stamp payload written by [`ReductionStamp::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Malformed`] on truncation or an unknown
-    /// layout version.
-    pub fn decode(payload: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = ByteReader::new(payload, REDUCTION_SECTION);
-        let version = r.u8()?;
-        if version != 1 {
-            return Err(r.malformed(format!("unknown reduction stamp version {version}")));
-        }
-        let original_fingerprint = r.u64()?;
-        let places = r.usize()?;
-        let transitions = r.usize()?;
-        let rules = r.str(1024, "rule list")?;
-        r.finish()?;
-        Ok(ReductionStamp {
-            rules,
-            original_fingerprint,
-            places,
-            transitions,
-        })
-    }
-
-    /// Extracts and parses the stamp of a snapshot, if one was written.
-    pub fn from_snapshot(snapshot: &Snapshot) -> Option<Result<Self, CheckpointError>> {
-        snapshot.section(REDUCTION_SECTION).map(Self::decode)
-    }
-
-    /// The stamp as a ready-to-append [`Section`] (for
-    /// [`CheckpointConfig::annotations`]).
-    pub fn section(&self) -> Section {
-        Section {
-            tag: REDUCTION_SECTION,
-            payload: self.encode(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Property stamp
-// ---------------------------------------------------------------------
-
-/// Section tag reserved across *all* engines for the property stamp.
-/// Like [`REDUCTION_SECTION`], far outside the per-engine tag ranges.
-pub const PROPERTY_SECTION: u32 = 0x5052_4F50; // "PROP"
-
-/// Records, inside every snapshot written by a non-default-property run,
-/// the canonical text of the property being checked.
-///
-/// A snapshot's stored state is only meaningful for the query that
-/// produced it (a stubborn-set exploration for one property is not a
-/// sound prefix for another), so resuming under a different `--property`
-/// must fail closed — the stamp lets the CLI turn that into a precise
-/// misuse diagnostic, exactly like [`ReductionStamp`] does for
-/// `--reduce`. Default (`EF deadlock`) runs write no stamp, keeping
-/// their snapshots byte-identical to pre-property ones.
+/// The [`RunStamp::job`] of a `julie serve` job: its id and the budget it
+/// was admitted under.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PropertyStamp {
-    /// Canonical text of the property (e.g. `"AG m(critical) <= 0"`).
-    pub property: String,
-}
-
-impl PropertyStamp {
-    /// Serializes the stamp to a section payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u8(1); // stamp layout version
-        w.str(&self.property);
-        w.into_bytes()
-    }
-
-    /// Parses a stamp payload written by [`PropertyStamp::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Malformed`] on truncation or an unknown
-    /// layout version.
-    pub fn decode(payload: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = ByteReader::new(payload, PROPERTY_SECTION);
-        let version = r.u8()?;
-        if version != 1 {
-            return Err(r.malformed(format!("unknown property stamp version {version}")));
-        }
-        let property = r.str(64 * 1024, "property text")?;
-        r.finish()?;
-        Ok(PropertyStamp { property })
-    }
-
-    /// Extracts and parses the stamp of a snapshot, if one was written.
-    pub fn from_snapshot(snapshot: &Snapshot) -> Option<Result<Self, CheckpointError>> {
-        snapshot.section(PROPERTY_SECTION).map(Self::decode)
-    }
-
-    /// The stamp as a ready-to-append [`Section`] (for
-    /// [`CheckpointConfig::annotations`]).
-    pub fn section(&self) -> Section {
-        Section {
-            tag: PROPERTY_SECTION,
-            payload: self.encode(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Job stamp
-// ---------------------------------------------------------------------
-
-/// Section tag reserved across *all* engines for the job stamp written by
-/// `julie serve`. Like [`REDUCTION_SECTION`], far outside the per-engine
-/// tag ranges.
-pub const JOB_SECTION: u32 = 0x4A4F_4253; // "JOBS"
-
-/// Records, inside every snapshot a verification *service* writes, which
-/// job the snapshot belongs to and the budget it was admitted under.
-///
-/// A crashed server finds `run.ckpt` files on restart; the stamp lets it
-/// verify a snapshot really belongs to the job directory it sits in (and
-/// was produced under the same budget) before resuming from it — a moved
-/// or copied snapshot is ignored instead of silently resumed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobStamp {
+pub struct StampedJob {
     /// Server-assigned job id (e.g. `"j000007"`).
     pub id: String,
     /// The job's admitted state budget.
@@ -762,129 +675,90 @@ pub struct JobStamp {
     pub timeout_secs: u64,
 }
 
-impl JobStamp {
-    /// Serializes the stamp to a section payload.
-    pub fn encode(&self) -> Vec<u8> {
+impl RunStamp {
+    /// The section payload: a layout version, a bit per present field
+    /// (reduction, property, leg, job), then each present field in that
+    /// order.
+    fn encode(&self) -> Vec<u8> {
+        let present = u8::from(self.reduction.is_some())
+            | u8::from(self.property.is_some()) << 1
+            | u8::from(self.leg.is_some()) << 2
+            | u8::from(self.job.is_some()) << 3;
         let mut w = ByteWriter::new();
         w.u8(1); // stamp layout version
-        w.u64(self.max_states);
-        w.u64(self.max_bytes);
-        w.u64(self.timeout_secs);
-        w.str(&self.id);
+        w.u8(present);
+        if let Some(r) = &self.reduction {
+            w.u64(r.original_fingerprint);
+            w.usize(r.places);
+            w.usize(r.transitions);
+            w.str(&r.rules);
+        }
+        if let Some(property) = &self.property {
+            w.str(property);
+        }
+        if let Some(leg) = &self.leg {
+            w.str(leg);
+        }
+        if let Some(j) = &self.job {
+            w.u64(j.max_states);
+            w.u64(j.max_bytes);
+            w.u64(j.timeout_secs);
+            w.str(&j.id);
+        }
         w.into_bytes()
     }
 
-    /// Parses a stamp payload written by [`JobStamp::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Malformed`] on truncation or an unknown
-    /// layout version.
-    pub fn decode(payload: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = ByteReader::new(payload, JOB_SECTION);
+    /// Parses a payload written by [`RunStamp::encode`].
+    fn decode(payload: &[u8]) -> Result<Self, CheckpointError> {
+        let mut r = ByteReader::new(payload, RUN_SECTION);
         let version = r.u8()?;
         if version != 1 {
-            return Err(r.malformed(format!("unknown job stamp version {version}")));
+            return Err(r.malformed(format!("unknown run stamp version {version}")));
         }
-        let max_states = r.u64()?;
-        let max_bytes = r.u64()?;
-        let timeout_secs = r.u64()?;
-        let id = r.str(256, "job id")?;
-        r.finish()?;
-        Ok(JobStamp {
-            id,
-            max_states,
-            max_bytes,
-            timeout_secs,
-        })
-    }
-
-    /// Extracts and parses the stamp of a snapshot, if one was written.
-    pub fn from_snapshot(snapshot: &Snapshot) -> Option<Result<Self, CheckpointError>> {
-        snapshot.section(JOB_SECTION).map(Self::decode)
-    }
-
-    /// The stamp as a ready-to-append [`Section`] (for
-    /// [`CheckpointConfig::annotations`]).
-    pub fn section(&self) -> Section {
-        Section {
-            tag: JOB_SECTION,
-            payload: self.encode(),
+        let present = r.u8()?;
+        if present >> 4 != 0 {
+            return Err(r.malformed(format!("unknown run stamp fields {present:#04x}")));
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Engine stamp
-// ---------------------------------------------------------------------
-
-/// Section tag reserved across *all* engines for the engine stamp written
-/// by a portfolio (`--engine=auto`) run. Like [`REDUCTION_SECTION`], far
-/// outside the per-engine tag ranges.
-pub const ENGINE_SECTION: u32 = 0x454E_4749; // "ENGI"
-
-/// Records which engine leg produced a snapshot and whether it was taken
-/// inside a portfolio race.
-///
-/// A portfolio run designates one leg to checkpoint; on `--resume` the
-/// supervisor reads the stamp to re-enter the race with the stamped leg
-/// continuing from the snapshot while fresh legs start over. The stamp
-/// also lets `julie check` fail closed when a solo-engine run is pointed
-/// at a portfolio snapshot (or vice versa) instead of silently resuming
-/// under different racing semantics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EngineStamp {
-    /// CLI name of the leg that wrote the snapshot (`"full"`, `"po"`, ...).
-    pub engine: String,
-    /// `true` when the snapshot was taken by a leg racing inside a
-    /// portfolio (`--engine=auto`), `false` for a solo run.
-    pub portfolio: bool,
-}
-
-impl EngineStamp {
-    /// Serializes the stamp to a section payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u8(1); // stamp layout version
-        w.u8(u8::from(self.portfolio));
-        w.str(&self.engine);
-        w.into_bytes()
-    }
-
-    /// Parses a stamp payload written by [`EngineStamp::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Malformed`] on truncation or an unknown
-    /// layout version.
-    pub fn decode(payload: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = ByteReader::new(payload, ENGINE_SECTION);
-        let version = r.u8()?;
-        if version != 1 {
-            return Err(r.malformed(format!("unknown engine stamp version {version}")));
-        }
-        let portfolio = match r.u8()? {
-            0 => false,
-            1 => true,
-            other => return Err(r.malformed(format!("bad portfolio flag {other}"))),
+        let has = |bit: u8| present & (1 << bit) != 0;
+        let reduction = if has(0) {
+            let original_fingerprint = r.u64()?;
+            let places = r.usize()?;
+            let transitions = r.usize()?;
+            let rules = r.str(1024, "rule list")?;
+            Some(StampedReduction {
+                rules,
+                original_fingerprint,
+                places,
+                transitions,
+            })
+        } else {
+            None
         };
-        let engine = r.str(64, "engine name")?;
+        let property = has(1)
+            .then(|| r.str(64 * 1024, "property text"))
+            .transpose()?;
+        let leg = has(2).then(|| r.str(64, "leg name")).transpose()?;
+        let job = if has(3) {
+            let max_states = r.u64()?;
+            let max_bytes = r.u64()?;
+            let timeout_secs = r.u64()?;
+            let id = r.str(256, "job id")?;
+            Some(StampedJob {
+                id,
+                max_states,
+                max_bytes,
+                timeout_secs,
+            })
+        } else {
+            None
+        };
         r.finish()?;
-        Ok(EngineStamp { engine, portfolio })
-    }
-
-    /// Extracts and parses the stamp of a snapshot, if one was written.
-    pub fn from_snapshot(snapshot: &Snapshot) -> Option<Result<Self, CheckpointError>> {
-        snapshot.section(ENGINE_SECTION).map(Self::decode)
-    }
-
-    /// The stamp as a ready-to-append [`Section`] (for
-    /// [`CheckpointConfig::annotations`]).
-    pub fn section(&self) -> Section {
-        Section {
-            tag: ENGINE_SECTION,
-            payload: self.encode(),
-        }
+        Ok(RunStamp {
+            reduction,
+            property,
+            leg,
+            job,
+        })
     }
 }
 
@@ -1512,150 +1386,207 @@ mod tests {
         ));
     }
 
+    /// A stamp with every field set.
+    fn full_stamp() -> RunStamp {
+        RunStamp {
+            reduction: Some(StampedReduction {
+                rules: "sp,rp".into(),
+                original_fingerprint: 0x0102_0304_0506_0708,
+                places: 3,
+                transitions: 2,
+            }),
+            property: Some("EF deadlock".into()),
+            leg: Some("pdr".into()),
+            job: Some(StampedJob {
+                id: "j000007".into(),
+                max_states: 500,
+                max_bytes: u64::MAX,
+                timeout_secs: 30,
+            }),
+        }
+    }
+
+    /// `sample_snapshot` stamped with `stamp`, through its bytes and back.
+    fn reread(stamp: &RunStamp) -> Snapshot {
+        let mut snap = sample_snapshot();
+        snap.stamp = stamp.clone();
+        Snapshot::from_bytes(&snap.to_bytes()).unwrap()
+    }
+
+    /// Loads `sample_snapshot` with `payload` as its run-stamp section.
+    fn load_stamp_payload(payload: Vec<u8>) -> Result<Snapshot, CheckpointError> {
+        let mut snap = sample_snapshot();
+        snap.push_section(RUN_SECTION, payload);
+        Snapshot::from_bytes(&snap.to_bytes())
+    }
+
+    fn assert_malformed_stamp(payload: Vec<u8>, what: &str) {
+        match load_stamp_payload(payload) {
+            Err(CheckpointError::Malformed {
+                section: RUN_SECTION,
+                detail,
+            }) => assert!(detail.contains(what), "{what}: {detail}"),
+            other => panic!("{what}: expected a malformed run stamp, got {other:?}"),
+        }
+    }
+
     #[test]
     fn reduction_stamp_round_trips_through_a_snapshot() {
-        let stamp = ReductionStamp {
-            rules: "sp,st,rp,it,dt".into(),
-            original_fingerprint: 0xDEAD_BEEF_CAFE_F00D,
-            places: 12,
-            transitions: 9,
+        // the default stamp writes no section and reads back as default
+        let plain = sample_snapshot();
+        assert_eq!(plain.to_bytes()[24..28], 3u32.to_le_bytes(), "3 sections");
+        assert_eq!(Snapshot::from_bytes(&plain.to_bytes()).unwrap(), plain);
+
+        let stamp = RunStamp {
+            reduction: Some(StampedReduction {
+                rules: "sp,st,rp,it,dt".into(),
+                original_fingerprint: 0xDEAD_BEEF_CAFE_F00D,
+                places: 12,
+                transitions: 9,
+            }),
+            ..RunStamp::default()
         };
-        let mut snap = sample_snapshot();
-        assert!(ReductionStamp::from_snapshot(&snap).is_none());
-        let cfg = CheckpointConfig {
-            annotations: vec![stamp.section()],
-            ..CheckpointConfig::at("unused")
-        };
-        cfg.annotate(&mut snap);
-        let back = ReductionStamp::from_snapshot(&snap).unwrap().unwrap();
-        assert_eq!(back, stamp);
-        // annotations survive the byte round-trip like any other section
-        let reread = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(
-            ReductionStamp::from_snapshot(&reread).unwrap().unwrap(),
-            stamp
-        );
+        let back = reread(&stamp);
+        assert_eq!(back.stamp, stamp);
+        assert_eq!(back.sections, plain.sections, "engine sections untouched");
     }
 
     #[test]
     fn reduction_stamp_rejects_garbage() {
-        assert!(ReductionStamp::decode(&[]).is_err());
-        assert!(ReductionStamp::decode(&[9]).is_err(), "unknown version");
-        let mut good = ReductionStamp {
-            rules: "none".into(),
-            original_fingerprint: 1,
-            places: 0,
-            transitions: 0,
-        }
-        .encode();
-        good.push(0); // trailing byte
-        assert!(ReductionStamp::decode(&good).is_err());
+        let stamp = RunStamp {
+            reduction: full_stamp().reduction,
+            ..RunStamp::default()
+        };
+        let mut cut = stamp.encode();
+        cut.pop();
+        assert_malformed_stamp(cut, "ends early");
+        let mut trailing = stamp.encode();
+        trailing.push(0);
+        assert_malformed_stamp(trailing, "unread bytes");
     }
 
     #[test]
     fn property_stamp_round_trips_through_a_snapshot() {
-        let stamp = PropertyStamp {
-            property: "AG m(critical-1) <= 0 or fireable(release)".into(),
+        let stamp = RunStamp {
+            property: Some("AG m(critical-1) <= 0 or fireable(release)".into()),
+            ..RunStamp::default()
         };
-        let mut snap = sample_snapshot();
-        assert!(PropertyStamp::from_snapshot(&snap).is_none());
-        let cfg = CheckpointConfig {
-            annotations: vec![stamp.section()],
-            ..CheckpointConfig::at("unused")
-        };
-        cfg.annotate(&mut snap);
-        assert_eq!(PropertyStamp::from_snapshot(&snap).unwrap().unwrap(), stamp);
-        let reread = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(
-            PropertyStamp::from_snapshot(&reread).unwrap().unwrap(),
-            stamp
-        );
+        assert_eq!(reread(&stamp).stamp, stamp);
     }
 
     #[test]
     fn engine_stamp_round_trips_through_a_snapshot() {
-        let stamp = EngineStamp {
-            engine: "gpo".into(),
-            portfolio: true,
+        let stamp = RunStamp {
+            leg: Some("gpo".into()),
+            ..RunStamp::default()
         };
-        let mut snap = sample_snapshot();
-        assert!(EngineStamp::from_snapshot(&snap).is_none());
-        let cfg = CheckpointConfig {
-            annotations: vec![stamp.section()],
-            ..CheckpointConfig::at("unused")
-        };
-        cfg.annotate(&mut snap);
-        assert_eq!(EngineStamp::from_snapshot(&snap).unwrap().unwrap(), stamp);
-        let reread = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(EngineStamp::from_snapshot(&reread).unwrap().unwrap(), stamp);
+        assert_eq!(reread(&stamp).stamp, stamp);
+        // and every field at once
+        assert_eq!(reread(&full_stamp()).stamp, full_stamp());
     }
 
     #[test]
     fn engine_stamp_rejects_garbage() {
-        assert!(EngineStamp::decode(&[]).is_err());
-        assert!(EngineStamp::decode(&[9]).is_err(), "unknown version");
-        assert!(
-            EngineStamp::decode(&[1, 2]).is_err(),
-            "portfolio flag must be 0 or 1"
-        );
-        let mut good = EngineStamp {
-            engine: "full".into(),
-            portfolio: false,
-        }
-        .encode();
-        good.push(0); // trailing byte
-        assert!(EngineStamp::decode(&good).is_err());
+        assert_malformed_stamp(Vec::new(), "ends early");
+        assert_malformed_stamp(vec![9, 0], "unknown run stamp version 9");
+        assert_malformed_stamp(vec![1, 0x10], "unknown run stamp fields");
+        let mut long_leg = vec![1, 0b0100];
+        long_leg.extend_from_slice(&65u64.to_le_bytes());
+        long_leg.extend_from_slice(&[b'x'; 65]);
+        assert_malformed_stamp(long_leg, "implausible leg name length");
+        // a crafted file with two stamps is rejected, not resolved
+        let mut snap = sample_snapshot();
+        snap.stamp = full_stamp();
+        snap.push_section(RUN_SECTION, full_stamp().encode());
+        assert!(matches!(
+            Snapshot::from_bytes(&snap.to_bytes()),
+            Err(CheckpointError::Malformed {
+                section: RUN_SECTION,
+                ..
+            })
+        ));
     }
 
-    /// Pins every stamp's payload bytes. The round-trip tests cannot catch
-    /// a layout drift that changes `encode` and `decode` together, yet
-    /// such a drift would strand every snapshot already on disk.
+    #[test]
+    fn property_stamp_rejects_garbage() {
+        let mut not_utf8 = vec![1, 0b0010];
+        not_utf8.extend_from_slice(&2u64.to_le_bytes());
+        not_utf8.extend_from_slice(&[0xFF, 0xFE]);
+        assert_malformed_stamp(not_utf8, "property text is not UTF-8");
+        let mut huge = vec![1, 0b0010];
+        huge.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert_malformed_stamp(huge, "implausible property text length");
+    }
+
+    /// Pins the run stamp's payload bytes, with every field set and with
+    /// each field alone. The round-trip tests cannot catch a layout drift
+    /// that changes `encode` and `decode` together, yet such a drift would
+    /// strand every snapshot already on disk.
     #[test]
     fn stamp_payloads_keep_their_bytes() {
-        let reduction = ReductionStamp {
-            rules: "sp,rp".into(),
-            original_fingerprint: 0x0102_0304_0506_0708,
-            places: 3,
-            transitions: 2,
-        };
-        let want: &[&[u8]] = &[
-            &[1],
+        let reduction: &[&[u8]] = &[
             &[8, 7, 6, 5, 4, 3, 2, 1],
             &[3, 0, 0, 0, 0, 0, 0, 0],
             &[2, 0, 0, 0, 0, 0, 0, 0],
             &[5, 0, 0, 0, 0, 0, 0, 0],
             b"sp,rp",
         ];
-        assert_eq!(reduction.encode(), want.concat());
-
-        let property = PropertyStamp {
-            property: "EF deadlock".into(),
-        };
-        let want: &[&[u8]] = &[&[1], &[11, 0, 0, 0, 0, 0, 0, 0], b"EF deadlock"];
-        assert_eq!(property.encode(), want.concat());
-
-        let job = JobStamp {
-            id: "j000007".into(),
-            max_states: 500,
-            max_bytes: u64::MAX,
-            timeout_secs: 30,
-        };
-        let want: &[&[u8]] = &[
-            &[1],
+        let property: &[&[u8]] = &[&[11, 0, 0, 0, 0, 0, 0, 0], b"EF deadlock"];
+        let leg: &[&[u8]] = &[&[3, 0, 0, 0, 0, 0, 0, 0], b"pdr"];
+        let job: &[&[u8]] = &[
             &[244, 1, 0, 0, 0, 0, 0, 0],
             &[255; 8],
             &[30, 0, 0, 0, 0, 0, 0, 0],
             &[7, 0, 0, 0, 0, 0, 0, 0],
             b"j000007",
         ];
-        assert_eq!(job.encode(), want.concat());
+        let all = full_stamp();
+        let want: &[&[u8]] = &[
+            &[1, 0b1111],
+            &reduction.concat(),
+            &property.concat(),
+            &leg.concat(),
+            &job.concat(),
+        ];
+        assert_eq!(all.encode(), want.concat());
 
-        let engine = EngineStamp {
-            engine: "pdr".into(),
-            portfolio: true,
-        };
-        let want: &[&[u8]] = &[&[1], &[1], &[3, 0, 0, 0, 0, 0, 0, 0], b"pdr"];
-        assert_eq!(engine.encode(), want.concat());
+        let alone = [
+            (
+                RunStamp {
+                    reduction: all.reduction.clone(),
+                    ..RunStamp::default()
+                },
+                0b0001,
+                reduction,
+            ),
+            (
+                RunStamp {
+                    property: all.property.clone(),
+                    ..RunStamp::default()
+                },
+                0b0010,
+                property,
+            ),
+            (
+                RunStamp {
+                    leg: all.leg.clone(),
+                    ..RunStamp::default()
+                },
+                0b0100,
+                leg,
+            ),
+            (
+                RunStamp {
+                    job: all.job.clone(),
+                    ..RunStamp::default()
+                },
+                0b1000,
+                job,
+            ),
+        ];
+        for (stamp, bit, field) in alone {
+            assert_eq!(stamp.encode(), [&[1, bit][..], &field.concat()].concat());
+        }
     }
 
     /// Pins the state-table payload bytes the full and reduced engines
@@ -1702,17 +1633,5 @@ mod tests {
             let err = read_state_table(&snap, &net).unwrap_err();
             assert!(err.to_string().contains(what), "{what}: {err}");
         }
-    }
-
-    #[test]
-    fn property_stamp_rejects_garbage() {
-        assert!(PropertyStamp::decode(&[]).is_err());
-        assert!(PropertyStamp::decode(&[7]).is_err(), "unknown version");
-        let mut good = PropertyStamp {
-            property: "EF deadlock".into(),
-        }
-        .encode();
-        good.push(0); // trailing byte
-        assert!(PropertyStamp::decode(&good).is_err());
     }
 }

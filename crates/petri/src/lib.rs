@@ -69,8 +69,7 @@ pub use bitset::{BitSet, Iter as BitSetIter};
 pub use budget::{Budget, CoverageStats, ExhaustionReason, Outcome, Verdict};
 pub use checkpoint::{
     read_checkpoint, read_checkpoint_with_fallback, write_checkpoint, CheckpointConfig,
-    CheckpointError, EngineKind, EngineStamp, JobStamp, PropertyStamp, ReductionStamp, Section,
-    Snapshot, ENGINE_SECTION, JOB_SECTION, PROPERTY_SECTION, REDUCTION_SECTION,
+    CheckpointError, EngineKind, RunStamp, Section, Snapshot, StampedJob, StampedReduction,
 };
 pub use conflict::ConflictInfo;
 pub use dot::{net_to_dot, reachability_to_dot};

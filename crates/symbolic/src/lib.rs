@@ -8,12 +8,12 @@
 //! * [`Bdd`] — a reduced ordered BDD manager (Bryant [2]): hash-consed
 //!   nodes, memoized ITE, quantification, relational product, renaming,
 //!   model counting;
-//! * [`Zdd`] — a zero-suppressed DD manager (set families) with union /
-//!   intersection / difference / onset / offset / join, used as the shared
-//!   representation behind large valid-set relations;
-//! * [`ConcurrentZdd`] — the `Send + Sync` sharded-lock sibling of [`Zdd`]
-//!   (same canonical structure, `&self` operations), shareable across the
-//!   worker threads of a parallel exploration;
+//! * [`ConcurrentZdd`] — the zero-suppressed DD manager (set families)
+//!   with union / intersection / difference / onset / offset / join, used
+//!   as the shared representation behind large valid-set relations. It is
+//!   `Send + Sync` with `&self` operations behind sharded locks, so the
+//!   worker threads of a parallel exploration share one canonical node
+//!   store;
 //! * [`SymbolicReachability`] — BDD-based breadth-first reachability and
 //!   deadlock detection with peak-node tracking, in either an interleaved
 //!   or a deliberately bad variable order (for the ablation bench).
@@ -39,12 +39,10 @@
 mod bdd;
 mod czdd;
 mod reach;
-mod zdd;
 
 pub use bdd::{Bdd, BddRef, BDD_FALSE, BDD_TRUE};
-pub use czdd::ConcurrentZdd;
+pub use czdd::{ConcurrentZdd, ZddRef, ZDD_EMPTY, ZDD_UNIT};
 pub use reach::{SymbolicOptions, SymbolicReachability, VariableOrder, BDD_NODE_BYTES};
-pub use zdd::{Zdd, ZddRef, ZDD_EMPTY, ZDD_UNIT};
 
 /// Test shorthand: the compiled default property, `EF deadlock`.
 #[cfg(test)]
