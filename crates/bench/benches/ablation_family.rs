@@ -4,8 +4,22 @@
 //! shares sub-structure, which dominates once |r₀| explodes (NSDP rings).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpo_bench::{run_gpo, RowBudgets};
-use gpo_core::Representation;
+use gpo_core::{analyze, ExplicitFamily, GpoOptions, SetFamily, ZddFamily};
+use petri::{Budget, CheckpointConfig, PetriNet};
+
+/// The GPN state count of a complete analysis on families of type `F`.
+fn run<F: SetFamily>(net: &PetriNet) -> usize {
+    analyze::<F>(
+        net,
+        &GpoOptions::default(),
+        &Budget::default(),
+        &CheckpointConfig::default(),
+        None,
+    )
+    .expect("the ablation nets analyze")
+    .into_value()
+    .state_count
+}
 
 fn bench_family(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/family");
@@ -16,18 +30,12 @@ fn bench_family(c: &mut Criterion) {
         ("nsdp_6", models::nsdp(6)),
         ("rw_9", models::readers_writers(9)),
     ] {
-        for (repr_label, repr) in [
-            ("explicit", Representation::Explicit),
-            ("zdd", Representation::Zdd),
-        ] {
-            let budgets = RowBudgets {
-                representation: repr,
-                ..RowBudgets::default()
-            };
-            group.bench_with_input(BenchmarkId::new(repr_label, label), &net, |b, net| {
-                b.iter(|| run_gpo(net, &budgets))
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("explicit", label), &net, |b, net| {
+            b.iter(|| run::<ExplicitFamily>(net))
+        });
+        group.bench_with_input(BenchmarkId::new("zdd", label), &net, |b, net| {
+            b.iter(|| run::<ZddFamily>(net))
+        });
     }
     group.finish();
 }

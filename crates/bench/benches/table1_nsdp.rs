@@ -8,7 +8,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpo_bench::{run_bdd, run_full, run_gpo, run_po, RowBudgets};
-use gpo_core::Representation;
 
 fn bench_nsdp(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1/nsdp");
@@ -27,13 +26,6 @@ fn bench_nsdp(c: &mut Criterion) {
         let budgets = RowBudgets::default();
         group.bench_with_input(BenchmarkId::new("gpo", n), &net, |b, net| {
             b.iter(|| run_gpo(net, &budgets))
-        });
-        let zdd = RowBudgets {
-            representation: Representation::Zdd,
-            ..RowBudgets::default()
-        };
-        group.bench_with_input(BenchmarkId::new("gpo-zdd", n), &net, |b, net| {
-            b.iter(|| run_gpo(net, &zdd))
         });
     }
     group.finish();

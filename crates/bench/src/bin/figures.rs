@@ -11,13 +11,12 @@
 //! Usage: `cargo run --release -p gpo-bench --bin figures`
 
 use gpo_core::{
-    analyze, m_enabled, multiple_update, s_enabled, single_update, ExplicitFamily, GpnState,
-    SetFamily,
+    analyze, m_enabled, multiple_update, s_enabled, single_update, GpnState, SetFamily, ZddFamily,
 };
 use partial_order::ReducedReachability;
 use petri::{Budget, CheckpointConfig, PetriNet, ReachabilityGraph, TransitionId};
 
-fn family_to_string(net: &PetriNet, f: &ExplicitFamily) -> String {
+fn family_to_string(net: &PetriNet, f: &ZddFamily) -> String {
     let sets: Vec<String> = f
         .sets()
         .iter()
@@ -32,7 +31,7 @@ fn family_to_string(net: &PetriNet, f: &ExplicitFamily) -> String {
     format!("{{{}}}", sets.join(", "))
 }
 
-fn show_state(net: &PetriNet, s: &GpnState<ExplicitFamily>) {
+fn show_state(net: &PetriNet, s: &GpnState<ZddFamily>) {
     for p in net.places() {
         if !s.place(p).is_empty() {
             println!(
@@ -88,8 +87,8 @@ fn fig2() {
             .expect("fig2 is safe")
             .into_value()
             .state_count();
-        let gpo = analyze(&net, &Default::default(), &budget, &ckpt, None)
-            .expect("within limits")
+        let gpo = analyze::<ZddFamily>(&net, &Default::default(), &budget, &ckpt, None)
+            .expect("fig2 is safe")
             .into_value()
             .state_count;
         println!("  {n:>3} | {full:>10} | {po:>12} | {gpo:>4}");
@@ -101,8 +100,8 @@ fn fig2() {
 fn fig3() {
     println!("Figure 3 — colored tokens block the extended conflict");
     let net = models::figures::fig3();
-    ExplicitFamily::new_context(net.transition_count());
-    let s0 = GpnState::<ExplicitFamily>::initial(&net, &(), 1 << 10).expect("small net");
+    let ctx = ZddFamily::new_context(net.transition_count());
+    let s0 = GpnState::<ZddFamily>::initial(&net, &ctx);
     let t = |n: &str| net.transition_by_name(n).expect("transition exists");
     println!("  after firing A and B simultaneously:");
     let s1 = multiple_update(&net, &s0, &[t("A"), t("B")]);
@@ -124,8 +123,8 @@ fn fig3() {
 fn fig7() {
     println!("Figure 7 — two maximal conflicting sets fired in succession");
     let net = models::figures::fig7();
-    ExplicitFamily::new_context(net.transition_count());
-    let s0 = GpnState::<ExplicitFamily>::initial(&net, &(), 1 << 10).expect("small net");
+    let ctx = ZddFamily::new_context(net.transition_count());
+    let s0 = GpnState::<ZddFamily>::initial(&net, &ctx);
     let t = |n: &str| net.transition_by_name(n).expect("transition exists");
     println!("  initial state:");
     show_state(&net, &s0);

@@ -13,7 +13,7 @@
 
 use std::time::{Duration, Instant};
 
-use gpo_core::{analyze, GpoOptions, Representation};
+use gpo_core::{analyze, GpoOptions, ZddFamily};
 use partial_order::{ReducedOptions, ReducedReachability};
 use petri::{
     reduce, Budget, CheckpointConfig, ExploreOptions, NetBuilder, PetriNet, ReachabilityGraph,
@@ -105,7 +105,7 @@ fn main() {
             threads,
             ..Default::default()
         };
-        let report = analyze(&net, &opts, &budget, &ckpt, None)
+        let report = analyze::<ZddFamily>(&net, &opts, &budget, &ckpt, None)
             .expect("within budgets")
             .into_value();
         println!(
@@ -128,10 +128,9 @@ fn main() {
     ] {
         let opts = GpoOptions {
             threads,
-            representation: Representation::Zdd,
             ..Default::default()
         };
-        let report = analyze(&net, &opts, &budget, &ckpt, None)
+        let report = analyze::<ZddFamily>(&net, &opts, &budget, &ckpt, None)
             .expect("within budgets")
             .into_value();
         println!(

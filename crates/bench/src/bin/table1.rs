@@ -13,7 +13,6 @@
 //! exhaustive "States" column on the million-state instances.
 
 use gpo_bench::{fmt_states, fmt_time, run_row, RowBudgets, TableRow};
-use gpo_core::Representation;
 use petri::PetriNet;
 
 struct Spec {
@@ -30,15 +29,8 @@ fn specs(quick: bool) -> Vec<Spec> {
             label: format!("NSDP({n})"),
             net: models::nsdp(n),
             budgets: RowBudgets {
-                // the explicit valid-set enumeration explodes with the ring
-                // of fork conflicts: use the ZDD representation from n = 8,
-                // and give the BDD engine a budget it will exhaust on the
-                // big rings (the paper's SMV row reports "> 24 hours" there)
-                representation: if n >= 8 {
-                    Representation::Zdd
-                } else {
-                    Representation::Explicit
-                },
+                // give the BDD engine a budget it will exhaust on the big
+                // rings (the paper's SMV row reports "> 24 hours" there)
                 skip_bdd: n >= 10,
                 max_bdd_nodes: 20_000_000,
                 ..RowBudgets::default()

@@ -19,7 +19,7 @@
 
 use std::time::{Duration, Instant};
 
-use gpo_core::{analyze, GpoOptions, Representation};
+use gpo_core::{analyze, GpoOptions, ZddFamily};
 use partial_order::{ReducedOptions, ReducedReachability, SeedStrategy};
 use petri::{
     Budget, CheckpointConfig, ExploreOptions, Outcome, PetriNet, Property, ReachabilityGraph,
@@ -66,10 +66,6 @@ pub struct RowBudgets {
     /// Node cap for the BDD engine, charged against the byte budget at
     /// [`BDD_NODE_BYTES`] per allocated node.
     pub max_bdd_nodes: usize,
-    /// Enumerated valid-set cap for GPO.
-    pub valid_set_limit: usize,
-    /// Family representation for GPO.
-    pub representation: Representation,
     /// Worker threads for the GPO exploration (1 = serial loop).
     pub threads: usize,
     /// Skip the BDD engine entirely (for rows where it is hopeless).
@@ -81,8 +77,6 @@ impl Default for RowBudgets {
         RowBudgets {
             max_states: 20_000_000,
             max_bdd_nodes: 30_000_000,
-            valid_set_limit: 1 << 24,
-            representation: Representation::Explicit,
             threads: 1,
             skip_bdd: false,
         }
@@ -204,14 +198,12 @@ pub fn run_bdd(net: &PetriNet, max_bdd_nodes: usize) -> EngineResult {
 pub fn run_gpo(net: &PetriNet, budgets: &RowBudgets) -> EngineResult {
     let t0 = Instant::now();
     let opts = GpoOptions {
-        valid_set_limit: budgets.valid_set_limit,
-        representation: budgets.representation,
         max_witnesses: 1,
         threads: budgets.threads,
         coverage_query: Vec::new(),
     };
     let budget = Budget::default().cap_states(budgets.max_states);
-    match analyze(net, &opts, &budget, &CheckpointConfig::default(), None) {
+    match analyze::<ZddFamily>(net, &opts, &budget, &CheckpointConfig::default(), None) {
         Ok(Outcome::Complete(report)) => EngineResult {
             states: report.state_count as f64,
             aux: report.valid_set_count as f64,

@@ -22,7 +22,7 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use petri::checkpoint::{explore_segmented, ByteReader, ByteWriter, CheckpointError, EngineKind};
+use petri::checkpoint::{explore_segmented, ByteReader, ByteWriter, CheckpointError};
 use petri::parallel::{explore_frontier_seeded, FrontierOptions, FrontierSeed};
 use petri::{
     Budget, CheckpointConfig, ConflictInfo, Marking, Outcome, PetriNet, PlaceId, Snapshot,
@@ -30,25 +30,15 @@ use petri::{
 };
 
 use crate::error::GpoError;
-use crate::family::{ExplicitFamily, SetFamily, ZddFamily};
+use crate::family::SetFamily;
 use crate::semantics::{
     m_enabled, m_enabled_all, multiple_update_with, s_enabled, s_enabled_all, single_update_with,
 };
 use crate::state::GpnState;
 
-/// Which family representation backs the analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Representation {
-    /// Canonical sorted vectors of transition sets.
-    #[default]
-    Explicit,
-    /// Zero-suppressed decision diagrams (shared structure).
-    Zdd,
-}
-
 /// Section tags of a generalized-analysis snapshot (both
-/// [`EngineKind::GpoExplicit`] and [`EngineKind::GpoZdd`], whose formats
-/// differ only inside the `FAMILIES` payload).
+/// [`petri::EngineKind::GpoExplicit`] and [`petri::EngineKind::GpoZdd`],
+/// whose formats differ only inside the `FAMILIES` payload).
 mod section {
     pub const META: u32 = 1;
     pub const FAMILIES: u32 = 2;
@@ -58,23 +48,9 @@ mod section {
     pub const COUNTERS: u32 = 6;
 }
 
-/// The snapshot engine tag of a representation: resuming an explicit
-/// snapshot under the ZDD representation (or vice versa) is rejected,
-/// because the `FAMILIES` payloads are not interchangeable.
-fn engine_kind(repr: Representation) -> EngineKind {
-    match repr {
-        Representation::Explicit => EngineKind::GpoExplicit,
-        Representation::Zdd => EngineKind::GpoZdd,
-    }
-}
-
 /// Options for [`analyze`].
 #[derive(Debug, Clone)]
 pub struct GpoOptions {
-    /// Bound on the number of enumerated maximal conflict-free sets.
-    pub valid_set_limit: usize,
-    /// Family representation.
-    pub representation: Representation,
     /// How many deadlock witness markings to materialize (0 disables).
     pub max_witnesses: usize,
     /// Worker threads for the exploration. `1` (the default) runs the
@@ -95,8 +71,6 @@ pub struct GpoOptions {
 impl Default for GpoOptions {
     fn default() -> Self {
         GpoOptions {
-            valid_set_limit: 1 << 22,
-            representation: Representation::default(),
             max_witnesses: 1,
             threads: 1,
             coverage_query: Vec::new(),
@@ -109,13 +83,13 @@ impl Default for GpoOptions {
 /// # Examples
 ///
 /// ```
-/// use gpo_core::analyze;
+/// use gpo_core::{analyze, ZddFamily};
 /// use petri::{Budget, CheckpointConfig};
 ///
 /// // the paper's Figure 2 with N = 10: classical PO reduction needs
 /// // 2^11 - 1 = 2047 states; the generalized analysis needs 2
 /// let net = models::figures::fig2(10);
-/// let report = analyze(
+/// let report = analyze::<ZddFamily>(
 ///     &net,
 ///     &Default::default(),
 ///     &Budget::default(),
@@ -187,9 +161,12 @@ impl GpoReport {
     }
 }
 
-/// Runs the generalized analysis under a cooperative resource [`Budget`],
-/// optionally resuming a prior partial analysis and/or writing crash-safe
-/// snapshots (see [`explore_segmented`] for the segmenting protocol).
+/// Runs the generalized analysis on families of representation `F` under
+/// a cooperative resource [`Budget`], optionally resuming a prior partial
+/// analysis and/or writing crash-safe snapshots (see [`explore_segmented`]
+/// for the segmenting protocol). Production callers name
+/// [`ZddFamily`](crate::ZddFamily); [`ExplicitFamily`](crate::ExplicitFamily)
+/// is the reference the tests compare it against.
 ///
 /// Byte accounting uses each GPN state's representation footprint plus
 /// the frontier loop's per-state and per-edge overheads. On
@@ -198,30 +175,17 @@ impl GpoReport {
 /// a partial run are genuine (their witnesses come from valid histories of
 /// explored states), but their absence proves nothing.
 ///
-/// The snapshot engine tag records the family representation; resuming an
-/// explicit snapshot under `Representation::Zdd` (or vice versa) fails
-/// with a typed mismatch. A resumed run reaches the same verdict, state
-/// count, and witness markings as the uninterrupted run for every thread
-/// count, under both representations.
+/// The snapshot engine tag records the family representation
+/// ([`SetFamily::ENGINE_KIND`]); resuming an explicit snapshot under
+/// `ZddFamily` (or vice versa) fails with a typed mismatch. A resumed run
+/// reaches the same verdict, state count, and witness markings as the
+/// uninterrupted run for every thread count, under both representations.
 ///
 /// # Errors
 ///
-/// Returns [`GpoError::ValidSetsTooLarge`] if `r₀` exceeds the
-/// enumeration limit, or [`GpoError::Checkpoint`] for unusable snapshots.
-pub fn analyze(
-    net: &PetriNet,
-    opts: &GpoOptions,
-    budget: &Budget,
-    ckpt: &CheckpointConfig,
-    resume: Option<&Snapshot>,
-) -> Result<Outcome<GpoReport>, GpoError> {
-    match opts.representation {
-        Representation::Explicit => run::<ExplicitFamily>(net, opts, budget, ckpt, resume),
-        Representation::Zdd => run::<ZddFamily>(net, opts, budget, ckpt, resume),
-    }
-}
-
-fn run<F: SetFamily>(
+/// Returns [`GpoError::Checkpoint`] for unusable snapshots, or
+/// [`GpoError::Engine`] if the frontier loop fails.
+pub fn analyze<F: SetFamily>(
     net: &PetriNet,
     opts: &GpoOptions,
     budget: &Budget,
@@ -231,14 +195,13 @@ fn run<F: SetFamily>(
     let start = Instant::now();
     let conflicts = ConflictInfo::new(net);
     let ctx = F::new_context(net.transition_count());
-    let s0 = GpnState::<F>::initial_with_conflicts(net, &conflicts, &ctx, opts.valid_set_limit)?;
+    let s0 = GpnState::<F>::initial_with_conflicts(net, &conflicts, &ctx);
     let valid_set_count = s0.valid().count();
-    let engine = engine_kind(opts.representation);
 
     let counters = Counters::default();
     let (prior, base_elapsed) = match resume {
         Some(snap) => {
-            let (explored, elapsed) = from_snapshot::<F>(net, &ctx, engine, snap, &s0, &counters)?;
+            let (explored, elapsed) = from_snapshot::<F>(net, &ctx, snap, &s0, &counters)?;
             (Some(explored), elapsed)
         }
         None => (None, Duration::ZERO),
@@ -254,7 +217,6 @@ fn run<F: SetFamily>(
             to_snapshot(
                 net,
                 &ctx,
-                engine,
                 explored,
                 &counters,
                 base_elapsed + start.elapsed(),
@@ -469,13 +431,12 @@ fn extend_reach_tree(
 fn to_snapshot<F: SetFamily>(
     net: &PetriNet,
     ctx: &F::Context,
-    engine: EngineKind,
     explored: &Explored<F>,
     counters: &Counters,
     elapsed: Duration,
 ) -> Snapshot {
     let universe = net.transition_count();
-    let mut snap = Snapshot::new(engine, net);
+    let mut snap = Snapshot::new(F::ENGINE_KIND, net);
 
     let mut w = ByteWriter::new();
     w.u32(net.place_count() as u32);
@@ -546,12 +507,11 @@ fn to_snapshot<F: SetFamily>(
 fn from_snapshot<F: SetFamily>(
     net: &PetriNet,
     ctx: &F::Context,
-    engine: EngineKind,
     snap: &Snapshot,
     s0: &GpnState<F>,
     counters: &Counters,
 ) -> Result<(Explored<F>, Duration), CheckpointError> {
-    snap.validate(engine, net.fingerprint())?;
+    snap.validate(F::ENGINE_KIND, net.fingerprint())?;
     let places = net.place_count();
     let universe = net.transition_count();
 
@@ -958,7 +918,8 @@ fn preserves_enabledness<F: SetFamily>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze_all, analyze_all_with};
+    use crate::{analyze_all, analyze_all_with, ExplicitFamily, ZddFamily};
+    use std::any::type_name;
 
     #[test]
     fn fig2_needs_exactly_two_states() {
@@ -1032,32 +993,25 @@ mod tests {
             models::nsdp(3),
             models::readers_writers(4),
         ] {
-            let e = analyze_all_with(
-                &net,
-                &GpoOptions {
-                    representation: Representation::Explicit,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let z = analyze_all_with(
-                &net,
-                &GpoOptions {
-                    representation: Representation::Zdd,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let opts = GpoOptions {
+                max_witnesses: 3,
+                ..Default::default()
+            };
+            let e = analyze_all_with::<ExplicitFamily>(&net, &opts).unwrap();
+            let z = analyze_all_with::<ZddFamily>(&net, &opts).unwrap();
             assert_eq!(e.state_count, z.state_count, "{}", net.name());
             assert_eq!(e.deadlock_possible, z.deadlock_possible, "{}", net.name());
             assert_eq!(e.valid_set_count, z.valid_set_count, "{}", net.name());
+            // both list witness histories in one order
+            assert_eq!(e.deadlock_witnesses, z.deadlock_witnesses, "{}", net.name());
+            assert_eq!(e.deadlock_traces, z.deadlock_traces, "{}", net.name());
         }
     }
 
     #[test]
     fn bounded_analysis_returns_partial_report() {
         use petri::ExhaustionReason;
-        let outcome = analyze(
+        let outcome = analyze::<ZddFamily>(
             &models::nsdp(3),
             &GpoOptions::default(),
             &Budget::default().cap_states(1),
@@ -1083,13 +1037,11 @@ mod tests {
     fn state_limit_enforced() {
         use petri::ExhaustionReason;
         // NSDP(3) needs exactly three GPO states: the cap is inclusive
-        for repr in [Representation::Explicit, Representation::Zdd] {
-            let opts = GpoOptions {
-                representation: repr,
-                ..Default::default()
-            };
+        fn check<F: SetFamily>() {
+            let repr = type_name::<F>();
+            let opts = GpoOptions::default();
             let run = |cap| {
-                analyze(
+                analyze::<F>(
                     &models::nsdp(3),
                     &opts,
                     &Budget::default().cap_states(cap),
@@ -1098,11 +1050,13 @@ mod tests {
                 )
                 .unwrap()
             };
-            assert_eq!(run(2).reason(), Some(ExhaustionReason::States), "{repr:?}");
+            assert_eq!(run(2).reason(), Some(ExhaustionReason::States), "{repr}");
             let at_cap = run(3);
-            assert_eq!(at_cap.reason(), None, "{repr:?}");
-            assert_eq!(at_cap.into_value().state_count, 3, "{repr:?}");
+            assert_eq!(at_cap.reason(), None, "{repr}");
+            assert_eq!(at_cap.into_value().state_count, 3, "{repr}");
         }
+        check::<ExplicitFamily>();
+        check::<ZddFamily>();
     }
 
     #[test]
@@ -1110,7 +1064,7 @@ mod tests {
         use petri::ExhaustionReason;
         let budget = Budget::default();
         budget.cancel();
-        let outcome = analyze(
+        let outcome = analyze::<ZddFamily>(
             &models::nsdp(3),
             &GpoOptions::default(),
             &budget,
@@ -1122,16 +1076,21 @@ mod tests {
     }
 
     #[test]
-    fn valid_set_limit_enforced() {
-        let err = analyze_all_with(
-            &models::figures::fig2(8),
-            &GpoOptions {
-                valid_set_limit: 10,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, GpoError::ValidSetsTooLarge(10));
+    fn fig2_past_the_old_limit_needs_two_states() {
+        // 2^40 valid sets, far past the 2^24 the explicit enumeration was
+        // once capped at: still 2 GPN states and a replaying witness
+        let net = models::figures::fig2(40);
+        let report = analyze_all(&net).unwrap();
+        assert_eq!(report.state_count, 2);
+        assert!(report.deadlock_possible);
+        assert_eq!(report.valid_set_count, 1 << 40);
+        let (trace, witness) = (&report.deadlock_traces[0], &report.deadlock_witnesses[0]);
+        let reached = net
+            .fire_sequence(net.initial_marking(), trace.iter().copied())
+            .expect("safe")
+            .expect("fireable");
+        assert_eq!(&reached, witness);
+        assert!(net.is_dead(witness));
     }
 
     #[test]
@@ -1161,47 +1120,49 @@ mod tests {
         // the acceptance criterion of the concurrent-manager refactor:
         // same states, verdicts, witnesses, and work counters for every
         // thread count, under both representations
+        fn check<F: SetFamily>(net: &PetriNet) {
+            let repr = type_name::<F>();
+            let base = GpoOptions {
+                max_witnesses: 2,
+                ..Default::default()
+            };
+            let serial = analyze_all_with::<F>(net, &base).unwrap();
+            for threads in [2usize, 8] {
+                let par = analyze_all_with::<F>(
+                    net,
+                    &GpoOptions {
+                        threads,
+                        ..base.clone()
+                    },
+                )
+                .unwrap();
+                let tag = format!("{} {repr} threads={threads}", net.name());
+                assert_eq!(par.state_count, serial.state_count, "{tag}");
+                assert_eq!(par.deadlock_possible, serial.deadlock_possible, "{tag}");
+                assert_eq!(par.valid_set_count, serial.valid_set_count, "{tag}");
+                assert_eq!(par.deadlock_witnesses, serial.deadlock_witnesses, "{tag}");
+                assert_eq!(par.multiple_firings, serial.multiple_firings, "{tag}");
+                assert_eq!(par.single_firings, serial.single_firings, "{tag}");
+                assert_eq!(par.enabling_computed, serial.enabling_computed, "{tag}");
+                assert_eq!(par.enabling_reused, serial.enabling_reused, "{tag}");
+                assert_eq!(par.peak_footprint, serial.peak_footprint, "{tag}");
+            }
+        }
         for net in [
             models::figures::fig2(5),
             models::figures::fig7(),
             models::nsdp(3),
             models::readers_writers(4),
         ] {
-            for repr in [Representation::Explicit, Representation::Zdd] {
-                let base = GpoOptions {
-                    representation: repr,
-                    max_witnesses: 2,
-                    ..Default::default()
-                };
-                let serial = analyze_all_with(&net, &base).unwrap();
-                for threads in [2usize, 8] {
-                    let par = analyze_all_with(
-                        &net,
-                        &GpoOptions {
-                            threads,
-                            ..base.clone()
-                        },
-                    )
-                    .unwrap();
-                    let tag = format!("{} {repr:?} threads={threads}", net.name());
-                    assert_eq!(par.state_count, serial.state_count, "{tag}");
-                    assert_eq!(par.deadlock_possible, serial.deadlock_possible, "{tag}");
-                    assert_eq!(par.valid_set_count, serial.valid_set_count, "{tag}");
-                    assert_eq!(par.deadlock_witnesses, serial.deadlock_witnesses, "{tag}");
-                    assert_eq!(par.multiple_firings, serial.multiple_firings, "{tag}");
-                    assert_eq!(par.single_firings, serial.single_firings, "{tag}");
-                    assert_eq!(par.enabling_computed, serial.enabling_computed, "{tag}");
-                    assert_eq!(par.enabling_reused, serial.enabling_reused, "{tag}");
-                    assert_eq!(par.peak_footprint, serial.peak_footprint, "{tag}");
-                }
-            }
+            check::<ExplicitFamily>(&net);
+            check::<ZddFamily>(&net);
         }
     }
 
     #[test]
     fn parallel_traces_replay_to_their_witnesses() {
         let net = models::nsdp(3);
-        let report = analyze_all_with(
+        let report = analyze_all_with::<ZddFamily>(
             &net,
             &GpoOptions {
                 threads: 4,
@@ -1229,17 +1190,11 @@ mod tests {
 
     #[test]
     fn zdd_counters_populated_only_for_zdd_runs() {
-        let z = analyze_all_with(
-            &models::nsdp(3),
-            &GpoOptions {
-                representation: Representation::Zdd,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let z = analyze_all(&models::nsdp(3)).unwrap();
         assert!(z.zdd_nodes_allocated > 0);
         assert!(z.unique_hits > 0, "hash-consing never hit");
-        let e = analyze_all(&models::nsdp(3)).unwrap();
+        let e =
+            analyze_all_with::<ExplicitFamily>(&models::nsdp(3), &GpoOptions::default()).unwrap();
         assert_eq!(e.zdd_nodes_allocated, 0);
         assert_eq!(e.unique_hits, 0);
         assert_eq!(e.op_cache_hits, 0);
@@ -1256,67 +1211,69 @@ mod tests {
         let dir = ckpt_dir("ckpt");
         // caps chosen to interrupt mid-run: GPO collapses these models to
         // 3 and 2 states, so the partial run stores some but not all of them
+        fn check<F: SetFamily>(dir: &std::path::Path, i: usize, net: &PetriNet, cap: usize) {
+            let repr = type_name::<F>();
+            for threads in [1usize, 2] {
+                let tag = format!("{} {repr} threads={threads}", net.name());
+                let opts = GpoOptions {
+                    threads,
+                    max_witnesses: 2,
+                    ..Default::default()
+                };
+                let reference = analyze::<F>(
+                    net,
+                    &opts,
+                    &Budget::default(),
+                    &CheckpointConfig::default(),
+                    None,
+                )
+                .unwrap()
+                .into_value();
+                let path = dir.join(format!("{i}-{}-{threads}.ckpt", F::ENGINE_KIND.name()));
+                let partial = analyze::<F>(
+                    net,
+                    &opts,
+                    &Budget::default().cap_states(cap),
+                    &CheckpointConfig::at(&path),
+                    None,
+                )
+                .unwrap();
+                assert!(!partial.is_complete(), "{tag}");
+                let snap = petri::checkpoint::read_checkpoint(&path).unwrap();
+                let resumed = analyze::<F>(
+                    net,
+                    &opts,
+                    &Budget::default(),
+                    &CheckpointConfig::default(),
+                    Some(&snap),
+                )
+                .unwrap();
+                assert!(resumed.is_complete(), "{tag}");
+                let resumed = resumed.into_value();
+                assert_eq!(resumed.state_count, reference.state_count, "{tag}");
+                assert_eq!(
+                    resumed.deadlock_possible, reference.deadlock_possible,
+                    "{tag}"
+                );
+                assert_eq!(resumed.valid_set_count, reference.valid_set_count, "{tag}");
+                assert_eq!(
+                    resumed.deadlock_witnesses, reference.deadlock_witnesses,
+                    "{tag}"
+                );
+                assert_eq!(resumed.deadlock_traces, reference.deadlock_traces, "{tag}");
+                assert_eq!(
+                    resumed.multiple_firings, reference.multiple_firings,
+                    "{tag}"
+                );
+                assert_eq!(resumed.single_firings, reference.single_firings, "{tag}");
+            }
+        }
         for (i, (net, cap)) in [(models::nsdp(3), 2), (models::figures::fig2(4), 1)]
-            .iter()
+            .into_iter()
             .enumerate()
         {
-            for repr in [Representation::Explicit, Representation::Zdd] {
-                for threads in [1usize, 2] {
-                    let tag = format!("{} {repr:?} threads={threads}", net.name());
-                    let opts = GpoOptions {
-                        representation: repr,
-                        threads,
-                        max_witnesses: 2,
-                        ..Default::default()
-                    };
-                    let reference = analyze(
-                        net,
-                        &opts,
-                        &Budget::default(),
-                        &CheckpointConfig::default(),
-                        None,
-                    )
-                    .unwrap()
-                    .into_value();
-                    let path = dir.join(format!("{i}-{repr:?}-{threads}.ckpt"));
-                    let partial = analyze(
-                        net,
-                        &opts,
-                        &Budget::default().cap_states(*cap),
-                        &CheckpointConfig::at(&path),
-                        None,
-                    )
-                    .unwrap();
-                    assert!(!partial.is_complete(), "{tag}");
-                    let snap = petri::checkpoint::read_checkpoint(&path).unwrap();
-                    let resumed = analyze(
-                        net,
-                        &opts,
-                        &Budget::default(),
-                        &CheckpointConfig::default(),
-                        Some(&snap),
-                    )
-                    .unwrap();
-                    assert!(resumed.is_complete(), "{tag}");
-                    let resumed = resumed.into_value();
-                    assert_eq!(resumed.state_count, reference.state_count, "{tag}");
-                    assert_eq!(
-                        resumed.deadlock_possible, reference.deadlock_possible,
-                        "{tag}"
-                    );
-                    assert_eq!(resumed.valid_set_count, reference.valid_set_count, "{tag}");
-                    assert_eq!(
-                        resumed.deadlock_witnesses, reference.deadlock_witnesses,
-                        "{tag}"
-                    );
-                    assert_eq!(resumed.deadlock_traces, reference.deadlock_traces, "{tag}");
-                    assert_eq!(
-                        resumed.multiple_firings, reference.multiple_firings,
-                        "{tag}"
-                    );
-                    assert_eq!(resumed.single_firings, reference.single_firings, "{tag}");
-                }
-            }
+            check::<ExplicitFamily>(&dir, i, &net, cap);
+            check::<ZddFamily>(&dir, i, &net, cap);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1334,7 +1291,8 @@ mod tests {
                 ..Default::default()
             };
             let ckpt = CheckpointConfig::at(&path);
-            analyze(&net, &opts, &Budget::default().cap_states(2), &ckpt, None).unwrap();
+            analyze::<ZddFamily>(&net, &opts, &Budget::default().cap_states(2), &ckpt, None)
+                .unwrap();
             let snap = petri::checkpoint::read_checkpoint(&path).unwrap();
             snap.section(section::PRED).unwrap().to_vec()
         };
@@ -1350,7 +1308,7 @@ mod tests {
         let net = models::nsdp(4);
         let path = dir.join("periodic.ckpt");
         let opts = GpoOptions::default();
-        let outcome = analyze(
+        let outcome = analyze::<ZddFamily>(
             &net,
             &opts,
             &Budget::default(),
@@ -1365,7 +1323,7 @@ mod tests {
         let reference = outcome.into_value();
         // the last periodic snapshot resumes to the identical verdict
         let snap = petri::checkpoint::read_checkpoint(&path).unwrap();
-        let resumed = analyze(
+        let resumed = analyze::<ZddFamily>(
             &net,
             &opts,
             &Budget::default(),
@@ -1385,7 +1343,7 @@ mod tests {
         let dir = ckpt_dir("mismatch");
         let net = models::nsdp(3);
         let path = dir.join("explicit.ckpt");
-        analyze(
+        analyze::<ExplicitFamily>(
             &net,
             &GpoOptions::default(),
             &Budget::default().cap_states(1),
@@ -1396,12 +1354,9 @@ mod tests {
         let snap = petri::checkpoint::read_checkpoint(&path).unwrap();
         // wrong representation: the engine kind embedded in the snapshot
         // does not match the requested backend
-        let err = analyze(
+        let err = analyze::<ZddFamily>(
             &net,
-            &GpoOptions {
-                representation: Representation::Zdd,
-                ..Default::default()
-            },
+            &GpoOptions::default(),
             &Budget::default(),
             &CheckpointConfig::default(),
             Some(&snap),
@@ -1409,7 +1364,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, GpoError::Checkpoint(_)), "{err}");
         // wrong net: the fingerprint check refuses to resume
-        let err = analyze(
+        let err = analyze::<ExplicitFamily>(
             &models::figures::fig2(4),
             &GpoOptions::default(),
             &Budget::default(),
@@ -1423,17 +1378,13 @@ mod tests {
 
     /// The witnesses of `net` under `max_witnesses`, after checking that
     /// they are distinct dead markings whose traces replay.
-    fn replayed_witnesses(
-        net: &PetriNet,
-        representation: Representation,
-        max_witnesses: usize,
-    ) -> Vec<Marking> {
+    fn replayed_witnesses<F: SetFamily>(net: &PetriNet, max_witnesses: usize) -> Vec<Marking> {
+        let representation = type_name::<F>();
         let opts = GpoOptions {
-            representation,
             max_witnesses,
             ..Default::default()
         };
-        let report = analyze_all_with(net, &opts).unwrap();
+        let report = analyze_all_with::<F>(net, &opts).unwrap();
         let witnesses = report.deadlock_witnesses;
         assert_eq!(report.deadlock_traces.len(), witnesses.len());
         for (trace, witness) in report.deadlock_traces.iter().zip(&witnesses) {
@@ -1441,11 +1392,11 @@ mod tests {
                 .fire_sequence(net.initial_marking(), trace.iter().copied())
                 .expect("safe")
                 .expect("fireable");
-            assert_eq!(&reached, witness, "{representation:?}");
-            assert!(net.is_dead(witness), "{representation:?}");
+            assert_eq!(&reached, witness, "{representation}");
+            assert!(net.is_dead(witness), "{representation}");
         }
         let distinct: std::collections::HashSet<&Marking> = witnesses.iter().collect();
-        assert_eq!(distinct.len(), witnesses.len(), "{representation:?}");
+        assert_eq!(distinct.len(), witnesses.len(), "{representation}");
         witnesses
     }
 
@@ -1461,10 +1412,8 @@ mod tests {
             b.transition(format!("right{i}"), [c], [r]);
         }
         let net = b.build().unwrap();
-        for representation in [Representation::Explicit, Representation::Zdd] {
-            let witnesses = replayed_witnesses(&net, representation, 100);
-            assert_eq!(witnesses.len(), 100, "{representation:?}");
-        }
+        assert_eq!(replayed_witnesses::<ExplicitFamily>(&net, 100).len(), 100);
+        assert_eq!(replayed_witnesses::<ZddFamily>(&net, 100).len(), 100);
     }
 
     #[test]
@@ -1476,17 +1425,16 @@ mod tests {
         b.transition("t2", [p], [q]);
         let net = b.build().unwrap();
         let dead = Marking::from_places(net.place_count(), [q]);
-        for representation in [Representation::Explicit, Representation::Zdd] {
-            assert_eq!(
-                replayed_witnesses(&net, representation, 3),
-                vec![dead.clone()]
-            );
-        }
+        assert_eq!(
+            replayed_witnesses::<ExplicitFamily>(&net, 3),
+            vec![dead.clone()]
+        );
+        assert_eq!(replayed_witnesses::<ZddFamily>(&net, 3), vec![dead]);
     }
 
     #[test]
     fn witness_budget_respected() {
-        let report = analyze_all_with(
+        let report = analyze_all_with::<ZddFamily>(
             &models::figures::fig2(3),
             &GpoOptions {
                 max_witnesses: 3,

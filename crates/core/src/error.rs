@@ -7,10 +7,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum GpoError {
-    /// The valid-set relation `r₀` would exceed the configured number of
-    /// explicitly enumerated sets. Raise the limit or switch to the ZDD
-    /// representation.
-    ValidSetsTooLarge(usize),
     /// The parallel frontier engine failed (a worker panicked or the
     /// dense state-id space overflowed).
     Engine(petri::NetError),
@@ -21,10 +17,6 @@ pub enum GpoError {
 impl fmt::Display for GpoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GpoError::ValidSetsTooLarge(limit) => write!(
-                f,
-                "valid-set relation exceeds the limit of {limit} enumerated sets"
-            ),
             GpoError::Engine(e) => write!(f, "parallel exploration failed: {e}"),
             GpoError::Checkpoint(detail) => write!(f, "checkpoint error: {detail}"),
         }
@@ -53,8 +45,8 @@ mod tests {
     #[test]
     fn displays_are_informative() {
         assert_eq!(
-            GpoError::ValidSetsTooLarge(10).to_string(),
-            "valid-set relation exceeds the limit of 10 enumerated sets"
+            GpoError::Engine(petri::NetError::WorkerPanicked).to_string(),
+            "parallel exploration failed: an exploration worker thread panicked"
         );
         assert_eq!(
             GpoError::Checkpoint("bad magic".into()).to_string(),

@@ -1,22 +1,27 @@
 //! Families of transition sets — the "colored token" payloads of a
 //! Generalized Petri Net marking (`P → 2^(2^T)`).
 //!
-//! Two interchangeable representations implement [`SetFamily`]:
+//! Two representations implement [`SetFamily`]:
 //!
-//! * [`ExplicitFamily`] — a canonical sorted vector of transition bit sets;
-//!   simple and fast at the paper's benchmark scales;
 //! * [`ZddFamily`] — a zero-suppressed decision diagram sharing structure
 //!   between sets, which keeps exponentially large valid-set relations
 //!   (e.g. products of many independent choices) polynomial in memory.
+//!   It is the representation every production caller of
+//!   [`analyze`](crate::analyze) names;
+//! * [`ExplicitFamily`] — a canonical sorted vector of transition bit sets.
+//!   It is the reference the tests and the `ablation_family` benchmark run
+//!   the analysis against.
 //!
-//! The generalized analysis is generic over this trait; the `ablation_family`
-//! benchmark compares the two.
+//! The generalized analysis is generic over this trait, and the type
+//! parameter alone selects the representation: both give the same states,
+//! verdicts, counters, witnesses and traces, because both list witness
+//! histories in one order ([`SetFamily::some_sets`]).
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use petri::BitSet;
+use petri::{BitSet, EngineKind};
 use symbolic::{ConcurrentZdd, ZddRef, ZDD_EMPTY, ZDD_UNIT};
 
 /// Allocation and caching statistics of a family representation's backing
@@ -45,6 +50,11 @@ pub trait SetFamily: Clone + Eq + Hash + fmt::Debug + Send + Sync {
     /// shareable across the worker threads of a parallel exploration.
     type Context: Clone + Send + Sync;
 
+    /// The engine kind of the analysis snapshots this representation
+    /// writes: their `FAMILIES` payloads are not interchangeable, so a
+    /// snapshot only resumes under the representation that wrote it.
+    const ENGINE_KIND: EngineKind;
+
     /// Creates the context for a universe of `universe` transitions.
     fn new_context(universe: usize) -> Self::Context;
 
@@ -69,9 +79,14 @@ pub trait SetFamily: Clone + Eq + Hash + fmt::Debug + Send + Sync {
         Self::from_sets(ctx, universe, &acc)
     }
 
-    /// Materializes at most `k` sets — cheap even for huge families.
+    /// Materializes the first `k` sets in the ZDD's depth-first order: of
+    /// two sets, the one without their lowest differing transition comes
+    /// first. Every representation lists the same sets, so witnesses do
+    /// not depend on it. The ZDD walks only as far as `k` sets, which is
+    /// cheap even for huge families; the default sorts all of them.
     fn some_sets(&self, k: usize) -> Vec<BitSet> {
         let mut all = self.sets();
+        all.sort_by(depth_first_order);
         all.truncate(k);
         all
     }
@@ -177,6 +192,23 @@ pub trait SetFamily: Clone + Eq + Hash + fmt::Debug + Send + Sync {
     }
 }
 
+/// The order of [`SetFamily::some_sets`]: at the lowest transition in
+/// which `a` and `b` differ, the set without it comes first.
+fn depth_first_order(a: &BitSet, b: &BitSet) -> std::cmp::Ordering {
+    match a
+        .as_blocks()
+        .iter()
+        .zip(b.as_blocks())
+        .find(|(x, y)| x != y)
+    {
+        None => std::cmp::Ordering::Equal,
+        Some((x, y)) => {
+            let lowest = (x ^ y).trailing_zeros();
+            ((x >> lowest) & 1).cmp(&((y >> lowest) & 1))
+        }
+    }
+}
+
 /// Little-endian u64 append for the family encoders.
 fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -271,6 +303,8 @@ impl fmt::Debug for ExplicitFamily {
 
 impl SetFamily for ExplicitFamily {
     type Context = ();
+
+    const ENGINE_KIND: EngineKind = EngineKind::GpoExplicit;
 
     fn new_context(_universe: usize) -> Self::Context {}
 
@@ -451,6 +485,8 @@ impl fmt::Debug for ZddFamily {
 
 impl SetFamily for ZddFamily {
     type Context = Arc<ConcurrentZdd>;
+
+    const ENGINE_KIND: EngineKind = EngineKind::GpoZdd;
 
     fn new_context(universe: usize) -> Self::Context {
         Arc::new(ConcurrentZdd::new(universe))

@@ -22,12 +22,13 @@
 //!   markings;
 //! * [`analyze`] — the §3.3 reachability algorithm with the deadlock-
 //!   possibility check `⋃ s_enabled(t,s) ≠ r`;
-//! * [`SetFamily`] with [`ExplicitFamily`] and [`ZddFamily`] backends.
+//! * [`SetFamily`] with the [`ZddFamily`] backend every production caller
+//!   names, and the [`ExplicitFamily`] reference the tests compare it to.
 //!
 //! # Example: exponential → constant
 //!
 //! ```
-//! use gpo_core::analyze;
+//! use gpo_core::{analyze, ZddFamily};
 //! use partial_order::ReducedReachability;
 //! use petri::{Budget, CheckpointConfig};
 //!
@@ -35,7 +36,7 @@
 //! let net = models::figures::fig2(8);
 //! let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
 //! let po = ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?;
-//! let gpo = analyze(&net, &Default::default(), &budget, &ckpt, None)?;
+//! let gpo = analyze::<ZddFamily>(&net, &Default::default(), &budget, &ckpt, None)?;
 //! assert_eq!(po.value().state_count(), (1 << 9) - 1); // 511: reduction is powerless
 //! assert_eq!(gpo.value().state_count, 2);             // the generalized analysis
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -50,7 +51,7 @@ mod family;
 mod semantics;
 mod state;
 
-pub use analysis::{analyze, GpoOptions, GpoReport, Representation};
+pub use analysis::{analyze, GpoOptions, GpoReport};
 pub use error::GpoError;
 pub use family::{ExplicitFamily, FamilyStats, SetFamily, ZddFamily};
 pub use semantics::{
@@ -59,16 +60,21 @@ pub use semantics::{
 };
 pub use state::GpnState;
 
-/// Test shorthand: the complete generalized analysis of `net`.
+/// Test shorthand: the complete generalized analysis of `net` on the
+/// production representation.
 #[cfg(test)]
 fn analyze_all(net: &petri::PetriNet) -> Result<GpoReport, GpoError> {
-    analyze_all_with(net, &GpoOptions::default())
+    analyze_all_with::<ZddFamily>(net, &GpoOptions::default())
 }
 
-/// Test shorthand: the complete generalized analysis of `net` under `opts`.
+/// Test shorthand: the complete generalized analysis of `net` under `opts`
+/// on families of representation `F`.
 #[cfg(test)]
-fn analyze_all_with(net: &petri::PetriNet, opts: &GpoOptions) -> Result<GpoReport, GpoError> {
-    analyze(
+fn analyze_all_with<F: SetFamily>(
+    net: &petri::PetriNet,
+    opts: &GpoOptions,
+) -> Result<GpoReport, GpoError> {
+    analyze::<F>(
         net,
         opts,
         &petri::Budget::default(),

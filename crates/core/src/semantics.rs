@@ -415,7 +415,7 @@ mod tests {
         let (a, b, c, d) = (t("A"), t("B"), t("C"), t("D"));
         let (ai, bi, ci, di) = (a.index(), b.index(), c.index(), d.index());
         F::new_context(u);
-        let s0 = GpnState::<F>::initial(&net, &(), 100).unwrap();
+        let s0 = GpnState::<F>::initial(&net, &());
 
         // m_enabled(A, s0) = {{A,C},{A,D}}, m_enabled(B, s0) = {{B,C},{B,D}}
         let ea = m_enabled(&net, &s0, a);
@@ -470,7 +470,7 @@ mod tests {
         let net = models::figures::fig3();
         let u = net.transition_count();
         F::new_context(u);
-        let s0 = GpnState::<F>::initial(&net, &(), 100).unwrap();
+        let s0 = GpnState::<F>::initial(&net, &());
         let t = |n: &str| net.transition_by_name(n).unwrap();
         let s1 = multiple_update(&net, &s0, &[t("A"), t("B")]);
         // D's inputs hold mutually conflicting colors: not even single enabled
@@ -490,7 +490,7 @@ mod tests {
         let net = models::figures::fig4();
         let u = net.transition_count();
         F::new_context(u);
-        let s0 = GpnState::<F>::initial(&net, &(), 100).unwrap();
+        let s0 = GpnState::<F>::initial(&net, &());
         let a = net.transition_by_name("A").unwrap();
         let b = net.transition_by_name("B").unwrap();
         let s1 = multiple_update(&net, &s0, &[a, b]);
@@ -512,7 +512,7 @@ mod tests {
     fn multiple_enabled_implies_single_enabled() {
         let net = models::figures::fig7();
         F::new_context(net.transition_count());
-        let s0 = GpnState::<F>::initial(&net, &(), 100).unwrap();
+        let s0 = GpnState::<F>::initial(&net, &());
         for t in net.transitions() {
             if !m_enabled(&net, &s0, t).is_empty() {
                 assert!(
@@ -528,7 +528,7 @@ mod tests {
     fn deadlock_check_on_terminal_state() {
         let net = models::figures::fig2(2);
         F::new_context(net.transition_count());
-        let s0 = GpnState::<F>::initial(&net, &(), 100).unwrap();
+        let s0 = GpnState::<F>::initial(&net, &());
         assert!(!deadlock_possible(&net, &s0));
         let fired: Vec<_> = net.transitions().collect();
         let s1 = multiple_update(&net, &s0, &fired);
@@ -552,7 +552,7 @@ mod tests {
         ] {
             let conflicts = petri::ConflictInfo::new(&net);
             F::new_context(net.transition_count());
-            let s0 = GpnState::<F>::initial(&net, &(), 10_000).unwrap();
+            let s0 = GpnState::<F>::initial(&net, &());
             let mut probe = vec![s0.clone()];
             let fired: Vec<_> = net
                 .transitions()
@@ -594,7 +594,7 @@ mod tests {
     fn update_with_agrees_with_plain_updates() {
         let net = models::figures::fig7();
         F::new_context(net.transition_count());
-        let s0 = GpnState::<F>::initial(&net, &(), 100).unwrap();
+        let s0 = GpnState::<F>::initial(&net, &());
         let conflicts = petri::ConflictInfo::new(&net);
         let s_en = s_enabled_all(&net, &conflicts, &s0);
         let m_en = m_enabled_all(&net, &conflicts, &s0);

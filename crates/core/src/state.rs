@@ -5,10 +5,14 @@
 //! place — the colors of §3.1), and `r` is the set of *valid* transition
 //! sets. The initial state of the analysis puts `r₀` — the maximal
 //! conflict-free transition sets — in every initially marked place (§3.3).
+//! `r₀` is the product of one maximal independent set per conflict
+//! cluster (its factored choice-group form), so it can hold exponentially
+//! many sets (2^N on the paper's Fig. 2); a [`ZddFamily`](crate::ZddFamily)
+//! builds it as a join of the clusters and never lists the product, while
+//! the explicit reference enumerates it.
 
 use petri::{BitSet, ConflictInfo, Marking, PetriNet, PlaceId};
 
-use crate::error::GpoError;
 use crate::family::SetFamily;
 
 /// A state `⟨m, r⟩` of a Generalized Petri Net.
@@ -26,10 +30,9 @@ use crate::family::SetFamily;
 ///
 /// let net = models::figures::fig7();
 /// let ctx = ExplicitFamily::new_context(net.transition_count());
-/// let s0 = GpnState::<ExplicitFamily>::initial(&net, &ctx, 1 << 20)?;
+/// let s0 = GpnState::<ExplicitFamily>::initial(&net, &ctx);
 /// // r0 = {{A,C},{A,D},{B,C},{B,D}} as computed in the paper
 /// assert_eq!(s0.valid().count(), 4);
-/// # Ok::<(), gpo_core::GpoError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GpnState<F: SetFamily> {
@@ -41,41 +44,19 @@ impl<F: SetFamily> GpnState<F> {
     /// Builds the initial GPN state of `net` per §3.3: `r₀` is the family
     /// of maximal conflict-free transition sets, `m₀(p) = r₀` for marked
     /// places and `∅` elsewhere.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpoError::ValidSetsTooLarge`] if `r₀` would exceed
-    /// `valid_set_limit` sets (only the enumeration is bounded — a ZDD
-    /// representation can afford a much higher limit).
-    pub fn initial(
-        net: &PetriNet,
-        ctx: &F::Context,
-        valid_set_limit: usize,
-    ) -> Result<Self, GpoError> {
+    pub fn initial(net: &PetriNet, ctx: &F::Context) -> Self {
         let conflicts = ConflictInfo::new(net);
-        Self::initial_with_conflicts(net, &conflicts, ctx, valid_set_limit)
+        Self::initial_with_conflicts(net, &conflicts, ctx)
     }
 
     /// Like [`initial`](Self::initial) with a precomputed conflict
     /// structure.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpoError::ValidSetsTooLarge`] when `r₀` exceeds the limit.
     pub fn initial_with_conflicts(
         net: &PetriNet,
         conflicts: &ConflictInfo,
         ctx: &F::Context,
-        valid_set_limit: usize,
-    ) -> Result<Self, GpoError> {
-        if conflicts.conflict_free_set_count() > valid_set_limit as u128 {
-            return Err(GpoError::ValidSetsTooLarge(valid_set_limit));
-        }
+    ) -> Self {
         let universe = net.transition_count();
-        // r₀ is built from its factored choice-group form: the explicit
-        // representation enumerates the product (bounded by the limit
-        // check above); the ZDD representation joins the groups directly
-        // and never materializes it.
         let valid = F::from_choice_groups(ctx, universe, &conflicts.choice_groups());
         let empty = F::empty(ctx, universe);
         let marking = net
@@ -88,7 +69,7 @@ impl<F: SetFamily> GpnState<F> {
                 }
             })
             .collect();
-        Ok(GpnState { marking, valid })
+        GpnState { marking, valid }
     }
 
     /// Builds a state directly from per-place families and a valid-set
@@ -160,7 +141,7 @@ impl<F: SetFamily> petri::parallel::FrontierState for GpnState<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::family::ExplicitFamily;
+    use crate::family::{ExplicitFamily, ZddFamily};
 
     fn bs(universe: usize, elems: &[usize]) -> BitSet {
         BitSet::from_iter_with_capacity(universe, elems.iter().copied())
@@ -170,7 +151,7 @@ mod tests {
     fn initial_state_of_fig7_matches_paper() {
         let net = models::figures::fig7();
         ExplicitFamily::new_context(net.transition_count());
-        let s0 = GpnState::<ExplicitFamily>::initial(&net, &(), 100).unwrap();
+        let s0 = GpnState::<ExplicitFamily>::initial(&net, &());
         // r0 = {{A,C},{A,D},{B,C},{B,D}}
         let t = |n: &str| net.transition_by_name(n).unwrap().index();
         let u = net.transition_count();
@@ -188,24 +169,27 @@ mod tests {
     fn initial_mapping_is_exactly_m0() {
         let net = models::figures::fig7();
         ExplicitFamily::new_context(net.transition_count());
-        let s0 = GpnState::<ExplicitFamily>::initial(&net, &(), 100).unwrap();
+        let s0 = GpnState::<ExplicitFamily>::initial(&net, &());
         let mapped = s0.mapping(&net);
         assert_eq!(mapped, vec![net.initial_marking().clone()]);
     }
 
     #[test]
-    fn valid_set_limit_is_enforced() {
-        let net = models::figures::fig2(8); // 2^8 = 256 valid sets
-        ExplicitFamily::new_context(net.transition_count());
-        let err = GpnState::<ExplicitFamily>::initial(&net, &(), 100).unwrap_err();
-        assert_eq!(err, GpoError::ValidSetsTooLarge(100));
+    fn r0_past_the_old_limit_is_built_as_a_zdd() {
+        // 2^30 valid sets, far past the 2^24 sets the explicit
+        // enumeration was once capped at, in two nodes per conflict pair
+        let net = models::figures::fig2(30);
+        let ctx = ZddFamily::new_context(net.transition_count());
+        let s0 = GpnState::<ZddFamily>::initial(&net, &ctx);
+        assert_eq!(s0.valid().count(), 1 << 30);
+        assert_eq!(s0.valid().footprint(), 2 * 30);
     }
 
     #[test]
     fn footprint_sums_places_and_valid() {
         let net = models::figures::fig1();
         ExplicitFamily::new_context(net.transition_count());
-        let s0 = GpnState::<ExplicitFamily>::initial(&net, &(), 100).unwrap();
+        let s0 = GpnState::<ExplicitFamily>::initial(&net, &());
         // fig1: no conflicts -> r0 = {{A,B,C}}: 1 set; 3 marked places
         assert_eq!(s0.valid().count(), 1);
         assert_eq!(s0.footprint(), 3 + 1);

@@ -5,10 +5,12 @@
 //! drive the deterministic random-net generator in `models::random`, so
 //! every failure is replayable.
 
-use gpo_core::{GpoOptions, Representation};
+use gpo_core::{ExplicitFamily, GpoOptions, SetFamily, ZddFamily};
 use models::random::{random_safe_net, RandomNetConfig};
-use petri::{Budget, CheckpointConfig, Outcome};
+use petri::{BitSet, Budget, CheckpointConfig, Outcome};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn config() -> RandomNetConfig {
     RandomNetConfig {
@@ -40,10 +42,7 @@ proptest! {
     fn gpo_deadlock_verdict_matches_exhaustive(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &config()) else { return Ok(()); };
         let full = explore_full(&net).expect("validated safe");
-        let gpo = analyze_all_with(&net, &GpoOptions {
-            valid_set_limit: 1 << 16,
-            ..Default::default()
-        });
+        let gpo = analyze_all_with::<ZddFamily>(&net, &GpoOptions::default());
         let Ok(gpo) = gpo else { return Ok(()); };
         prop_assert_eq!(
             gpo.deadlock_possible,
@@ -58,8 +57,7 @@ proptest! {
     #[test]
     fn gpo_witnesses_are_reachable_deadlocks(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &small_config()) else { return Ok(()); };
-        let gpo = analyze_all_with(&net, &GpoOptions {
-            valid_set_limit: 1 << 16,
+        let gpo = analyze_all_with::<ZddFamily>(&net, &GpoOptions {
             max_witnesses: 4,
             ..Default::default()
         });
@@ -73,22 +71,48 @@ proptest! {
     }
 
     /// The ZDD-backed representation is observationally identical to the
-    /// explicit one.
+    /// explicit one, witnesses and their traces included.
     #[test]
     fn zdd_and_explicit_representations_agree(seed in 0u64..50_000) {
         let Some(net) = random_safe_net(seed, &small_config()) else { return Ok(()); };
-        let mk = |repr| analyze_all_with(&net, &GpoOptions {
-            valid_set_limit: 1 << 16,
-            representation: repr,
+        let opts = GpoOptions {
+            max_witnesses: 3,
             ..Default::default()
-        });
-        let (Ok(e), Ok(z)) = (mk(Representation::Explicit), mk(Representation::Zdd)) else {
+        };
+        let (Ok(e), Ok(z)) = (
+            analyze_all_with::<ExplicitFamily>(&net, &opts),
+            analyze_all_with::<ZddFamily>(&net, &opts),
+        ) else {
             return Ok(());
         };
         prop_assert_eq!(e.state_count, z.state_count);
         prop_assert_eq!(e.deadlock_possible, z.deadlock_possible);
         prop_assert_eq!(e.valid_set_count, z.valid_set_count);
         prop_assert_eq!(e.multiple_firings, z.multiple_firings);
+        prop_assert_eq!(&e.deadlock_witnesses, &z.deadlock_witnesses, "\n{}", petri::to_text(&net));
+        prop_assert_eq!(&e.deadlock_traces, &z.deadlock_traces, "\n{}", petri::to_text(&net));
+    }
+
+    /// Both representations list the same first `k` sets of a family, in
+    /// the same order, over universes of one to three bit-set blocks.
+    #[test]
+    fn some_sets_agree_across_representations(seed in 0u64..100_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let universe = rng.gen_range(1..150usize);
+        let density = rng.gen_range(1..10u32) as f64 / 10.0;
+        let sets: Vec<BitSet> = (0..rng.gen_range(0..40usize))
+            .map(|_| {
+                BitSet::from_iter_with_capacity(
+                    universe,
+                    (0..universe).filter(|_| rng.gen_bool(density)),
+                )
+            })
+            .collect();
+        let e = ExplicitFamily::from_sets(&(), universe, &sets);
+        let z = ZddFamily::from_sets(&ZddFamily::new_context(universe), universe, &sets);
+        for k in [0, 1, 3, sets.len(), sets.len() + 1] {
+            prop_assert_eq!(e.some_sets(k), z.some_sets(k), "k={} universe={}", k, universe);
+        }
     }
 
     /// Termination sanity: GPN states carry richer identity (families and
@@ -101,9 +125,9 @@ proptest! {
     fn gpo_terminates_within_generous_bound(seed in 0u64..50_000) {
         let Some(net) = random_safe_net(seed, &config()) else { return Ok(()); };
         let full = explore_full(&net).expect("validated safe");
-        let Ok(Outcome::Complete(gpo)) = gpo_core::analyze(
+        let Ok(Outcome::Complete(gpo)) = gpo_core::analyze::<ZddFamily>(
             &net,
-            &GpoOptions { valid_set_limit: 1 << 16, ..Default::default() },
+            &GpoOptions::default(),
             &Budget::default().cap_states(full.state_count() * 50 + 100),
             &CheckpointConfig::default(),
             None,
@@ -124,7 +148,7 @@ fn gpo_reduces_on_paper_workloads() {
     ];
     for (net, expected) in cases {
         let full = explore_full(&net).unwrap();
-        let gpo = analyze_all_with(&net, &GpoOptions::default()).unwrap();
+        let gpo = analyze_all_with::<ZddFamily>(&net, &GpoOptions::default()).unwrap();
         assert_eq!(gpo.state_count, expected, "{}", net.name());
         assert!(gpo.state_count < full.state_count(), "{}", net.name());
     }
@@ -136,9 +160,7 @@ fn gpo_reduces_on_paper_workloads() {
 /// identical.)
 #[test]
 fn mapping_consistency_on_models() {
-    use gpo_core::{
-        multiple_update, s_enabled, single_update, ExplicitFamily, GpnState, SetFamily,
-    };
+    use gpo_core::{multiple_update, s_enabled, single_update, GpnState};
     use petri::TransitionId;
 
     for net in [
@@ -149,7 +171,7 @@ fn mapping_consistency_on_models() {
     ] {
         let full = explore_full(&net).unwrap();
         ExplicitFamily::new_context(net.transition_count());
-        let s0 = GpnState::<ExplicitFamily>::initial(&net, &(), 1 << 12).unwrap();
+        let s0 = GpnState::<ExplicitFamily>::initial(&net, &());
 
         // walk a few GPN states: fire every multiple-enabled cluster, then
         // singles, checking the mapping at each state
@@ -198,12 +220,13 @@ fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri
     .map(petri::Outcome::into_value)
 }
 
-/// The complete generalized analysis of `net` under `opts`.
-fn analyze_all_with(
+/// The complete generalized analysis of `net` under `opts` on families of
+/// representation `F`.
+fn analyze_all_with<F: SetFamily>(
     net: &petri::PetriNet,
     opts: &gpo_core::GpoOptions,
 ) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
-    gpo_core::analyze(
+    gpo_core::analyze::<F>(
         net,
         opts,
         &petri::Budget::default(),

@@ -21,7 +21,6 @@ fn query(net: &PetriNet, q: Vec<PlaceId>) -> Option<petri::Marking> {
     analyze_all_with(
         net,
         &GpoOptions {
-            valid_set_limit: 1 << 20,
             coverage_query: q,
             ..Default::default()
         },
@@ -112,7 +111,6 @@ proptest! {
             .map(|&i| PlaceId::new(i % net.place_count()))
             .collect();
         let Ok(report) = analyze_all_with(&net, &GpoOptions {
-            valid_set_limit: 1 << 14,
             coverage_query: q.clone(),
             ..Default::default()
         }) else { return Ok(()); };
@@ -138,12 +136,13 @@ fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri
     .map(petri::Outcome::into_value)
 }
 
-/// The complete generalized analysis of `net` under `opts`.
+/// The complete generalized analysis of `net` under `opts` on the
+/// production representation.
 fn analyze_all_with(
     net: &petri::PetriNet,
     opts: &gpo_core::GpoOptions,
 ) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
-    gpo_core::analyze(
+    gpo_core::analyze::<gpo_core::ZddFamily>(
         net,
         opts,
         &petri::Budget::default(),

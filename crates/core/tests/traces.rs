@@ -40,7 +40,6 @@ fn nsdp_traces_replay() {
         replay_check(
             &models::nsdp(n),
             &GpoOptions {
-                valid_set_limit: 1 << 22,
                 max_witnesses: 2,
                 ..Default::default()
             },
@@ -51,14 +50,7 @@ fn nsdp_traces_replay() {
 #[test]
 fn nsdp_trace_is_the_circular_wait() {
     let net = models::nsdp(3);
-    let report = analyze_all_with(
-        &net,
-        &GpoOptions {
-            valid_set_limit: 1 << 22,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let report = analyze_all_with(&net, &GpoOptions::default()).unwrap();
     let trace = &report.deadlock_traces[0];
     // 3 getHungry + 3 same-side grabs
     assert_eq!(trace.len(), 6);
@@ -86,7 +78,6 @@ fn figure_nets_traces_replay() {
         replay_check(
             &net,
             &GpoOptions {
-                valid_set_limit: 1 << 22,
                 max_witnesses: 3,
                 ..Default::default()
             },
@@ -110,7 +101,6 @@ proptest! {
         };
         let Some(net) = random_safe_net(seed, &cfg) else { return Ok(()); };
         let Ok(report) = analyze_all_with(&net, &GpoOptions {
-            valid_set_limit: 1 << 16,
             max_witnesses: 3,
             ..Default::default()
         }) else { return Ok(()); };
@@ -125,12 +115,13 @@ proptest! {
     }
 }
 
-/// The complete generalized analysis of `net` under `opts`.
+/// The complete generalized analysis of `net` under `opts` on the
+/// production representation.
 fn analyze_all_with(
     net: &petri::PetriNet,
     opts: &gpo_core::GpoOptions,
 ) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
-    gpo_core::analyze(
+    gpo_core::analyze::<gpo_core::ZddFamily>(
         net,
         opts,
         &petri::Budget::default(),

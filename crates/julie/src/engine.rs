@@ -8,7 +8,7 @@
 //! admission, the checkpoint checks and the `--engine=auto` schedule all
 //! read it, so adding an engine is adding one row.
 
-use gpo_core::{analyze, GpoOptions, Representation};
+use gpo_core::{analyze, GpoOptions, ZddFamily};
 use partial_order::{ReducedOptions, ReducedReachability, SeedStrategy};
 use petri::{
     Budget, CheckpointConfig, CompiledProperty, ExploreOptions, Marking, Outcome, PetriNet,
@@ -100,7 +100,8 @@ pub fn check_selector(name: &str) -> Result<(), String> {
 pub struct RunSpec {
     /// Engine selector: a name from [`ENGINES`], or `auto`.
     pub engine: String,
-    /// ZDD-backed families for the gpo engine.
+    /// Ignored: the gpo engine always runs on ZDD families. Kept so that
+    /// callers which still set it (from an accepted `--zdd`) compile.
     pub zdd: bool,
     /// Deadlock witnesses to report.
     pub witnesses: usize,
@@ -337,18 +338,12 @@ fn run_gpo(run: &Run) -> Result<CheckReport, String> {
         );
     }
     let opts = GpoOptions {
-        valid_set_limit: 1 << 24,
-        representation: if run.spec.zdd {
-            Representation::Zdd
-        } else {
-            Representation::Explicit
-        },
         max_witnesses: run.spec.witnesses,
         threads: run.spec.threads,
         coverage_query: Vec::new(),
     };
-    let outcome =
-        analyze(run.net, &opts, run.budget, run.ckpt, run.resume).map_err(|e| e.to_string())?;
+    let outcome = analyze::<ZddFamily>(run.net, &opts, run.budget, run.ckpt, run.resume)
+        .map_err(|e| e.to_string())?;
     let (mut report, gpo) = run.open("generalized partial order analysis", outcome);
     report.states = gpo.state_count;
     report.states_line = format!("GPN states: {}", gpo.state_count);
@@ -356,19 +351,17 @@ fn run_gpo(run: &Run) -> Result<CheckReport, String> {
         .detail_lines
         .push(format!("valid sets |r0|: {}", gpo.valid_set_count));
     report.details.push(("valid_sets", gpo.valid_set_count));
-    if gpo.zdd_nodes_allocated > 0 {
-        report.detail_lines.push(format!(
-            "zdd: {} nodes allocated, {} unique-table hits, {} op-cache hits, \
-             {} op-cache evictions",
-            gpo.zdd_nodes_allocated, gpo.unique_hits, gpo.op_cache_hits, gpo.op_cache_evictions
-        ));
-        report.details.extend([
-            ("zdd_nodes_allocated", gpo.zdd_nodes_allocated),
-            ("unique_hits", gpo.unique_hits),
-            ("op_cache_hits", gpo.op_cache_hits),
-            ("op_cache_evictions", gpo.op_cache_evictions),
-        ]);
-    }
+    report.detail_lines.push(format!(
+        "zdd: {} nodes allocated, {} unique-table hits, {} op-cache hits, \
+         {} op-cache evictions",
+        gpo.zdd_nodes_allocated, gpo.unique_hits, gpo.op_cache_hits, gpo.op_cache_evictions
+    ));
+    report.details.extend([
+        ("zdd_nodes_allocated", gpo.zdd_nodes_allocated),
+        ("unique_hits", gpo.unique_hits),
+        ("op_cache_hits", gpo.op_cache_hits),
+        ("op_cache_evictions", gpo.op_cache_evictions),
+    ]);
     settle(&mut report, gpo.deadlock_possible);
     report.witnesses = gpo
         .deadlock_witnesses

@@ -11,7 +11,7 @@
 //! options:
 //!   --engine=ENGINE                full|po|gpo|pdr|bdd|unfold|auto (default: gpo);
 //!                                  auto races engines, first sound verdict wins
-//!   --zdd                          ZDD-backed families for the gpo engine
+//!   --zdd                          accepted and ignored (gpo always uses ZDD families)
 //!   --property=PROP                property to verify (default: `EF deadlock`)
 //!   --property-file=PATH           read the property from a file
 //!   --format=net|pnml              input format (default: by extension/content)
@@ -182,7 +182,8 @@ options:
                                (default: 250)
   --watchdog-secs=SECS         cancel any single leg running longer than
                                SECS (its partial result still competes)
-  --zdd                        ZDD-backed families for the gpo engine
+  --zdd                        accepted and changes nothing: the gpo engine
+                               always runs on ZDD families
   --property=PROP              property to verify (default: EF deadlock).
                                PROP is (EF|AG) over atoms m(place) >= k,
                                m(place) = k, fireable(transition), and

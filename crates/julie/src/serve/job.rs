@@ -28,7 +28,9 @@ pub const SPEC_SECTION: u32 = 0x5350_4543; // "SPEC"
 /// Section tag for the serialized terminal result inside `result.job`.
 pub const RESULT_SECTION: u32 = 0x5253_4C54; // "RSLT"
 
-/// An admitted verification job, exactly as journaled.
+/// An admitted verification job, exactly as journaled. A `zdd` field in a
+/// submission or an older journal is ignored: gpo always runs on ZDD
+/// families.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Server-assigned id, `j%06d`.
@@ -41,8 +43,6 @@ pub struct JobSpec {
     pub fingerprint: u64,
     /// Engine selector: a name from [`crate::engine::ENGINES`], or `auto`.
     pub engine: String,
-    /// ZDD-backed families for the gpo engine.
-    pub zdd: bool,
     /// The property to verify, in canonical text form (validated and
     /// canonicalized at admission; default `EF deadlock`).
     pub property: String,
@@ -118,7 +118,6 @@ impl JobSpec {
             net_name: net.name().to_string(),
             fingerprint: net.fingerprint(),
             engine,
-            zdd: body.get("zdd").and_then(Json::as_bool).unwrap_or(false),
             property: property.to_string(),
             witnesses: uint("witnesses", 1)?,
             threads: uint("threads", 1)?.max(1),
@@ -173,10 +172,9 @@ impl JobSpec {
             return None;
         }
         Some(format!(
-            "{:016x}/{}/zdd={}/s={}/m={}/t={}/w={}/p={}",
+            "{:016x}/{}/s={}/m={}/t={}/w={}/p={}",
             self.fingerprint,
             engine,
-            self.zdd,
             self.max_states,
             self.mem_limit_mb,
             self.threads,
@@ -191,7 +189,6 @@ impl JobSpec {
             ("net".into(), Json::str(&self.net_text)),
             ("net_name".into(), Json::str(&self.net_name)),
             ("engine".into(), Json::str(&self.engine)),
-            ("zdd".into(), Json::Bool(self.zdd)),
             ("property".into(), Json::str(&self.property)),
             ("witnesses".into(), Json::num(self.witnesses)),
             ("threads".into(), Json::num(self.threads)),
@@ -222,7 +219,6 @@ impl JobSpec {
             net_name: s("net_name")?,
             fingerprint: net.fingerprint(),
             engine: s("engine")?,
-            zdd: j.get("zdd").and_then(Json::as_bool).unwrap_or(false),
             // journals written before properties existed default to the
             // classic deadlock check
             property: j

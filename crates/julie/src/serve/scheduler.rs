@@ -9,7 +9,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use petri::checkpoint::read_checkpoint_with_fallback;
-use petri::{CheckpointConfig, ExhaustionReason, Snapshot};
+use petri::{CheckpointConfig, EngineKind, ExhaustionReason, Snapshot};
 
 use crate::engine::{run_engine, RunSpec};
 use crate::portfolio::{run_portfolio, PortfolioOptions, AUTO};
@@ -155,15 +155,19 @@ mod heap {
 /// Loads the job's engine snapshot when one exists *and* provably belongs
 /// to this job under the same budget (via its stamped
 /// [`job`](petri::RunStamp::job)). Anything else — missing, torn beyond
-/// the `.prev` fallback, foreign, another format version — means starting
-/// from the initial marking, which is always sound.
+/// the `.prev` fallback, foreign, another format version, or of a kind no
+/// engine writes any more — means starting from the initial marking,
+/// which is always sound.
 fn load_resume(spec: &JobSpec, dir: &std::path::Path) -> Option<Snapshot> {
     let path = job::ckpt_path(dir);
     if !path.exists() {
         return None;
     }
     let snap = read_checkpoint_with_fallback(&path).ok()?;
-    (snap.stamp.job.as_ref() == Some(&spec.stamp())).then_some(snap)
+    // gpo runs on ZDD families only: an explicit-family snapshot from an
+    // older build would fail the engine check instead of resuming
+    let current = snap.engine != EngineKind::GpoExplicit;
+    (current && snap.stamp.job.as_ref() == Some(&spec.stamp())).then_some(snap)
 }
 
 fn run_job(
@@ -191,7 +195,7 @@ fn run_job(
     };
     let run = RunSpec {
         engine: spec.engine.clone(),
-        zdd: spec.zdd,
+        zdd: false,
         witnesses: spec.witnesses,
         threads: spec.threads,
         property,
@@ -261,10 +265,11 @@ fn run_job(
 mod tests {
     use super::*;
     use crate::json::Json;
-    use petri::{EngineKind, RunStamp, StampedJob};
+    use petri::{RunStamp, StampedJob};
 
     /// A moved or copied `run.ckpt` must not resume: only a snapshot
-    /// stamped for this job id and budget, in this build's format, does.
+    /// stamped for this job id and budget, in this build's format and of a
+    /// kind some engine still writes, does.
     #[test]
     fn load_resume_ignores_foreign_snapshots() {
         let dir = std::env::temp_dir().join(format!("julie-load-resume-{}", std::process::id()));
@@ -299,9 +304,20 @@ mod tests {
         };
         assert!(!resumes(stamped(Some(other_budget))), "another budget");
         assert!(!resumes(stamped(None)), "unstamped");
-        let mut old = stamped(Some(ours));
+        let mut old = stamped(Some(ours.clone()));
         old[8..12].copy_from_slice(&1u32.to_le_bytes()); // the format version
         assert!(!resumes(old), "another format version");
+        let mut gpo = Snapshot::new(EngineKind::GpoZdd, &net);
+        gpo.stamp = RunStamp {
+            job: Some(ours),
+            ..RunStamp::default()
+        };
+        assert!(resumes(gpo.to_bytes()), "gpo on ZDD families");
+        gpo.engine = EngineKind::GpoExplicit;
+        assert!(
+            !resumes(gpo.to_bytes()),
+            "gpo on explicit families, which no engine writes"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

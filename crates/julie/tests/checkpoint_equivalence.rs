@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use gpo_core::{analyze, GpoOptions, Representation};
+use gpo_core::{analyze, ExplicitFamily, GpoOptions, SetFamily, ZddFamily};
 use partial_order::{ReducedOptions, ReducedReachability, SeedStrategy};
 use petri::checkpoint::read_checkpoint;
 use petri::{Budget, CheckpointConfig, ExploreOptions, NetBuilder, PetriNet, ReachabilityGraph};
@@ -155,60 +155,62 @@ fn reduced_engine_kill_and_resume_is_equivalent() {
 
 #[test]
 fn gpo_engine_kill_and_resume_is_equivalent() {
-    for net in zoo() {
-        for repr in [Representation::Explicit, Representation::Zdd] {
-            for threads in [1usize, 2, 8] {
-                let tag = format!("{} {repr:?} threads={threads}", net.name());
-                let opts = GpoOptions {
-                    representation: repr,
-                    threads,
-                    max_witnesses: 2,
-                    ..Default::default()
-                };
-                let reference = analyze(
-                    &net,
-                    &opts,
-                    &Budget::default(),
-                    &CheckpointConfig::default(),
-                    None,
-                )
-                .unwrap()
-                .into_value();
-                let path = ckpt_path(&format!("gpo-{tag}").replace(' ', "-"));
-                // GPO collapses the zoo to a handful of GPN states, so a
-                // one-state budget reliably interrupts every model
-                let partial = analyze(
-                    &net,
-                    &opts,
-                    &Budget::default().cap_states(1),
-                    &CheckpointConfig::at(&path),
-                    None,
-                )
-                .unwrap();
-                assert!(!partial.is_complete(), "{tag}");
-                let snap = read_checkpoint(&path).unwrap();
-                let resumed = analyze(
-                    &net,
-                    &opts,
-                    &Budget::default(),
-                    &CheckpointConfig::default(),
-                    Some(&snap),
-                )
-                .unwrap();
-                assert!(resumed.is_complete(), "{tag}");
-                let resumed = resumed.into_value();
-                assert_eq!(resumed.state_count, reference.state_count, "{tag}");
-                assert_eq!(
-                    resumed.deadlock_possible, reference.deadlock_possible,
-                    "{tag}"
-                );
-                assert_eq!(resumed.valid_set_count, reference.valid_set_count, "{tag}");
-                assert_eq!(
-                    resumed.deadlock_witnesses, reference.deadlock_witnesses,
-                    "{tag}"
-                );
-                assert_eq!(resumed.deadlock_traces, reference.deadlock_traces, "{tag}");
-            }
+    fn check<F: SetFamily>(net: &PetriNet) {
+        let repr = F::ENGINE_KIND.name();
+        for threads in [1usize, 2, 8] {
+            let tag = format!("{} {repr} threads={threads}", net.name());
+            let opts = GpoOptions {
+                threads,
+                max_witnesses: 2,
+                ..Default::default()
+            };
+            let reference = analyze::<F>(
+                net,
+                &opts,
+                &Budget::default(),
+                &CheckpointConfig::default(),
+                None,
+            )
+            .unwrap()
+            .into_value();
+            let path = ckpt_path(&format!("gpo-{tag}").replace(' ', "-"));
+            // GPO collapses the zoo to a handful of GPN states, so a
+            // one-state budget reliably interrupts every model
+            let partial = analyze::<F>(
+                net,
+                &opts,
+                &Budget::default().cap_states(1),
+                &CheckpointConfig::at(&path),
+                None,
+            )
+            .unwrap();
+            assert!(!partial.is_complete(), "{tag}");
+            let snap = read_checkpoint(&path).unwrap();
+            let resumed = analyze::<F>(
+                net,
+                &opts,
+                &Budget::default(),
+                &CheckpointConfig::default(),
+                Some(&snap),
+            )
+            .unwrap();
+            assert!(resumed.is_complete(), "{tag}");
+            let resumed = resumed.into_value();
+            assert_eq!(resumed.state_count, reference.state_count, "{tag}");
+            assert_eq!(
+                resumed.deadlock_possible, reference.deadlock_possible,
+                "{tag}"
+            );
+            assert_eq!(resumed.valid_set_count, reference.valid_set_count, "{tag}");
+            assert_eq!(
+                resumed.deadlock_witnesses, reference.deadlock_witnesses,
+                "{tag}"
+            );
+            assert_eq!(resumed.deadlock_traces, reference.deadlock_traces, "{tag}");
         }
+    }
+    for net in zoo() {
+        check::<ExplicitFamily>(&net);
+        check::<ZddFamily>(&net);
     }
 }

@@ -24,7 +24,6 @@ fn sample_spec() -> JobSpec {
         net_name: net.name().to_string(),
         fingerprint: net.fingerprint(),
         engine: "po".into(),
-        zdd: false,
         property: "EF deadlock".into(),
         witnesses: 1,
         threads: 1,

@@ -54,9 +54,12 @@ pub enum EngineKind {
     Full,
     /// Stubborn-set reduced reachability (`partial-order` crate).
     Reduced,
-    /// Generalized partial-order analysis, explicit families.
+    /// Generalized partial-order analysis, explicit families. The test
+    /// reference representation writes it, as `--engine=gpo` did in older
+    /// builds.
     GpoExplicit,
-    /// Generalized partial-order analysis, ZDD-backed families.
+    /// Generalized partial-order analysis, ZDD-backed families (what
+    /// `--engine=gpo` writes).
     GpoZdd,
 }
 
@@ -80,13 +83,14 @@ impl EngineKind {
         }
     }
 
-    /// Human-readable engine name, matching the CLI's `--engine` values.
+    /// Human-readable engine name, matching the CLI's `--engine` values
+    /// for every kind the CLI writes.
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Full => "full",
             EngineKind::Reduced => "po",
-            EngineKind::GpoExplicit => "gpo",
-            EngineKind::GpoZdd => "gpo --zdd",
+            EngineKind::GpoExplicit => "gpo (explicit families)",
+            EngineKind::GpoZdd => "gpo",
         }
     }
 }

@@ -454,41 +454,39 @@ impl ConcurrentZdd {
 
     /// The sub-family of sets **containing** element `e` (sets keep `e`).
     pub fn onset(&self, f: ZddRef, e: usize) -> ZddRef {
-        self.onset_rec(f, e as u32)
-    }
-
-    fn onset_rec(&self, f: ZddRef, e: u32) -> ZddRef {
-        let v = self.var_of(f);
-        if v > e {
-            // e cannot occur below (vars increase downward)
-            return ZDD_EMPTY;
-        }
-        let n = self.node(f);
-        if v == e {
-            return self.mk(e, ZDD_EMPTY, n.hi);
-        }
-        let lo = self.onset_rec(n.lo, e);
-        let hi = self.onset_rec(n.hi, e);
-        self.mk(n.var, lo, hi)
+        self.split(f, e as u32, true, &mut HashMap::new())
     }
 
     /// The sub-family of sets **not containing** element `e`.
     pub fn offset(&self, f: ZddRef, e: usize) -> ZddRef {
-        self.offset_rec(f, e as u32)
+        self.split(f, e as u32, false, &mut HashMap::new())
     }
 
-    fn offset_rec(&self, f: ZddRef, e: u32) -> ZddRef {
-        let v = self.var_of(f);
-        if v > e {
-            return f;
-        }
+    /// The [`onset`](Self::onset) (`with`) or [`offset`](Self::offset) of
+    /// `f` at `e`. `memo` holds the result of every node above `e`, so a
+    /// shared sub-diagram is walked once and the work is linear in the
+    /// nodes of `f`, not in its paths.
+    fn split(&self, f: ZddRef, e: u32, with: bool, memo: &mut HashMap<ZddRef, ZddRef>) -> ZddRef {
         let n = self.node(f);
-        if v == e {
-            return n.lo;
+        if n.var > e {
+            // e cannot occur below (vars increase downward)
+            return if with { ZDD_EMPTY } else { f };
         }
-        let lo = self.offset_rec(n.lo, e);
-        let hi = self.offset_rec(n.hi, e);
-        self.mk(n.var, lo, hi)
+        if n.var == e {
+            return if with {
+                self.mk(e, ZDD_EMPTY, n.hi)
+            } else {
+                n.lo
+            };
+        }
+        if let Some(&r) = memo.get(&f) {
+            return r;
+        }
+        let lo = self.split(n.lo, e, with, memo);
+        let hi = self.split(n.hi, e, with, memo);
+        let r = self.mk(n.var, lo, hi);
+        memo.insert(f, r);
+        r
     }
 
     /// The cross-join `f ⊔ g = {a ∪ b | a ∈ f, b ∈ g}`.
@@ -896,6 +894,29 @@ mod tests {
         let off = z.offset(f, 1);
         assert_eq!(z.sets(off), vec![vec![], vec![3]]);
         assert_eq!(z.union(on, off), f, "onset ∪ offset == original");
+    }
+
+    #[test]
+    fn onset_and_offset_allocate_in_proportion_to_size() {
+        // {a0|b0} x ... x {a39|b39}: 2^40 sets, 2^40 paths, 80 nodes
+        let z = ConcurrentZdd::new(80);
+        let f = (0..40).fold(ZDD_UNIT, |f, i| {
+            let pair = z.family(&[vec![2 * i], vec![2 * i + 1]]);
+            z.join(f, pair)
+        });
+        assert_eq!(z.count(f), 1 << 40);
+        let size = z.size(f);
+        assert_eq!(size, 80);
+        for e in [0, 41, 79] {
+            let before = z.allocated_nodes();
+            let on = z.onset(f, e);
+            let off = z.offset(f, e);
+            let allocated = z.allocated_nodes() - before;
+            assert!(allocated <= 2 * size, "e={e}: {allocated} nodes");
+            assert_eq!(z.count(on), 1 << 39, "e={e}");
+            assert_eq!(z.count(off), 1 << 39, "e={e}");
+            assert_eq!(z.union(on, off), f, "e={e}");
+        }
     }
 
     #[test]

@@ -31,17 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .into_value();
         let po = ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?
             .into_value();
-        let gpo = analyze(
-            &net,
-            &GpoOptions {
-                valid_set_limit: 1 << 24,
-                ..Default::default()
-            },
-            &budget,
-            &ckpt,
-            None,
-        )?
-        .into_value();
+        let gpo =
+            analyze::<ZddFamily>(&net, &GpoOptions::default(), &budget, &ckpt, None)?.into_value();
         println!(
             "{k:>3} | {:>12} | {:>10} | {:>10} | {:>12}",
             full.state_count(),

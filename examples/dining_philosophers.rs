@@ -28,10 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .into_value();
         let po = ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?
             .into_value();
-        let gpo = analyze(
+        let gpo = analyze::<ZddFamily>(
             &net,
             &GpoOptions {
-                valid_set_limit: 1 << 24,
                 max_witnesses: 2,
                 ..Default::default()
             },

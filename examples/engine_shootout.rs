@@ -47,17 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t_bdd = t0.elapsed();
 
     let t0 = Instant::now();
-    let gpo = analyze(
-        &net,
-        &GpoOptions {
-            valid_set_limit: 1 << 24,
-            ..Default::default()
-        },
-        &budget,
-        &ckpt,
-        None,
-    )?
-    .into_value();
+    let gpo =
+        analyze::<ZddFamily>(&net, &GpoOptions::default(), &budget, &ckpt, None)?.into_value();
     let t_gpo = t0.elapsed();
 
     println!(

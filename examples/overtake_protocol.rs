@@ -27,7 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .into_value();
         let po = ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?
             .into_value();
-        let gpo = analyze(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
+        let gpo =
+            analyze::<ZddFamily>(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
         // terminal states = one of 3 resolved outcomes per car
         let outcomes = full.deadlocks().len();
         println!(

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Engine 4: the paper's generalized partial order analysis.
-    let gpo = analyze(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
+    let gpo = analyze::<ZddFamily>(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
     println!(
         "generalized: {} GPN states, |r0| = {}, deadlock = {}",
         gpo.state_count, gpo.valid_set_count, gpo.deadlock_possible

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bdd.peak_live_nodes()
     );
 
-    let gpo = analyze(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
+    let gpo = analyze::<ZddFamily>(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
     println!(
         "generalized analysis  : {:>6} states   (all choices fired at once)",
         gpo.state_count

@@ -29,7 +29,7 @@
 //! let net = models::nsdp(4); // 4 dining philosophers
 //! let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
 //! let full = ReachabilityGraph::explore(&net, &Default::default(), &budget, &ckpt, None)?;
-//! let gpo = analyze(&net, &Default::default(), &budget, &ckpt, None)?;
+//! let gpo = analyze::<ZddFamily>(&net, &Default::default(), &budget, &ckpt, None)?;
 //! let (full, gpo) = (full.into_value(), gpo.into_value());
 //! assert_eq!(full.state_count(), 322); // Table 1
 //! assert_eq!(gpo.state_count, 3); // GPN states
@@ -47,7 +47,7 @@ pub use unfolding;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use gpo_core::{analyze, GpnState, GpoOptions, GpoReport, Representation, SetFamily};
+    pub use gpo_core::{analyze, GpnState, GpoOptions, GpoReport, SetFamily, ZddFamily};
     pub use models;
     pub use partial_order::{ReducedOptions, ReducedReachability, SeedStrategy};
     pub use petri::{

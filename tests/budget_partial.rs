@@ -126,10 +126,7 @@ fn every_engine_reports_a_state_cap_as_partial() {
     let net = models::nsdp(8);
     let ckpt = CheckpointConfig::default();
     let deadlock = Property::deadlock().compile(&net).unwrap();
-    let gpo = |representation| GpoOptions {
-        representation,
-        ..Default::default()
-    };
+    let gpo = GpoOptions::default();
     let engines: Vec<Row> = vec![
         (
             "full",
@@ -148,17 +145,17 @@ fn every_engine_reports_a_state_cap_as_partial() {
             }),
         ),
         (
-            "gpo",
+            "gpo (explicit families)",
             Box::new(|b| {
-                analyze(&net, &gpo(Representation::Explicit), b, &ckpt, None)
+                analyze::<gpo_core::ExplicitFamily>(&net, &gpo, b, &ckpt, None)
                     .unwrap()
                     .map(drop)
             }),
         ),
         (
-            "gpo --zdd",
+            "gpo",
             Box::new(|b| {
-                analyze(&net, &gpo(Representation::Zdd), b, &ckpt, None)
+                analyze::<ZddFamily>(&net, &gpo, b, &ckpt, None)
                     .unwrap()
                     .map(drop)
             }),

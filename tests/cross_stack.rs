@@ -36,7 +36,6 @@ fn witnesses_replay_end_to_end() {
     let report = analyze_all_with(
         &net,
         &GpoOptions {
-            valid_set_limit: 1 << 24,
             max_witnesses: 2,
             ..Default::default()
         },
@@ -91,10 +90,7 @@ proptest! {
         let full = explore_full(&net).expect("validated safe");
         let po = explore_reduced(&net).expect("validated safe");
         let bdd = explore_symbolic(&net);
-        let Ok(gpo) = analyze_all_with(&net, &GpoOptions {
-            valid_set_limit: 1 << 14,
-            ..Default::default()
-        }) else { return Ok(()); };
+        let Ok(gpo) = analyze_all_with(&net, &GpoOptions::default()) else { return Ok(()); };
         prop_assert_eq!(po.has_deadlock(), full.has_deadlock(), "po\n{}", to_text(&net));
         prop_assert_eq!(bdd.has_deadlock(), full.has_deadlock(), "bdd\n{}", to_text(&net));
         prop_assert_eq!(gpo.deadlock_possible, full.has_deadlock(), "gpo\n{}", to_text(&net));
@@ -150,7 +146,7 @@ fn analyze_all_with(
     net: &petri::PetriNet,
     opts: &gpo_core::GpoOptions,
 ) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
-    gpo_core::analyze(
+    gpo_core::analyze::<gpo_core::ZddFamily>(
         net,
         opts,
         &petri::Budget::default(),

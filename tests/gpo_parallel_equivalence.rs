@@ -3,8 +3,10 @@
 //! representations, and every thread count, `analyze` reports the
 //! same GPN state count, the same verdict, the same valid-set relation
 //! size, the same witness markings, and the same work counters — and
-//! every reported trace still replays to its witness.
+//! every reported trace still replays to its witness. At each thread
+//! count the two representations also report the same traces.
 
+use gpo_core::ExplicitFamily;
 use gpo_suite::prelude::*;
 use models::random::{random_safe_net, RandomNetConfig};
 use proptest::prelude::*;
@@ -24,21 +26,18 @@ fn model_zoo() -> Vec<(String, PetriNet)> {
     ]
 }
 
-fn opts(representation: Representation, threads: usize) -> GpoOptions {
+fn opts(threads: usize) -> GpoOptions {
     GpoOptions {
-        valid_set_limit: 1 << 22,
         max_witnesses: 2,
-        representation,
         threads,
         ..Default::default()
     }
 }
 
-/// The observation compared across *representations*: order-independent
-/// scalars only. Witness markings are representation-specific (each
-/// family enumerates its blocked histories in its own canonical order)
-/// but must be identical across thread counts within one representation,
-/// which `observe_repr` adds on top.
+/// The work scalars of a report. With the witness markings
+/// (`observe_repr`) they must match across thread counts; with the traces
+/// as well (`observe_traces`) they must match across representations at
+/// each thread count.
 type Scalars = (usize, bool, u64, usize, usize, usize, usize);
 
 fn observe(report: &GpoReport) -> Scalars {
@@ -53,10 +52,16 @@ fn observe(report: &GpoReport) -> Scalars {
     )
 }
 
-/// The observation compared across thread counts within one
-/// representation: the scalars plus the exact witness markings.
+/// The observation compared across thread counts: the scalars plus the
+/// exact witness markings.
 fn observe_repr(report: &GpoReport) -> (Scalars, Vec<Marking>) {
     (observe(report), report.deadlock_witnesses.clone())
+}
+
+/// The observation compared across representations: everything above
+/// plus the traces.
+fn observe_traces(report: &GpoReport) -> ((Scalars, Vec<Marking>), Vec<Vec<TransitionId>>) {
+    (observe_repr(report), report.deadlock_traces.clone())
 }
 
 fn replay(net: &PetriNet, report: &GpoReport, tag: &str) {
@@ -82,22 +87,22 @@ fn replay(net: &PetriNet, report: &GpoReport, tag: &str) {
 #[test]
 fn analysis_identical_across_thread_counts_and_representations() {
     for (name, net) in model_zoo() {
-        let mut scalar_baseline = None;
-        for representation in [Representation::Explicit, Representation::Zdd] {
-            let mut repr_baseline = None;
-            for threads in THREADS {
-                let tag = format!("{name} {representation:?} threads={threads}");
-                let report = analyze_all_with(&net, &opts(representation, threads)).unwrap();
-                replay(&net, &report, &tag);
-                let obs = observe_repr(&report);
-                match &scalar_baseline {
-                    None => scalar_baseline = Some(obs.0),
-                    Some(b) => assert_eq!(&obs.0, b, "{tag} diverges from serial explicit"),
-                }
-                match &repr_baseline {
-                    None => repr_baseline = Some(obs),
-                    Some(b) => assert_eq!(&obs, b, "{tag} witnesses diverge from serial"),
-                }
+        let mut serial = None;
+        for threads in THREADS {
+            let tag = format!("{name} threads={threads}");
+            let e = analyze_all_with::<ExplicitFamily>(&net, &opts(threads)).unwrap();
+            let z = analyze_all_with::<ZddFamily>(&net, &opts(threads)).unwrap();
+            replay(&net, &e, &format!("{tag} explicit"));
+            replay(&net, &z, &format!("{tag} zdd"));
+            assert_eq!(
+                observe_traces(&e),
+                observe_traces(&z),
+                "{tag}: the representations diverge"
+            );
+            let obs = observe_repr(&z);
+            match &serial {
+                None => serial = Some(obs),
+                Some(b) => assert_eq!(&obs, b, "{tag} diverges from serial"),
             }
         }
     }
@@ -107,10 +112,10 @@ fn analysis_identical_across_thread_counts_and_representations() {
 fn zdd_counters_live_only_on_zdd_runs() {
     let net = models::nsdp(4);
     for threads in THREADS {
-        let z = analyze_all_with(&net, &opts(Representation::Zdd, threads)).unwrap();
+        let z = analyze_all_with::<ZddFamily>(&net, &opts(threads)).unwrap();
         assert!(z.zdd_nodes_allocated > 0, "threads={threads}");
         assert!(z.unique_hits > 0, "threads={threads}");
-        let e = analyze_all_with(&net, &opts(Representation::Explicit, threads)).unwrap();
+        let e = analyze_all_with::<ExplicitFamily>(&net, &opts(threads)).unwrap();
         assert_eq!(e.zdd_nodes_allocated, 0, "threads={threads}");
     }
 }
@@ -120,14 +125,13 @@ fn zdd_counters_live_only_on_zdd_runs() {
 /// `--mem-limit` trips at the same point.
 #[test]
 fn capped_runs_count_the_same_bytes_at_every_thread_count() {
-    let net = models::nsdp(4);
-    for representation in [Representation::Explicit, Representation::Zdd] {
+    fn check<F: SetFamily>(net: &PetriNet) {
         let bytes: Vec<usize> = [1, 2]
             .into_iter()
             .map(|threads| {
-                gpo_core::analyze(
-                    &net,
-                    &opts(representation, threads),
+                gpo_core::analyze::<F>(
+                    net,
+                    &opts(threads),
                     &petri::Budget::default().cap_states(2),
                     &petri::CheckpointConfig::default(),
                     None,
@@ -138,15 +142,18 @@ fn capped_runs_count_the_same_bytes_at_every_thread_count() {
                 .bytes_estimate
             })
             .collect();
-        assert_eq!(bytes[0], bytes[1], "{representation:?}");
+        assert_eq!(bytes[0], bytes[1], "{}", std::any::type_name::<F>());
     }
+    let net = models::nsdp(4);
+    check::<ExplicitFamily>(&net);
+    check::<ZddFamily>(&net);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random safe nets: the parallel analysis agrees with the serial one
-    /// under both representations.
+    /// Random safe nets: the parallel analysis agrees with the serial one,
+    /// and the two representations agree with each other.
     #[test]
     fn random_nets_agree_across_threads(seed in 0u64..100_000) {
         let cfg = RandomNetConfig {
@@ -158,39 +165,35 @@ proptest! {
             max_states: 4_000,
         };
         let Some(net) = random_safe_net(seed, &cfg) else { return Ok(()); };
-        let mut scalar_baseline = None;
-        for representation in [Representation::Explicit, Representation::Zdd] {
-            let mut repr_baseline = None;
-            for threads in [1usize, 2] {
-                let mut o = opts(representation, threads);
-                o.valid_set_limit = 1 << 16;
-                let Ok(report) = analyze_all_with(&net, &o) else { return Ok(()); };
-                let obs = observe_repr(&report);
-                match &scalar_baseline {
-                    None => scalar_baseline = Some(obs.0),
-                    Some(b) => prop_assert_eq!(
-                        &obs.0, b,
-                        "{:?} threads={}\n{}", representation, threads, petri::to_text(&net)
-                    ),
-                }
-                match &repr_baseline {
-                    None => repr_baseline = Some(obs),
-                    Some(b) => prop_assert_eq!(
-                        &obs, b,
-                        "witnesses: {:?} threads={}\n{}", representation, threads, petri::to_text(&net)
-                    ),
-                }
+        let mut serial = None;
+        for threads in [1usize, 2] {
+            let (Ok(e), Ok(z)) = (
+                analyze_all_with::<ExplicitFamily>(&net, &opts(threads)),
+                analyze_all_with::<ZddFamily>(&net, &opts(threads)),
+            ) else { return Ok(()); };
+            prop_assert_eq!(
+                observe_traces(&e), observe_traces(&z),
+                "representations: threads={}\n{}", threads, petri::to_text(&net)
+            );
+            let obs = observe_repr(&z);
+            match &serial {
+                None => serial = Some(obs),
+                Some(b) => prop_assert_eq!(
+                    &obs, b,
+                    "witnesses: threads={}\n{}", threads, petri::to_text(&net)
+                ),
             }
         }
     }
 }
 
-/// The complete generalized analysis of `net` under `opts`.
-fn analyze_all_with(
+/// The complete generalized analysis of `net` under `opts` on families of
+/// representation `F`.
+fn analyze_all_with<F: SetFamily>(
     net: &petri::PetriNet,
     opts: &gpo_core::GpoOptions,
 ) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
-    gpo_core::analyze(
+    gpo_core::analyze::<F>(
         net,
         opts,
         &petri::Budget::default(),

@@ -45,7 +45,7 @@ fn fig2_po_exponential_gpo_constant() {
 fn fig3_colored_tokens_block_d() {
     let net = models::figures::fig3();
     let ctx = <ExplicitFamily as SetFamily>::new_context(net.transition_count());
-    let s0 = GpnState::<ExplicitFamily>::initial(&net, &ctx, 1 << 10).unwrap();
+    let s0 = GpnState::<ExplicitFamily>::initial(&net, &ctx);
     let t = |n: &str| net.transition_by_name(n).unwrap();
     let s1 = multiple_update(&net, &s0, &[t("A"), t("B")]);
     // p2 and p3 hold "red" (A) tokens, p4 holds the "green" (B) token
@@ -66,7 +66,7 @@ fn fig3_colored_tokens_block_d() {
 fn fig4_merge_place_holds_both_transition_sets() {
     let net = models::figures::fig4();
     let ctx = <ExplicitFamily as SetFamily>::new_context(net.transition_count());
-    let s0 = GpnState::<ExplicitFamily>::initial(&net, &ctx, 1 << 10).unwrap();
+    let s0 = GpnState::<ExplicitFamily>::initial(&net, &ctx);
     let t = |n: &str| net.transition_by_name(n).unwrap();
     let s1 = multiple_update(&net, &s0, &[t("A"), t("B")]);
     let p1 = net.place_by_name("p1").unwrap();
@@ -120,7 +120,7 @@ fn fig7_full_replay() {
     let net = models::figures::fig7();
     let t = |n: &str| net.transition_by_name(n).unwrap();
     let ctx = <ExplicitFamily as SetFamily>::new_context(net.transition_count());
-    let s0 = GpnState::<ExplicitFamily>::initial(&net, &ctx, 1 << 10).unwrap();
+    let s0 = GpnState::<ExplicitFamily>::initial(&net, &ctx);
 
     assert_eq!(
         m_enabled(&net, &s0, t("A")).sets(),
@@ -179,7 +179,7 @@ fn explore_reduced(
 
 /// The complete generalized analysis of `net`.
 fn analyze_all(net: &petri::PetriNet) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
-    gpo_core::analyze(
+    gpo_core::analyze::<gpo_core::ZddFamily>(
         net,
         &Default::default(),
         &petri::Budget::default(),

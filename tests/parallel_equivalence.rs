@@ -276,7 +276,7 @@ fn analyze_all_with(
     net: &petri::PetriNet,
     opts: &gpo_core::GpoOptions,
 ) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
-    gpo_core::analyze(
+    gpo_core::analyze::<gpo_core::ZddFamily>(
         net,
         opts,
         &petri::Budget::default(),

@@ -64,7 +64,6 @@ fn run_engine(engine: &str, net: &PetriNet, threads: usize) -> EngineRun {
         }
         "gpo" => {
             let opts = GpoOptions {
-                valid_set_limit: 1 << 22,
                 max_witnesses: 1,
                 threads,
                 ..Default::default()
@@ -262,7 +261,7 @@ fn analyze_all_with(
     net: &petri::PetriNet,
     opts: &gpo_core::GpoOptions,
 ) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
-    gpo_core::analyze(
+    gpo_core::analyze::<gpo_core::ZddFamily>(
         net,
         opts,
         &petri::Budget::default(),

@@ -26,14 +26,7 @@ fn nsdp2_po_count_exact() {
 #[test]
 fn nsdp_gpo_three_states() {
     for n in [2usize, 3, 4, 5, 6] {
-        let report = analyze_all_with(
-            &models::nsdp(n),
-            &GpoOptions {
-                valid_set_limit: 1 << 24,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let report = analyze_all_with(&models::nsdp(n), &GpoOptions::default()).unwrap();
         assert_eq!(report.state_count, 3, "NSDP({n})");
         assert!(report.deadlock_possible);
     }
@@ -176,7 +169,7 @@ fn analyze_all_with(
     net: &petri::PetriNet,
     opts: &gpo_core::GpoOptions,
 ) -> Result<gpo_core::GpoReport, gpo_core::GpoError> {
-    gpo_core::analyze(
+    gpo_core::analyze::<gpo_core::ZddFamily>(
         net,
         opts,
         &petri::Budget::default(),
