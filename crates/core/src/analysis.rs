@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 use petri::checkpoint::{explore_segmented, ByteReader, ByteWriter, CheckpointError};
 use petri::parallel::{explore_frontier_seeded, FrontierOptions, FrontierSeed};
 use petri::{
-    Budget, CheckpointConfig, ConflictInfo, Marking, Outcome, PetriNet, PlaceId, Snapshot,
-    TransitionId,
+    Budget, CheckpointConfig, ConflictInfo, CoverageStats, ExhaustionReason, Marking, Outcome,
+    PetriNet, PlaceId, Snapshot, TransitionId,
 };
 
 use crate::error::GpoError;
@@ -101,7 +101,7 @@ impl Default for GpoOptions {
 /// assert!(report.deadlock_possible);
 /// # Ok::<(), gpo_core::GpoError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GpoReport {
     /// Number of explored GPN states.
     pub state_count: usize,
@@ -110,8 +110,13 @@ pub struct GpoReport {
     /// Dead classical markings extracted from blocked histories (up to
     /// `max_witnesses` per reporting state).
     pub deadlock_witnesses: Vec<Marking>,
-    /// Number of sets in the initial valid-set relation `r₀`.
+    /// Number of sets in the initial valid-set relation `r₀`, saturating
+    /// at `u64::MAX`; [`valid_set_count_exact`](Self::valid_set_count_exact)
+    /// is exact. 0 when the budget stopped the `r₀` build.
     pub valid_set_count: u64,
+    /// Exact number of sets in `r₀`. Fig. 2 with N ≥ 64 and NSDP(n ≥ 34)
+    /// have more than `u64::MAX`.
+    pub valid_set_count_exact: u128,
     /// Largest per-state representation footprint observed.
     pub peak_footprint: usize,
     /// Number of simultaneous (multiple-semantics) firings.
@@ -175,6 +180,11 @@ impl GpoReport {
 /// a partial run are genuine (their witnesses come from valid histories of
 /// explored states), but their absence proves nothing.
 ///
+/// The run first builds `r₀` ([`SetFamily::from_conflicts`]) under the
+/// same budget. A cancel or deadline during that build returns
+/// [`Outcome::Partial`] with the budget's reason and no state stored, and
+/// writes no snapshot.
+///
 /// The snapshot engine tag records the family representation
 /// ([`SetFamily::ENGINE_KIND`]); resuming an explicit snapshot under
 /// `ZddFamily` (or vice versa) fails with a typed mismatch. A resumed run
@@ -195,8 +205,11 @@ pub fn analyze<F: SetFamily>(
     let start = Instant::now();
     let conflicts = ConflictInfo::new(net);
     let ctx = F::new_context(net.transition_count());
-    let s0 = GpnState::<F>::initial_with_conflicts(net, &conflicts, &ctx);
-    let valid_set_count = s0.valid().count();
+    let s0 = match GpnState::<F>::initial_with_conflicts(net, &conflicts, &ctx, budget) {
+        Ok(s0) => s0,
+        Err(reason) => return Ok(stopped_in_r0_build::<F>(&ctx, budget, reason, start)),
+    };
+    let valid_set_count_exact = s0.valid().count();
 
     let counters = Counters::default();
     let (prior, base_elapsed) = match resume {
@@ -225,24 +238,17 @@ pub fn analyze<F: SetFamily>(
     )?;
     let explored = outcome.value();
 
-    let stats = F::context_stats(&ctx);
     let mut report = GpoReport {
         state_count: explored.states.len(),
         deadlock_possible: !explored.blocked.is_empty(),
-        deadlock_witnesses: Vec::new(),
-        valid_set_count,
+        valid_set_count: u64::try_from(valid_set_count_exact).unwrap_or(u64::MAX),
+        valid_set_count_exact,
         peak_footprint: counters.peak_footprint.load(Ordering::Relaxed),
         multiple_firings: counters.multiple_firings.load(Ordering::Relaxed),
         single_firings: counters.single_firings.load(Ordering::Relaxed),
-        coverage_hit: None,
-        deadlock_traces: Vec::new(),
-        elapsed: Duration::ZERO,
         enabling_computed: counters.enabling_computed.load(Ordering::Relaxed),
         enabling_reused: counters.enabling_reused.load(Ordering::Relaxed),
-        zdd_nodes_allocated: stats.nodes_allocated,
-        unique_hits: stats.unique_hits,
-        op_cache_hits: stats.op_cache_hits,
-        op_cache_evictions: stats.op_cache_evictions,
+        ..context_report::<F>(&ctx)
     };
 
     extract_witnesses(net, explored, opts.max_witnesses, &mut report);
@@ -275,6 +281,40 @@ pub fn analyze<F: SetFamily>(
             }
         }
     })
+}
+
+/// An otherwise empty report carrying the family context's counters.
+fn context_report<F: SetFamily>(ctx: &F::Context) -> GpoReport {
+    let stats = F::context_stats(ctx);
+    GpoReport {
+        zdd_nodes_allocated: stats.nodes_allocated,
+        unique_hits: stats.unique_hits,
+        op_cache_hits: stats.op_cache_hits,
+        op_cache_evictions: stats.op_cache_evictions,
+        ..GpoReport::default()
+    }
+}
+
+/// The outcome of a run whose budget stopped the `r₀` build: nothing was
+/// explored, so no state is stored and there is no snapshot to write.
+fn stopped_in_r0_build<F: SetFamily>(
+    ctx: &F::Context,
+    budget: &Budget,
+    reason: ExhaustionReason,
+    start: Instant,
+) -> Outcome<GpoReport> {
+    let elapsed = start.elapsed();
+    Outcome::Partial {
+        result: GpoReport {
+            elapsed,
+            ..context_report::<F>(ctx)
+        },
+        reason: budget.stop_reason(reason),
+        coverage: CoverageStats {
+            elapsed,
+            ..CoverageStats::default()
+        },
+    }
 }
 
 /// Work counters shared by every thread the frontier loop expands on.
@@ -1073,6 +1113,64 @@ mod tests {
         )
         .unwrap();
         assert_eq!(outcome.reason(), Some(ExhaustionReason::Cancelled));
+    }
+
+    #[test]
+    fn a_stop_in_the_r0_build_stores_no_state_and_writes_no_snapshot() {
+        use petri::ExhaustionReason;
+        let dir = ckpt_dir("r0-stop");
+        let cancelled = Budget::default();
+        cancelled.cancel();
+        let expired = Budget::default().with_timeout(Duration::ZERO);
+        for (budget, want) in [
+            (cancelled, ExhaustionReason::Cancelled),
+            (expired, ExhaustionReason::Time),
+        ] {
+            let path = dir.join(format!("{want:?}.ckpt"));
+            let outcome = analyze::<ZddFamily>(
+                &models::nsdp(6),
+                &GpoOptions::default(),
+                &budget,
+                &CheckpointConfig::at(&path),
+                None,
+            )
+            .unwrap();
+            let Outcome::Partial {
+                result,
+                reason,
+                coverage,
+            } = outcome
+            else {
+                panic!("expected a partial outcome");
+            };
+            assert_eq!(reason, want);
+            assert_eq!(result.state_count, 0, "{want:?}");
+            assert_eq!(result.valid_set_count, 0, "{want:?}");
+            assert!(!result.deadlock_possible, "{want:?}");
+            assert_eq!(coverage.states_stored, 0, "{want:?}");
+            assert_eq!(coverage.frontier_len, 0, "{want:?}");
+            assert!(!path.exists(), "{want:?}: no snapshot of an unbuilt r0");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn nsdp20_needs_exactly_three_states() {
+        // the paper's headline at a size no enumeration of r₀ reaches: the
+        // fork ring has (2+√3)^20 + (2−√3)^20 maximal independent sets, yet
+        // 3 GPN states decide it, and the dead witness replays
+        let net = models::nsdp(20);
+        let report = analyze_all(&net).unwrap();
+        assert_eq!(report.state_count, 3);
+        assert!(report.deadlock_possible);
+        assert_eq!(report.valid_set_count_exact, 274_758_382_274);
+        let (trace, witness) = (&report.deadlock_traces[0], &report.deadlock_witnesses[0]);
+        let reached = net
+            .fire_sequence(net.initial_marking(), trace.iter().copied())
+            .expect("safe")
+            .expect("fireable");
+        assert_eq!(&reached, witness);
+        assert!(net.is_dead(witness));
     }
 
     #[test]

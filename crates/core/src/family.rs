@@ -21,8 +21,8 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use petri::{BitSet, EngineKind};
-use symbolic::{ConcurrentZdd, ZddRef, ZDD_EMPTY, ZDD_UNIT};
+use petri::{BitSet, Budget, ConflictInfo, EngineKind, ExhaustionReason, TransitionId};
+use symbolic::{ConcurrentZdd, ZddRef, ZDD_EMPTY};
 
 /// Allocation and caching statistics of a family representation's backing
 /// store, reported by [`SetFamily::context_stats`]. All zeros for
@@ -61,23 +61,22 @@ pub trait SetFamily: Clone + Eq + Hash + fmt::Debug + Send + Sync {
     /// Builds a family from explicit sets.
     fn from_sets(ctx: &Self::Context, universe: usize, sets: &[BitSet]) -> Self;
 
-    /// Builds the cross-union product of one pick per group:
-    /// `{ g₁ ∪ g₂ ∪ … | gᵢ ∈ groups[i] }` — the factored form of the
-    /// valid-set relation `r₀`. Shared representations build this without
-    /// enumerating the product.
-    fn from_choice_groups(ctx: &Self::Context, universe: usize, groups: &[Vec<BitSet>]) -> Self {
-        let mut acc = vec![BitSet::new(universe)];
-        for group in groups {
-            let mut next = Vec::with_capacity(acc.len() * group.len());
-            for base in &acc {
-                for pick in group {
-                    next.push(base.union(pick));
-                }
-            }
-            acc = next;
-        }
-        Self::from_sets(ctx, universe, &acc)
-    }
+    /// Builds the valid-set relation `r₀` of §3.3: the maximal
+    /// conflict-free transition sets of a net with conflict structure
+    /// `conflicts` over `universe` transitions. The build polls the
+    /// budget's cancel flag and deadline before each of its passes and
+    /// returns the reason of the first stop it sees.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExhaustionReason::Cancelled`] or [`ExhaustionReason::Time`]
+    /// when the budget stops the build before `r₀` is complete.
+    fn from_conflicts(
+        ctx: &Self::Context,
+        universe: usize,
+        conflicts: &ConflictInfo,
+        budget: &Budget,
+    ) -> Result<Self, ExhaustionReason>;
 
     /// Materializes the first `k` sets in the ZDD's depth-first order: of
     /// two sets, the one without their lowest differing transition comes
@@ -113,8 +112,9 @@ pub trait SetFamily: Clone + Eq + Hash + fmt::Debug + Send + Sync {
     /// `true` if the family has no sets.
     fn is_empty(&self) -> bool;
 
-    /// Number of sets in the family.
-    fn count(&self) -> u64;
+    /// Number of sets in the family, exact up to `u128::MAX` (a family
+    /// over at most 128 transitions never reaches it).
+    fn count(&self) -> u128;
 
     /// Membership test for one transition set.
     fn contains(&self, set: &BitSet) -> bool;
@@ -190,6 +190,12 @@ pub trait SetFamily: Clone + Eq + Hash + fmt::Debug + Send + Sync {
         r.finish()?;
         Ok(out)
     }
+}
+
+/// The `r₀` builders' budget poll: only cancel and the deadline can stop
+/// a build, since it stores no states and accounts no bytes.
+fn poll(budget: &Budget) -> Result<(), ExhaustionReason> {
+    budget.exceeded(0, 0).map_or(Ok(()), Err)
 }
 
 /// The order of [`SetFamily::some_sets`]: at the lowest transition in
@@ -315,6 +321,26 @@ impl SetFamily for ExplicitFamily {
         }
     }
 
+    /// The reference build: Bron–Kerbosch lists each conflict cluster's
+    /// maximal independent sets ([`ConflictInfo::choice_groups`]), and
+    /// `r₀` is their cross-union product, enumerated one group at a time.
+    fn from_conflicts(
+        ctx: &Self::Context,
+        universe: usize,
+        conflicts: &ConflictInfo,
+        budget: &Budget,
+    ) -> Result<Self, ExhaustionReason> {
+        let mut acc = vec![BitSet::new(universe)];
+        for group in conflicts.choice_groups() {
+            poll(budget)?;
+            acc = acc
+                .iter()
+                .flat_map(|base| group.iter().map(move |pick| base.union(pick)))
+                .collect();
+        }
+        Ok(Self::from_sets(ctx, universe, &acc))
+    }
+
     fn empty(_ctx: &Self::Context, universe: usize) -> Self {
         ExplicitFamily {
             universe,
@@ -413,8 +439,8 @@ impl SetFamily for ExplicitFamily {
         self.sets.is_empty()
     }
 
-    fn count(&self) -> u64 {
-        self.sets.len() as u64
+    fn count(&self) -> u128 {
+        self.sets.len() as u128
     }
 
     fn contains(&self, set: &BitSet) -> bool {
@@ -534,8 +560,8 @@ impl SetFamily for ZddFamily {
         self.mgr.is_empty(self.node)
     }
 
-    fn count(&self) -> u64 {
-        u64::try_from(self.mgr.count(self.node)).unwrap_or(u64::MAX)
+    fn count(&self) -> u128 {
+        self.mgr.count(self.node)
     }
 
     fn contains(&self, set: &BitSet) -> bool {
@@ -555,22 +581,32 @@ impl SetFamily for ZddFamily {
         self.mgr.size(self.node)
     }
 
-    fn from_choice_groups(ctx: &Self::Context, universe: usize, groups: &[Vec<BitSet>]) -> Self {
-        let mut node = ZDD_UNIT;
-        for group in groups {
-            let mut alt = ZDD_EMPTY;
-            for pick in group {
-                let elems: Vec<usize> = pick.iter().collect();
-                let one = ctx.singleton(&elems);
-                alt = ctx.union(alt, one);
-            }
-            node = ctx.join(node, alt);
+    /// The per-vertex build: each conflict cluster's maximal independent
+    /// sets are carved out of the cluster's power set in `2·|C|` passes
+    /// (`cluster_family`), never listed, and `r₀` joins them with the
+    /// set of conflict-free transitions, which belong to every valid set.
+    fn from_conflicts(
+        ctx: &Self::Context,
+        universe: usize,
+        conflicts: &ConflictInfo,
+        budget: &Budget,
+    ) -> Result<Self, ExhaustionReason> {
+        poll(budget)?;
+        let free: Vec<usize> = conflicts
+            .clusters()
+            .iter()
+            .filter(|c| c.len() == 1)
+            .map(|c| c[0].index())
+            .collect();
+        let mut node = ctx.singleton(&free);
+        for cluster in conflicts.choice_clusters() {
+            node = ctx.join(node, cluster_family(ctx, conflicts, cluster, budget)?);
         }
-        ZddFamily {
+        Ok(ZddFamily {
             mgr: Arc::clone(ctx),
             node,
             universe,
-        }
+        })
     }
 
     fn some_sets(&self, k: usize) -> Vec<BitSet> {
@@ -640,6 +676,49 @@ impl SetFamily for ZddFamily {
             })
             .collect())
     }
+}
+
+/// The maximal independent sets of one conflict cluster `C`, where `N(t)`
+/// is the set of `t`'s conflicts and `N[t] = N(t) ∪ {t}` (Minato's ZDD
+/// set algebra; Knuth, TAOCP 4A §7.1.4). Starting from `I = P(C)`:
+///
+/// 1. for each `t ∈ C`, `I = offset(I,t) ∪ (onset(I,t) ∩ P(C∖N(t)))`
+///    keeps a set holding `t` only if it holds none of `t`'s conflicts,
+///    leaving the independent sets;
+/// 2. for each `t ∈ C`, `I = I ∖ (I ∩ P(C∖N[t]))` drops every set that
+///    avoids `t` and all its conflicts, since adding `t` would keep it
+///    independent, leaving the maximal ones.
+///
+/// Every pass works on families over `C` only, and the budget is polled
+/// before each one.
+fn cluster_family(
+    z: &ConcurrentZdd,
+    conflicts: &ConflictInfo,
+    cluster: &[TransitionId],
+    budget: &Budget,
+) -> Result<ZddRef, ExhaustionReason> {
+    // P(C∖N(t)), or P(C∖N[t]) when `closed`
+    let avoiding = |t: TransitionId, closed: bool| {
+        let conflicting = conflicts.conflicts_of(t);
+        let keep: Vec<usize> = cluster
+            .iter()
+            .filter(|&&u| !(conflicting.contains(u.index()) || (closed && u == t)))
+            .map(|u| u.index())
+            .collect();
+        z.powerset(&keep)
+    };
+    let members: Vec<usize> = cluster.iter().map(|t| t.index()).collect();
+    let mut family = z.powerset(&members);
+    for &t in cluster {
+        poll(budget)?;
+        let with_t = z.intersect(z.onset(family, t.index()), avoiding(t, false));
+        family = z.union(z.offset(family, t.index()), with_t);
+    }
+    for &t in cluster {
+        poll(budget)?;
+        family = z.diff(family, z.intersect(family, avoiding(t, true)));
+    }
+    Ok(family)
 }
 
 impl ZddFamily {
@@ -817,13 +896,12 @@ mod tests {
 
     #[test]
     fn zdd_blob_stays_polynomial_on_products() {
-        // 2^10 sets must not enumerate on disk
-        let u = 20;
-        let groups: Vec<Vec<BitSet>> = (0..10)
-            .map(|i| vec![bs(u, &[2 * i]), bs(u, &[2 * i + 1])])
-            .collect();
+        // r₀ of fig. 2 with N = 10: 2^10 sets must not enumerate on disk
+        let net = models::figures::fig2(10);
+        let u = net.transition_count();
         let ctx = ZddFamily::new_context(u);
-        let big = ZddFamily::from_choice_groups(&ctx, u, &groups);
+        let conflicts = ConflictInfo::new(&net);
+        let big = ZddFamily::from_conflicts(&ctx, u, &conflicts, &Budget::default()).unwrap();
         assert_eq!(big.count(), 1024);
         let blob = ZddFamily::encode_families(&ctx, u, &[&big]);
         assert!(
@@ -833,6 +911,43 @@ mod tests {
         );
         let back = ZddFamily::decode_families(&ctx, u, &blob).unwrap();
         assert_eq!(back[0], big, "canonical node id restored");
+    }
+
+    #[test]
+    fn r0_build_stops_on_cancel_and_on_an_expired_deadline() {
+        fn check<F: SetFamily>() {
+            let net = models::nsdp(6);
+            let u = net.transition_count();
+            let conflicts = ConflictInfo::new(&net);
+            let ctx = F::new_context(u);
+            let cancelled = Budget::default();
+            cancelled.cancel();
+            let expired = Budget::default().with_timeout(std::time::Duration::ZERO);
+            for (budget, reason) in [
+                (cancelled, ExhaustionReason::Cancelled),
+                (expired, ExhaustionReason::Time),
+            ] {
+                let built = F::from_conflicts(&ctx, u, &conflicts, &budget);
+                assert_eq!(built.err(), Some(reason), "{}", std::any::type_name::<F>());
+            }
+        }
+        check::<ExplicitFamily>();
+        check::<ZddFamily>();
+    }
+
+    #[test]
+    fn zdd_r0_costs_its_nodes_not_its_sets() {
+        // NSDP(11)'s fork ring has ~2 million maximal independent sets
+        // (the count the Bron–Kerbosch listing gives); the build allocates
+        // a few tens of thousands of nodes
+        let net = models::nsdp(11);
+        let u = net.transition_count();
+        let ctx = ZddFamily::new_context(u);
+        let r0 = ZddFamily::from_conflicts(&ctx, u, &ConflictInfo::new(&net), &Budget::default())
+            .unwrap();
+        assert_eq!(r0.count(), 1_956_244);
+        let allocated = ZddFamily::context_stats(&ctx).nodes_allocated;
+        assert!(allocated < 100_000, "{allocated} nodes allocated");
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! sets. The initial state of the analysis puts `r₀` — the maximal
 //! conflict-free transition sets — in every initially marked place (§3.3).
 //! `r₀` is the product of one maximal independent set per conflict
-//! cluster (its factored choice-group form), so it can hold exponentially
-//! many sets (2^N on the paper's Fig. 2); a [`ZddFamily`](crate::ZddFamily)
-//! builds it as a join of the clusters and never lists the product, while
-//! the explicit reference enumerates it.
+//! cluster, so it can hold exponentially many sets (2^N on the paper's
+//! Fig. 2). A [`ZddFamily`](crate::ZddFamily) builds each cluster's family
+//! from per-transition constraints and joins the clusters, never listing
+//! a set; the explicit reference enumerates them.
 
-use petri::{BitSet, ConflictInfo, Marking, PetriNet, PlaceId};
+use petri::{BitSet, Budget, ConflictInfo, ExhaustionReason, Marking, PetriNet, PlaceId};
 
 use crate::family::SetFamily;
 
@@ -46,18 +46,25 @@ impl<F: SetFamily> GpnState<F> {
     /// places and `∅` elsewhere.
     pub fn initial(net: &PetriNet, ctx: &F::Context) -> Self {
         let conflicts = ConflictInfo::new(net);
-        Self::initial_with_conflicts(net, &conflicts, ctx)
+        Self::initial_with_conflicts(net, &conflicts, ctx, &Budget::default())
+            .expect("an unlimited budget never stops the r0 build")
     }
 
     /// Like [`initial`](Self::initial) with a precomputed conflict
-    /// structure.
+    /// structure, building `r₀` under `budget`
+    /// ([`SetFamily::from_conflicts`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the budget's reason when it stops the `r₀` build.
     pub fn initial_with_conflicts(
         net: &PetriNet,
         conflicts: &ConflictInfo,
         ctx: &F::Context,
-    ) -> Self {
+        budget: &Budget,
+    ) -> Result<Self, ExhaustionReason> {
         let universe = net.transition_count();
-        let valid = F::from_choice_groups(ctx, universe, &conflicts.choice_groups());
+        let valid = F::from_conflicts(ctx, universe, conflicts, budget)?;
         let empty = F::empty(ctx, universe);
         let marking = net
             .places()
@@ -69,7 +76,7 @@ impl<F: SetFamily> GpnState<F> {
                 }
             })
             .collect();
-        GpnState { marking, valid }
+        Ok(GpnState { marking, valid })
     }
 
     /// Builds a state directly from per-place families and a valid-set

@@ -349,7 +349,7 @@ fn run_gpo(run: &Run) -> Result<CheckReport, String> {
     report.states_line = format!("GPN states: {}", gpo.state_count);
     report
         .detail_lines
-        .push(format!("valid sets |r0|: {}", gpo.valid_set_count));
+        .push(format!("valid sets |r0|: {}", gpo.valid_set_count_exact));
     report.details.push(("valid_sets", gpo.valid_set_count));
     report.detail_lines.push(format!(
         "zdd: {} nodes allocated, {} unique-table hits, {} op-cache hits, \

@@ -43,6 +43,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use gpo_core::{SetFamily, ZddFamily};
 use petri::checkpoint::read_checkpoint_with_fallback;
 use petri::pnml::looks_like_pnml;
 use petri::{
@@ -294,10 +295,16 @@ fn info(net: &PetriNet) -> Result<(), String> {
             format!(" — {}", choices.join(" "))
         }
     );
-    println!(
-        "maximal conflict-free transition sets |r0|: {}",
-        conflicts.conflict_free_set_count()
-    );
+    // the same ZDD build `--engine=gpo` starts from, never a listing
+    let universe = net.transition_count();
+    let r0 = ZddFamily::from_conflicts(
+        &ZddFamily::new_context(universe),
+        universe,
+        &conflicts,
+        &Budget::default(),
+    )
+    .expect("an unlimited budget never stops the r0 build");
+    println!("maximal conflict-free transition sets |r0|: {}", r0.count());
     match petri::siphon_trap_certificate(net, 100_000) {
         Some(true) => println!("siphon-trap certificate: deadlock-free (structural proof)"),
         Some(false) => println!("siphon-trap certificate: inconclusive"),

@@ -150,9 +150,17 @@ pub struct PortfolioOutcome {
 /// Validates `--engine` against a `--resume` snapshot's stamped leg,
 /// failing closed (naming both sides) when a solo run is pointed at a
 /// portfolio snapshot or vice versa. A solo snapshot has no leg; the
-/// envelope's engine kind names it.
+/// envelope's engine kind names it. A kind that no current engine
+/// resumes (gpo on explicit families, written by older builds) is named
+/// as such, with no `--engine` value to suggest.
 pub fn check_resume_engine(snap: &Snapshot, auto: bool) -> Result<(), String> {
+    let resumable = engine::find(snap.engine.name()).is_ok_and(|e| e.checkpoint);
     match (auto, &snap.stamp.leg) {
+        (true, None) if !resumable => Err(format!(
+            "--resume snapshot was written by a solo {} run, which no current engine \
+             resumes (this run uses --engine=auto); restart without --resume",
+            snap.engine.name()
+        )),
         (true, None) => Err(format!(
             "--resume snapshot was written by a solo --engine={} run but this run uses \
              --engine=auto; pass --engine={} to resume it, or restart with --engine=auto \
@@ -694,5 +702,21 @@ mod tests {
         assert!(check_resume_engine(&solo, true).is_ok());
         let fresh = Snapshot::new(EngineKind::Full, &net);
         assert!(check_resume_engine(&fresh, false).is_ok());
+    }
+
+    #[test]
+    fn resume_of_a_kind_no_engine_resumes_says_restart() {
+        use petri::EngineKind;
+        let net = models::nsdp(2);
+        let explicit = Snapshot::new(EngineKind::GpoExplicit, &net);
+        let err = check_resume_engine(&explicit, true).unwrap_err();
+        assert!(err.contains("gpo (explicit families)"), "{err}");
+        assert!(err.contains("no current engine resumes"), "{err}");
+        assert!(err.contains("restart without --resume"), "{err}");
+        assert!(!err.contains("pass --engine="), "{err}");
+        // a current kind still names the solo engine to pass
+        let zdd = Snapshot::new(EngineKind::GpoZdd, &net);
+        let err = check_resume_engine(&zdd, true).unwrap_err();
+        assert!(err.contains("pass --engine=gpo to resume it"), "{err}");
     }
 }

@@ -98,7 +98,9 @@ pub struct CheckReport {
     pub coverage: Option<CoverageStats>,
     /// Extra engine-specific prose lines, printed after the states line.
     pub detail_lines: Vec<String>,
-    /// Engine-specific numeric counters for the JSON rendering.
+    /// Engine-specific numeric counters for the JSON rendering. A counter
+    /// past `u64::MAX` saturates: gpo's `valid_sets` does from 2^64 sets
+    /// of `r₀` on, while its prose `valid sets |r0|` line stays exact.
     pub details: Vec<(&'static str, u64)>,
     /// Deadlock witnesses, lifted and rendered.
     pub witnesses: Vec<Witness>,

@@ -251,6 +251,50 @@ fn check_budget_flags_yield_inconclusive() {
 }
 
 #[test]
+fn gpo_deadline_during_the_r0_build_stores_nothing() {
+    // NSDP(10)'s r0 build is the first thing gpo does: an expired deadline
+    // stops it with the usual coverage line, and no snapshot is written
+    let net = stdout(&julie(&["model", "nsdp", "10"]));
+    let dir = std::env::temp_dir().join(format!("julie-r0-stop-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("run.ckpt");
+    let ckpt_flag = format!("--checkpoint={}", ckpt.display());
+    let out = julie_stdin(
+        &["check", "-", "--engine=gpo", "--timeout=0", &ckpt_flag],
+        &net,
+    );
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.contains("budget: deadline exceeded — 0 states stored, 0 expanded, 0 on frontier"),
+        "{text}"
+    );
+    assert!(text.contains("GPN states: 0"), "{text}");
+    assert!(!ckpt.exists(), "no snapshot of an unbuilt r0");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn check_and_info_print_the_same_exact_r0_count() {
+    // Fig. 2 with N = 70 has 2^70 valid sets, past u64::MAX
+    let net = stdout(&julie(&["model", "fig2", "70"]));
+    let check = julie_stdin(&["check", "-", "--engine=gpo"], &net);
+    assert_eq!(check.status.code(), Some(1), "{}", stderr(&check));
+    assert!(
+        stdout(&check).contains("valid sets |r0|: 1180591620717411303424\n"),
+        "{}",
+        stdout(&check)
+    );
+    let info = julie_stdin(&["info", "-"], &net);
+    assert!(info.status.success(), "{}", stderr(&info));
+    assert!(
+        stdout(&info).contains("|r0|: 1180591620717411303424\n"),
+        "{}",
+        stdout(&info)
+    );
+}
+
+#[test]
 fn check_mem_limit_is_accepted() {
     // a generous memory budget leaves a tiny net's verdict untouched
     let out = julie_stdin(&["check", "-", "--engine=full", "--mem-limit=64"], CYCLE);

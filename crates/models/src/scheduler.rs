@@ -92,7 +92,11 @@ mod tests {
     fn no_conflicts_anywhere() {
         let info = ConflictInfo::new(&scheduler(5));
         assert_eq!(info.choice_clusters().count(), 0);
-        assert_eq!(info.conflict_free_set_count(), 1, "single valid scenario");
+        assert_eq!(
+            info.maximal_conflict_free_sets(2).map(|s| s.len()),
+            Some(1),
+            "single valid scenario"
+        );
     }
 
     #[test]

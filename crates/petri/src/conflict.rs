@@ -140,9 +140,12 @@ impl ConflictInfo {
     /// independent **choice groups**: the first group is the single set of
     /// all conflict-free transitions (members of every valid set); each
     /// further group lists the maximal independent sets of one non-trivial
-    /// conflict cluster. `r₀` is the cross-union of one pick per group —
-    /// a factored form that shared representations (ZDDs) can build without
-    /// ever enumerating the product.
+    /// conflict cluster. `r₀` is the cross-union of one pick per group.
+    ///
+    /// Listing a cluster's groups costs as many sets as it has (524174 for
+    /// NSDP(10)'s fork ring), so this is the explicit reference build; the
+    /// GPO engine's ZDD build derives the same family from the conflict
+    /// relation without listing it.
     pub fn choice_groups(&self) -> Vec<Vec<BitSet>> {
         let n = self.adjacency.len();
         let mut free = BitSet::new(n);
@@ -157,15 +160,6 @@ impl ConflictInfo {
         let mut out = vec![vec![free]];
         out.extend(groups);
         out
-    }
-
-    /// Number of maximal conflict-free transition sets (the size of the
-    /// [`choice_groups`](Self::choice_groups) product), saturating at
-    /// `u128::MAX`.
-    pub fn conflict_free_set_count(&self) -> u128 {
-        self.choice_groups()
-            .iter()
-            .fold(1u128, |acc, g| acc.saturating_mul(g.len() as u128))
     }
 
     /// Enumerates the **maximal conflict-free transition sets** — the valid

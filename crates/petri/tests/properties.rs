@@ -137,7 +137,6 @@ fn conflict_free_sets_are_maximal_independent() {
     ] {
         let info = petri::ConflictInfo::new(&net);
         let sets = info.maximal_conflict_free_sets(1 << 16).expect("small");
-        assert_eq!(sets.len() as u128, info.conflict_free_set_count());
         for v in &sets {
             let members: Vec<usize> = v.iter().collect();
             // pairwise conflict-free

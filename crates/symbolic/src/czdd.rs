@@ -349,6 +349,26 @@ impl ConcurrentZdd {
         cur
     }
 
+    /// The power set `P(vars)`: every subset of `vars`, the empty set
+    /// included. It is a chain of one node per distinct element whose two
+    /// children coincide, so intersecting a family with it keeps exactly
+    /// the sets that avoid every element outside `vars`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an element is outside the universe.
+    pub fn powerset(&self, vars: &[usize]) -> ZddRef {
+        let mut sorted: Vec<usize> = vars.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let mut cur = ZDD_UNIT;
+        for &e in sorted.iter().rev() {
+            assert!((e as u32) < self.nvars, "element {e} out of universe");
+            cur = self.mk(e as u32, cur, cur);
+        }
+        cur
+    }
+
     /// The family containing each of the given sets.
     pub fn family(&self, sets: &[Vec<usize>]) -> ZddRef {
         let mut acc = ZDD_EMPTY;
@@ -859,6 +879,24 @@ mod tests {
         let a = z.singleton(&[2, 2, 0]);
         let b = z.singleton(&[0, 2]);
         assert_eq!(a, b, "canonical form ignores duplicates and order");
+    }
+
+    #[test]
+    fn powerset_is_a_chain_of_every_subset() {
+        let z = ConcurrentZdd::new(6);
+        let p = z.powerset(&[4, 1, 3, 1]);
+        assert_eq!(z.size(p), 3, "one node per distinct element");
+        let all: Fam = [1, 3, 4].iter().fold(fam(&[vec![]]), |acc, &e| {
+            brute_join(&acc, &fam(&[vec![], vec![e]]))
+        });
+        assert_eq!(sets_of(&z, p), all);
+        assert_eq!(z.powerset(&[]), ZDD_UNIT);
+        // intersecting with P(X) keeps the sets inside X
+        let f = z.family(&[vec![1, 3], vec![0, 1], vec![4], vec![]]);
+        assert_eq!(
+            sets_of(&z, z.intersect(f, p)),
+            fam(&[vec![1, 3], vec![4], vec![]])
+        );
     }
 
     #[test]
