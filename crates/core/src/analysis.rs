@@ -18,12 +18,12 @@
 //!    over one fully-enabled maximal conflicting set if one exists, else
 //!    over every single-enabled transition.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use petri::checkpoint::{explore_segmented, ByteReader, ByteWriter, CheckpointError};
-use petri::parallel::{explore_frontier_seeded, FrontierOptions, FrontierSeed};
+use petri::parallel::{explore_frontier_seeded, Emit, FrontierOptions, FrontierSeed};
 use petri::{
     Budget, CheckpointConfig, ConflictInfo, CoverageStats, ExhaustionReason, Marking, Outcome,
     PetriNet, PlaceId, Snapshot, TransitionId,
@@ -373,10 +373,10 @@ fn explore<F: SetFamily>(
     #[allow(clippy::needless_update)]
     let fopts = FrontierOptions {
         threads: opts.threads,
-        record_edges: opts.max_witnesses > 0,
-        // origins survive budget-aborted expansions, unlike recorded
-        // edges, so the reach tree below covers every stored state even
-        // when its discovering expansion was rolled back
+        record_edges: false,
+        // the reach tree: origins survive budget-aborted expansions, so it
+        // covers every stored state even when its discovering expansion
+        // was rolled back
         record_origins: true,
         budget: budget.clone(),
         ..FrontierOptions::default()
@@ -399,33 +399,25 @@ fn explore<F: SetFamily>(
     let outcome = explore_frontier_seeded(
         seed,
         &fopts,
-        |s: &GpnState<F>, out: &mut Vec<(Firing, GpnState<F>)>| {
+        |s: &GpnState<F>, emit: &mut Emit<'_, Firing, GpnState<F>>| {
             counters.observe_footprint(s.footprint());
-            out.extend(
-                expand(net, conflicts, s, counters)
-                    .into_iter()
-                    .map(|(next, firing)| (firing, next)),
-            );
+            for (next, firing) in expand(net, conflicts, s, counters) {
+                emit(firing, &next);
+            }
             Ok(())
         },
     )
     .map_err(GpoError::Engine)?;
     Ok(outcome.map(|result| {
-        // at one thread the loop expands in discovery order, so the
-        // breadth-first tree over recorded edges is exactly the
-        // first-insertion tree the origins hold
-        let mut pred = extend_reach_tree(prior_pred, &result.succ);
-        // a budget-aborted expansion rolls its recorded edges back, so
-        // states it discovered are invisible to the BFS above; their
-        // provenance comes from the loop's origin sidecar instead (as
-        // does every new state's when no edges are recorded)
-        for (i, p) in pred.iter_mut().enumerate() {
-            if p.is_none() && i > 0 {
-                if let Some(Some((parent, firing))) = result.origin.get(i) {
-                    *p = Some((*parent as usize, firing.clone()));
-                }
-            }
-        }
+        // the loop leaves the seeded states' provenance to the caller: the
+        // prior tree's parent pointers come first, the new states' origins
+        // follow
+        let mut pred = prior_pred;
+        let known = pred.len();
+        pred.extend(result.origin[known..].iter().map(|o| {
+            o.as_ref()
+                .map(|(parent, firing)| (*parent as usize, firing.clone()))
+        }));
         Explored {
             pred,
             blocked: result.deadlocks.iter().map(|&d| d as usize).collect(),
@@ -433,34 +425,6 @@ fn explore<F: SetFamily>(
             states: result.states,
         }
     }))
-}
-
-/// Extends a (possibly restored) reach tree over freshly recorded edge
-/// lists by breadth-first search with every prior state as a root: each
-/// newly discovered state was first reached from some already-known state
-/// over a recorded edge, so the tree spans all of them. A fresh run passes
-/// the singleton tree `[None]`, making this exactly the classical
-/// first-reach BFS from the initial state.
-fn extend_reach_tree(
-    prior: Vec<Option<(usize, Firing)>>,
-    succ: &[Vec<(Firing, u32)>],
-) -> Vec<Option<(usize, Firing)>> {
-    let known = prior.len();
-    let mut pred = prior;
-    pred.resize_with(succ.len(), || None);
-    let mut seen: Vec<bool> = (0..succ.len()).map(|i| i < known).collect();
-    let mut queue: VecDeque<usize> = (0..known).collect();
-    while let Some(cur) = queue.pop_front() {
-        for (firing, dst) in &succ[cur] {
-            let d = *dst as usize;
-            if !seen[d] {
-                seen[d] = true;
-                pred[d] = Some((cur, firing.clone()));
-                queue.push_back(d);
-            }
-        }
-    }
-    pred
 }
 
 /// Serializes a (typically partial) exploration as a snapshot. The family

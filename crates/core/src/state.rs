@@ -140,6 +140,8 @@ impl<F: SetFamily> GpnState<F> {
 /// count; the byte estimate is the representation footprint, to which the
 /// loop adds its per-state and per-edge overheads.
 impl<F: SetFamily> petri::parallel::FrontierState for GpnState<F> {
+    type Table = petri::parallel::VecTable<Self>;
+
     fn approx_bytes(&self) -> usize {
         self.footprint()
     }

@@ -275,8 +275,9 @@ pub fn run_engine(
 }
 
 fn run_full(run: &Run) -> Result<CheckReport, String> {
+    // witness paths come from the origins the graph always records
     let opts = ExploreOptions {
-        record_edges: true,
+        record_edges: false,
         threads: run.spec.threads,
     };
     let outcome = ReachabilityGraph::explore(run.net, &opts, run.budget, run.ckpt, run.resume)

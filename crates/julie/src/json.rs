@@ -38,7 +38,18 @@ impl Json {
 
     /// Convenience constructor for an integer value.
     pub fn num(n: usize) -> Json {
-        Json::Num(n as f64)
+        Json::uint(n as u64)
+    }
+
+    /// An integer value rendered exactly at any size: a [`Json::Num`] up
+    /// to 2^53, where `f64` holds every integer, and its decimal text
+    /// spliced as [`Json::Raw`] beyond.
+    pub fn uint(n: u64) -> Json {
+        if n <= 1 << 53 {
+            Json::Num(n as f64)
+        } else {
+            Json::Raw(n.to_string())
+        }
     }
 
     /// Looks up a key of an object value.
@@ -371,6 +382,17 @@ mod tests {
     fn integers_render_without_fraction() {
         assert_eq!(Json::num(10_000_000).render(), "10000000");
         assert_eq!(Json::Num(0.125).render(), "0.125");
+    }
+
+    #[test]
+    fn integers_past_f64_precision_render_exactly() {
+        assert_eq!(Json::uint(u64::MAX).render(), "18446744073709551615");
+        assert_eq!(Json::uint((1 << 53) + 1).render(), "9007199254740993");
+        assert_eq!(Json::uint(1 << 53), Json::Num(9_007_199_254_740_992.0));
+        assert_eq!(Json::num(7), Json::Num(7.0));
+        // the spliced text is still a JSON number
+        let back = Json::parse(&Json::uint(u64::MAX).render()).unwrap();
+        assert!(matches!(back, Json::Num(_)), "{back:?}");
     }
 
     #[test]

@@ -98,9 +98,10 @@ pub struct CheckReport {
     pub coverage: Option<CoverageStats>,
     /// Extra engine-specific prose lines, printed after the states line.
     pub detail_lines: Vec<String>,
-    /// Engine-specific numeric counters for the JSON rendering. A counter
-    /// past `u64::MAX` saturates: gpo's `valid_sets` does from 2^64 sets
-    /// of `r₀` on, while its prose `valid sets |r0|` line stays exact.
+    /// Engine-specific numeric counters for the JSON rendering, which
+    /// prints each exactly ([`Json::uint`]). A counter past `u64::MAX`
+    /// saturates: gpo's `valid_sets` does from 2^64 sets of `r₀` on, while
+    /// its prose `valid sets |r0|` line stays exact.
     pub details: Vec<(&'static str, u64)>,
     /// Deadlock witnesses, lifted and rendered.
     pub witnesses: Vec<Witness>,
@@ -298,7 +299,7 @@ impl CheckReport {
                 Json::Obj(
                     self.details
                         .iter()
-                        .map(|(k, v)| ((*k).to_string(), Json::Num(*v as f64)))
+                        .map(|(k, v)| ((*k).to_string(), Json::uint(*v)))
                         .collect(),
                 ),
             ),

@@ -9,7 +9,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use petri::checkpoint::read_checkpoint_with_fallback;
-use petri::{CheckpointConfig, EngineKind, ExhaustionReason, Snapshot};
+use petri::{CheckpointConfig, EngineKind, ExhaustionReason, ReachabilityGraph, Snapshot};
 
 use crate::engine::{run_engine, RunSpec};
 use crate::portfolio::{run_portfolio, PortfolioOptions, AUTO};
@@ -165,8 +165,10 @@ fn load_resume(spec: &JobSpec, dir: &std::path::Path) -> Option<Snapshot> {
     }
     let snap = read_checkpoint_with_fallback(&path).ok()?;
     // gpo runs on ZDD families only: an explicit-family snapshot from an
-    // older build would fail the engine check instead of resuming
-    let current = snap.engine != EngineKind::GpoExplicit;
+    // older build would fail the engine check instead of resuming; so
+    // would a full snapshot an older build wrote with edges and no origins
+    let current =
+        snap.engine != EngineKind::GpoExplicit && !ReachabilityGraph::is_outdated_snapshot(&snap);
     (current && snap.stamp.job.as_ref() == Some(&spec.stamp())).then_some(snap)
 }
 
@@ -318,6 +320,44 @@ mod tests {
             !resumes(gpo.to_bytes()),
             "gpo on explicit families, which no engine writes"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A full snapshot with recorded edges and no origins comes from the
+    /// build before the packed state table, which `--resume` refuses: the
+    /// job restarts from the initial marking instead of failing.
+    #[test]
+    fn load_resume_restarts_full_snapshots_without_origins() {
+        let dir = std::env::temp_dir().join(format!("julie-load-origins-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let body =
+            Json::parse(r#"{"net": "net n\npl p *\npl q\ntr go : p -> q\n", "engine": "full", "max_states": 1}"#)
+                .unwrap();
+        let (spec, net) = JobSpec::from_submission(&body, "j000007".into(), 100).unwrap();
+        let budget = petri::Budget::default().cap_states(1);
+        let opts = petri::ExploreOptions {
+            record_edges: true,
+            threads: 1,
+        };
+        let partial =
+            ReachabilityGraph::explore(&net, &opts, &budget, &CheckpointConfig::default(), None)
+                .unwrap()
+                .into_value();
+        let mut current = partial.to_snapshot(&net, true);
+        current.stamp = RunStamp {
+            job: Some(spec.stamp()),
+            ..RunStamp::default()
+        };
+        let mut outdated = Snapshot::new(EngineKind::Full, &net);
+        outdated.stamp = current.stamp.clone();
+        for tag in 1..=5 {
+            outdated.push_section(tag, current.section(tag).unwrap().to_vec());
+        }
+        assert!(ReachabilityGraph::is_outdated_snapshot(&outdated));
+        for (snap, resumes) in [(&current, true), (&outdated, false)] {
+            std::fs::write(job::ckpt_path(&dir), snap.to_bytes()).unwrap();
+            assert_eq!(load_resume(&spec, &dir).is_some(), resumes);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

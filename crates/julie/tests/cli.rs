@@ -295,6 +295,20 @@ fn check_and_info_print_the_same_exact_r0_count() {
 }
 
 #[test]
+fn json_counters_past_2_pow_53_are_exact() {
+    // |r0| of Fig. 2 with N = 70 saturates the u64 counter; the JSON
+    // prints u64::MAX itself, not its nearest f64
+    let net = stdout(&julie(&["model", "fig2", "70"]));
+    let check = julie_stdin(&["check", "-", "--engine=gpo", "--json"], &net);
+    assert_eq!(check.status.code(), Some(1), "{}", stderr(&check));
+    assert!(
+        stdout(&check).contains("\"valid_sets\":18446744073709551615"),
+        "{}",
+        stdout(&check)
+    );
+}
+
+#[test]
 fn check_mem_limit_is_accepted() {
     // a generous memory budget leaves a tiny net's verdict untouched
     let out = julie_stdin(&["check", "-", "--engine=full", "--mem-limit=64"], CYCLE);
@@ -1394,5 +1408,54 @@ fn bad_legs_schedules_are_rejected() {
         let out = julie_rejected(&["check", "-", "--engine=auto", legs]);
         assert_eq!(out.status.code(), Some(3), "{legs}");
         assert!(stderr(&out).contains(why), "{legs}: {}", stderr(&out));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Snapshots written by the build before the packed state table
+// ---------------------------------------------------------------------
+
+/// `tests/fixtures/pre-origins-snapshots` holds NSDP(4) snapshots that the
+/// build before the packed state table wrote at one thread, each stopped
+/// by `--max-states`. Its full snapshot recorded edges and no origins:
+/// resuming it fails closed, naming the cause. Its po and gpo snapshots
+/// are in today's format and resume to the uninterrupted report.
+#[test]
+fn snapshots_of_the_previous_build_resume_or_fail_closed() {
+    let net = fixture("pre-origins-snapshots/nsdp4.net");
+    let resume = |engine: &str| {
+        julie(&[
+            "check",
+            &net,
+            &format!("--engine={engine}"),
+            "--threads=1",
+            &format!(
+                "--resume={}",
+                fixture(&format!("pre-origins-snapshots/{engine}.ckpt"))
+            ),
+        ])
+    };
+    let full = resume("full");
+    assert_eq!(full.status.code(), Some(3), "{}", stdout(&full));
+    let err = stderr(&full);
+    assert!(
+        err.contains("no state origins") && err.contains("restart without --resume"),
+        "{err}"
+    );
+    let without_zdd = |s: String| -> String {
+        s.lines()
+            .filter(|l| !l.starts_with("zdd:"))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    };
+    for engine in ["po", "gpo"] {
+        let resumed = resume(engine);
+        assert_eq!(resumed.status.code(), Some(1), "{}", stderr(&resumed));
+        let fresh = julie(&["check", &net, &format!("--engine={engine}"), "--threads=1"]);
+        assert_eq!(
+            without_zdd(stdout(&resumed)),
+            without_zdd(stdout(&fresh)),
+            "{engine}"
+        );
     }
 }

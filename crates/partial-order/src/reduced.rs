@@ -11,7 +11,9 @@ use petri::checkpoint::{
     explore_segmented, push_state_table, read_state_table, ByteReader, ByteWriter, CheckpointError,
     EngineKind,
 };
-use petri::parallel::{default_threads, explore_frontier_seeded, FrontierOptions, FrontierSeed};
+use petri::parallel::{
+    default_threads, explore_frontier_seeded, Emit, FrontierOptions, FrontierSeed,
+};
 use petri::{
     Budget, CheckpointConfig, Marking, NetError, Outcome, PetriNet, Snapshot, TransitionId,
 };
@@ -184,9 +186,11 @@ impl ReducedReachability {
                 budget: budget.clone(),
                 ..Default::default()
             },
-            |m, out| {
+            |m: &Marking, emit: &mut Emit<'_, TransitionId, Marking>| {
+                let mut next = m.clone();
                 for t in stubborn.enabled_stubborn(m) {
-                    out.push((t, net.fire(t, m)?));
+                    net.fire_into(t, m, &mut next)?;
+                    emit(t, &next);
                 }
                 Ok(())
             },

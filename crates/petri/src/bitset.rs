@@ -28,10 +28,27 @@ const BITS: usize = 64;
 ///
 /// All binary operations (`union_with`, `intersect_with`, …) require both
 /// operands to have the same capacity; this is asserted in debug builds.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+#[derive(PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct BitSet {
     blocks: Vec<u64>,
     capacity: usize,
+}
+
+// not derived: the derived `clone_from` would allocate a fresh block
+// vector, and the frontier loop overwrites one scratch marking per
+// expansion and per successor
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            blocks: self.blocks.clone(),
+            capacity: self.capacity,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.blocks.clone_from(&source.blocks);
+        self.capacity = source.capacity;
+    }
 }
 
 impl BitSet {
@@ -224,6 +241,12 @@ impl BitSet {
     /// little-endian bit order). Used by the checkpoint serializer.
     pub fn as_blocks(&self) -> &[u64] {
         &self.blocks
+    }
+
+    /// The block words, writable. Callers keep the bits beyond the
+    /// universe clear (the firing rule only ORs in place masks).
+    pub(crate) fn blocks_mut(&mut self) -> &mut [u64] {
+        &mut self.blocks
     }
 
     /// Rebuilds a set from raw block words over the universe

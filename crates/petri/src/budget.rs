@@ -164,6 +164,17 @@ impl Budget {
     /// markings and their approximate footprint for explicit engines, BDD
     /// nodes for the symbolic one.
     pub fn exceeded(&self, states: usize, bytes: usize) -> Option<ExhaustionReason> {
+        self.exceeded_reading_clock(states, bytes, true)
+    }
+
+    /// [`exceeded`](Self::exceeded), checking the deadline only when
+    /// `read_clock` is set.
+    fn exceeded_reading_clock(
+        &self,
+        states: usize,
+        bytes: usize,
+        read_clock: bool,
+    ) -> Option<ExhaustionReason> {
         if self.cancel.load(Ordering::Relaxed) {
             return Some(ExhaustionReason::Cancelled);
         }
@@ -174,11 +185,38 @@ impl Budget {
             return Some(ExhaustionReason::Memory);
         }
         if let Some(d) = self.deadline {
-            if Instant::now() >= d {
+            if read_clock && Instant::now() >= d {
                 return Some(ExhaustionReason::Time);
             }
         }
         None
+    }
+}
+
+/// A [`Budget`] polled from a hot loop: [`Budget::exceeded`] with the
+/// deadline clock read on the first poll and then once every
+/// `polls_per_clock_read` polls. Cancellation, states and bytes are
+/// checked on every poll, in the same priority order.
+pub(crate) struct BudgetPoll<'a> {
+    budget: &'a Budget,
+    polls_per_clock_read: u32,
+    polls: u32,
+}
+
+impl<'a> BudgetPoll<'a> {
+    pub(crate) fn new(budget: &'a Budget, polls_per_clock_read: u32) -> Self {
+        BudgetPoll {
+            budget,
+            polls_per_clock_read: polls_per_clock_read.max(1),
+            polls: 0,
+        }
+    }
+
+    pub(crate) fn exceeded(&mut self, states: usize, bytes: usize) -> Option<ExhaustionReason> {
+        let read_clock = self.polls == 0;
+        self.polls = (self.polls + 1) % self.polls_per_clock_read;
+        self.budget
+            .exceeded_reading_clock(states, bytes, read_clock)
     }
 }
 

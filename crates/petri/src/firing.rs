@@ -26,7 +26,10 @@ impl PetriNet {
     /// # Ok::<(), petri::NetError>(())
     /// ```
     pub fn enabled(&self, t: TransitionId, m: &Marking) -> bool {
-        m.covers(self.pre_place_set(t))
+        let words = m.words();
+        self.word_arcs(t)
+            .iter()
+            .all(|a| words[a.word as usize] & a.pre == a.pre)
     }
 
     /// All transitions enabled in `m`, in index order.
@@ -53,24 +56,62 @@ impl PetriNet {
     ///
     /// Panics in debug builds if `t` is not enabled in `m`.
     pub fn fire(&self, t: TransitionId, m: &Marking) -> Result<Marking, NetError> {
-        debug_assert!(self.enabled(t, m), "fired disabled transition {t}");
         let mut next = m.clone();
-        let pre = self.pre_place_set(t);
-        let post = self.post_place_set(t);
-        for p in self.pre_places(t) {
-            if !post.contains(p.index()) {
-                next.remove_token(*p);
-            }
-        }
-        for p in self.post_places(t) {
-            if !pre.contains(p.index()) && !next.add_token(*p) {
-                return Err(NetError::NotSafe {
-                    place: self.place_name(*p).to_string(),
-                    transition: self.transition_name(t).to_string(),
-                });
-            }
-        }
+        self.apply(t, m, &mut next)?;
         Ok(next)
+    }
+
+    /// [`fire`](Self::fire) into a caller-owned marking, reusing its
+    /// allocation: `next` becomes the successor of `m` under `t`. This is
+    /// the firing rule itself, one step per word `t`'s arcs touch: a word
+    /// `w` becomes `(w & !pre) | post`, after checking that no place of
+    /// `t• \ •t` in it is marked.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::NotSafe`] as [`fire`](Self::fire) does, naming
+    /// the first such place in `t•` order; `next` is then unspecified.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `t` is not enabled in `m`.
+    pub fn fire_into(
+        &self,
+        t: TransitionId,
+        m: &Marking,
+        next: &mut Marking,
+    ) -> Result<(), NetError> {
+        next.clone_from(m);
+        self.apply(t, m, next)
+    }
+
+    /// Fires `t` on `next`, a copy of `m`.
+    fn apply(&self, t: TransitionId, m: &Marking, next: &mut Marking) -> Result<(), NetError> {
+        debug_assert!(self.enabled(t, m), "fired disabled transition {t}");
+        let words = next.words_mut();
+        for a in self.word_arcs(t) {
+            let w = words[a.word as usize];
+            if w & a.post & !a.pre != 0 {
+                return Err(self.not_safe(t, m));
+            }
+            words[a.word as usize] = (w & !a.pre) | a.post;
+        }
+        Ok(())
+    }
+
+    /// The safeness violation of firing `t` in `m`: the first place of
+    /// `t•`, in arc order, that is outside `•t` and already marked.
+    fn not_safe(&self, t: TransitionId, m: &Marking) -> NetError {
+        let pre = self.pre_place_set(t);
+        let place = self
+            .post_places(t)
+            .iter()
+            .find(|p| !pre.contains(p.index()) && m.is_marked(**p))
+            .expect("a violation names a marked place of t• outside •t");
+        NetError::NotSafe {
+            place: self.place_name(*place).to_string(),
+            transition: self.transition_name(t).to_string(),
+        }
     }
 
     /// Fires a whole sequence of transitions starting from `m`.
@@ -98,6 +139,7 @@ impl PetriNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::PlaceId;
     use crate::net::NetBuilder;
 
     fn fork_join() -> (PetriNet, Vec<TransitionId>) {
@@ -174,6 +216,95 @@ mod tests {
         let net = b.build().unwrap();
         let err = net.fire(t, net.initial_marking()).unwrap_err();
         assert!(matches!(err, NetError::NotSafe { .. }));
+    }
+
+    /// The firing rule as it was written place by place before the word
+    /// rule replaced it.
+    fn fire_by_places(net: &PetriNet, t: TransitionId, m: &Marking) -> Result<Marking, NetError> {
+        let mut next = m.clone();
+        let pre = net.pre_place_set(t);
+        let post = net.post_place_set(t);
+        for p in net.pre_places(t) {
+            if !post.contains(p.index()) {
+                next.remove_token(*p);
+            }
+        }
+        for p in net.post_places(t) {
+            if !pre.contains(p.index()) && !next.add_token(*p) {
+                return Err(NetError::NotSafe {
+                    place: net.place_name(*p).to_string(),
+                    transition: net.transition_name(t).to_string(),
+                });
+            }
+        }
+        Ok(next)
+    }
+
+    #[test]
+    fn word_rule_fires_and_fails_like_the_place_rule() {
+        // 150 places over three words; every transition takes one token
+        // and puts tokens in places spread across the words, listed out of
+        // index order, some already marked and some self-loops
+        let n = 150;
+        let mut b = NetBuilder::new("words");
+        let places: Vec<_> = (0..n)
+            .map(|i| {
+                if i % 3 == 0 {
+                    b.place_marked(format!("p{i}"))
+                } else {
+                    b.place(format!("p{i}"))
+                }
+            })
+            .collect();
+        for i in 0..n {
+            let pre = [places[i], places[(i * 11 + 5) % n]];
+            let mut post = vec![places[(i * 37 + 1) % n], places[(i * 53 + 2) % n]];
+            if i % 4 == 0 {
+                post.push(places[i]);
+            }
+            post.dedup();
+            b.transition(format!("t{i}"), pre, post);
+        }
+        let net = b.build().unwrap();
+        let mut marks = vec![
+            net.initial_marking().clone(),
+            Marking::from_places(n, (0..n).filter(|i| i % 2 == 0).map(PlaceId::new)),
+            Marking::from_places(n, (0..n).filter(|i| i % 7 != 3).map(PlaceId::new)),
+        ];
+        // each preset alone enables its transition without a violation
+        marks.extend(
+            net.transitions()
+                .map(|t| Marking::from_places(n, net.pre_places(t).iter().copied())),
+        );
+        let (mut fired, mut failed) = (0, 0);
+        let mut next = Marking::empty(n);
+        for m in &marks {
+            for t in net.transitions() {
+                let pre_marked = net.pre_places(t).iter().all(|&p| m.is_marked(p));
+                assert_eq!(net.enabled(t, m), pre_marked, "{t}");
+                if !pre_marked {
+                    continue;
+                }
+                let want = fire_by_places(&net, t, m);
+                assert_eq!(net.fire(t, m), want, "{t}");
+                let into = net.fire_into(t, m, &mut next);
+                match &want {
+                    Ok(w) => {
+                        assert_eq!(into, Ok(()));
+                        assert_eq!(&next, w, "{t}");
+                        fired += 1;
+                    }
+                    Err(e) => {
+                        assert_eq!(into.as_ref(), Err(e), "{t}");
+                        failed += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            fired > 10 && failed > 10,
+            "{fired} firings, {failed} violations"
+        );
     }
 
     #[test]

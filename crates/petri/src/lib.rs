@@ -63,6 +63,7 @@ pub mod property;
 mod reachability;
 pub mod reduce;
 mod siphons;
+mod state_table;
 
 pub use analysis::{verify, BoundedReport, VerificationReport};
 pub use bitset::{BitSet, Iter as BitSetIter};

@@ -21,9 +21,22 @@ use crate::ids::PlaceId;
 /// assert!(m.is_marked(PlaceId::new(2)));
 /// assert_eq!(m.token_count(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Marking {
     bits: BitSet,
+}
+
+// not derived, so that `clone_from` reuses the block allocation
+impl Clone for Marking {
+    fn clone(&self) -> Self {
+        Marking {
+            bits: self.bits.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.bits.clone_from(&source.bits);
+    }
 }
 
 impl Marking {
@@ -100,6 +113,17 @@ impl Marking {
     /// Number of places in the net this marking belongs to.
     pub fn place_count(&self) -> usize {
         self.bits.capacity()
+    }
+
+    /// The marking as packed words, 64 places per word: what the state
+    /// table stores and the word firing rule reads.
+    pub(crate) fn words(&self) -> &[u64] {
+        self.bits.as_blocks()
+    }
+
+    /// The packed words, writable (see [`BitSet::blocks_mut`]).
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        self.bits.blocks_mut()
     }
 }
 

@@ -31,6 +31,15 @@ pub(crate) struct Transition {
     pub(crate) post_set: BitSet,
 }
 
+/// One marking word a transition's arcs touch, for the word firing rule:
+/// the places of `•t` and of `t•` that live in word `word` of a marking.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WordArc {
+    pub(crate) word: u32,
+    pub(crate) pre: u64,
+    pub(crate) post: u64,
+}
+
 /// An immutable safe Petri net `⟨P, T, F, m₀⟩` (Definition 2.1 of the paper).
 ///
 /// Construct one with [`NetBuilder`]. The net stores, for every node, both
@@ -59,6 +68,10 @@ pub struct PetriNet {
     places: Vec<Place>,
     transitions: Vec<Transition>,
     initial: Marking,
+    /// Every transition's [`WordArc`]s, in increasing word order;
+    /// transition `t` owns `word_arcs[word_arc_start[t]..word_arc_start[t + 1]]`.
+    word_arcs: Vec<WordArc>,
+    word_arc_start: Vec<u32>,
 }
 
 impl PetriNet {
@@ -144,6 +157,13 @@ impl PetriNet {
     /// The postset `t•` as a bit set over place indices.
     pub fn post_place_set(&self, t: TransitionId) -> &BitSet {
         &self.transitions[t.index()].post_set
+    }
+
+    /// The words of a marking that `t`'s arcs touch, with the `•t` and
+    /// `t•` places in each (see [`fire`](Self::fire)).
+    pub(crate) fn word_arcs(&self, t: TransitionId) -> &[WordArc] {
+        let i = t.index();
+        &self.word_arcs[self.word_arc_start[i] as usize..self.word_arc_start[i + 1] as usize]
     }
 
     /// The preset `•p`: transitions with an arc into `p`.
@@ -365,6 +385,25 @@ impl NetBuilder {
             });
         }
 
+        let mut word_arcs = Vec::new();
+        let mut word_arc_start = vec![0u32];
+        for t in &transitions {
+            let mut words: Vec<usize> = t
+                .pre
+                .iter()
+                .chain(&t.post)
+                .map(|p| p.index() / 64)
+                .collect();
+            words.sort_unstable();
+            words.dedup();
+            word_arcs.extend(words.into_iter().map(|w| WordArc {
+                word: w as u32,
+                pre: t.pre_set.as_blocks()[w],
+                post: t.post_set.as_blocks()[w],
+            }));
+            word_arc_start.push(u32::try_from(word_arcs.len()).expect("arc count fits in u32"));
+        }
+
         let initial = Marking::from_bits(BitSet::from_iter_with_capacity(
             place_count,
             self.marked
@@ -379,6 +418,8 @@ impl NetBuilder {
             places,
             transitions,
             initial,
+            word_arcs,
+            word_arc_start,
         })
     }
 }

@@ -7,10 +7,13 @@
 //! in how a state's successors are computed. This module owns that loop.
 //! It has two branches, picked by [`FrontierOptions::threads`]:
 //!
-//! * **one thread** runs a lock-free FIFO loop on the calling thread: the
-//!   dense state table is the queue (ids are handed out in discovery
-//!   order, so the next unexpanded id is always the queue head) and a
-//!   plain `HashMap` indexes it;
+//! * **one thread** runs a lock-free FIFO loop on the calling thread over
+//!   the state type's [`StateTable`]: every state is stored once, under a
+//!   dense id that an open-addressing table of `u32`s indexes (markings
+//!   as packed words in one arena, see [`PackedTable`]). The table is the
+//!   queue: ids are handed out in discovery order, so the next unexpanded
+//!   id is always the queue head. Successors reach the loop by reference
+//!   and are copied only when new;
 //! * **two or more threads** run the work-stealing engine.
 //!
 //! The work-stealing engine scales across cores using only the standard
@@ -51,7 +54,10 @@
 //! successor per worker** instead of one whole expansion's fan-out per
 //! worker. Both branches count the same bytes:
 //! [`FrontierState::approx_bytes`] plus [`STATE_OVERHEAD_BYTES`] per
-//! stored state and [`EDGE_BYTES`] per recorded edge.
+//! stored state and [`EDGE_BYTES`] per recorded edge. The one-thread loop
+//! reads the deadline clock on its first poll and then once every
+//! [`StateTable::POLLS_PER_CLOCK_READ`] polls (256 for markings, whose
+//! polls are as cheap as reading the clock; every poll for GPN states).
 //!
 //! The rollback maintains the invariant that `succ[id]` is non-empty only
 //! if `expanded[id]`, which is what keeps edge counts exact across
@@ -103,10 +109,11 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use crate::budget::{Budget, CoverageStats, ExhaustionReason, Outcome};
+use crate::budget::{Budget, BudgetPoll, CoverageStats, ExhaustionReason, Outcome};
 use crate::error::NetError;
 use crate::ids::TransitionId;
 use crate::marking::Marking;
+pub use crate::state_table::{PackedTable, StateTable, VecTable};
 
 /// Approximate bookkeeping bytes per stored state beyond the marking
 /// itself (index entry, result slot, queue slot). Both branches
@@ -119,6 +126,10 @@ pub const EDGE_BYTES: usize = 24;
 /// huge contiguous share of a deep frontier.
 const MAX_STEAL_BATCH: usize = 32;
 
+/// The callback a successor function hands each successor to, with its
+/// label (see [`explore_frontier`]).
+pub type Emit<'a, L, St> = dyn FnMut(L, &St) + 'a;
+
 /// Number of worker threads to use when a caller asks for "all of them":
 /// the system's available parallelism, or 1 if that cannot be determined.
 pub fn default_threads() -> usize {
@@ -130,11 +141,17 @@ pub fn default_threads() -> usize {
 /// A state type the frontier engine can explore: hashable for the sharded
 /// index, thread-crossing, and byte-accountable for the memory budget.
 pub trait FrontierState: Clone + Eq + Hash + Send + Sync {
+    /// The store the one-thread loop keeps these states in:
+    /// [`PackedTable`] for markings, [`VecTable`] for anything else.
+    type Table: StateTable<Self>;
+
     /// Approximate heap bytes of one state, for [`Budget`] accounting.
     fn approx_bytes(&self) -> usize;
 }
 
 impl FrontierState for Marking {
+    type Table = PackedTable;
+
     fn approx_bytes(&self) -> usize {
         Marking::approx_bytes(self)
     }
@@ -281,10 +298,13 @@ impl<St, L> FrontierSeed<St, L> {
 /// Explores the frontier fixed point of `successors` from `initial`, on
 /// the calling thread or on `opts.threads` workers.
 ///
-/// `successors` receives a marking and pushes every `(label, successor)`
-/// pair into the scratch vector; pushing nothing marks the state as a
-/// deadlock. The callback must be a pure function of the marking — the
-/// engine calls it once per distinct reachable marking (twice only when a
+/// `successors` receives a state and an `emit` callback, and calls
+/// `emit(label, &successor)` for every successor in order; emitting
+/// nothing marks the state as a deadlock. The loop copies a successor only
+/// when it is new, so the callback may build every successor in one
+/// scratch value. Once a budget trips mid-expansion, further emits are
+/// ignored. The callback must be a pure function of the state — the
+/// engine calls it once per distinct reachable state (twice only when a
 /// budget aborts an expansion that a resume later re-runs), from an
 /// unspecified thread.
 ///
@@ -303,7 +323,7 @@ pub fn explore_frontier<St, L, S>(
 where
     St: FrontierState,
     L: Clone + Send,
-    S: Fn(&St, &mut Vec<(L, St)>) -> Result<(), NetError> + Sync,
+    S: Fn(&St, &mut Emit<'_, L, St>) -> Result<(), NetError> + Sync,
 {
     explore_frontier_seeded(FrontierSeed::initial(initial), opts, successors)
 }
@@ -342,7 +362,7 @@ pub fn explore_frontier_seeded<St, L, S>(
 where
     St: FrontierState,
     L: Clone + Send,
-    S: Fn(&St, &mut Vec<(L, St)>) -> Result<(), NetError> + Sync,
+    S: Fn(&St, &mut Emit<'_, L, St>) -> Result<(), NetError> + Sync,
 {
     let start = Instant::now();
     assert_eq!(seed.states.len(), seed.expanded.len(), "inconsistent seed");
@@ -413,10 +433,12 @@ fn finish<St, L>(
     }
 }
 
-/// The one-thread branch: a FIFO loop on the calling thread. New states
-/// get the next dense id, so ids follow discovery order and the queue is
-/// simply the unexpanded ids in increasing order — the state table itself,
-/// walked by a cursor.
+/// The one-thread branch: a FIFO loop on the calling thread over the state
+/// type's [`StateTable`]. New states get the next dense id, so ids follow
+/// discovery order and the queue is simply the unexpanded ids in
+/// increasing order — the table itself, walked by a cursor. The state
+/// being expanded is loaded into one scratch value, and each successor the
+/// callback emits is looked up by reference: only a new one is copied in.
 fn run_fifo<St, L, S>(
     seed: FrontierSeed<St, L>,
     opts: &FrontierOptions,
@@ -426,85 +448,89 @@ fn run_fifo<St, L, S>(
 where
     St: FrontierState,
     L: Clone,
-    S: Fn(&St, &mut Vec<(L, St)>) -> Result<(), NetError>,
+    S: Fn(&St, &mut Emit<'_, L, St>) -> Result<(), NetError>,
 {
     let budget = &opts.budget;
+    let mut poll = BudgetPoll::new(budget, St::Table::POLLS_PER_CLOCK_READ);
     let mut bytes = seed_bytes(&seed);
     let id_skip = first_new_id(opts, seed.states.len()) as usize - seed.states.len();
     let FrontierSeed {
-        mut states,
+        states,
         mut expanded,
         mut succ,
         mut deadlocks,
         mut edge_count,
     } = seed;
-    let mut index: HashMap<St, u32> = HashMap::with_capacity(states.len());
-    for (id, state) in states.iter().enumerate() {
-        let prev = index.insert(state.clone(), id as u32);
-        assert!(prev.is_none(), "duplicate state in seed");
-    }
+    let mut table = St::Table::from_states(states);
     if opts.record_edges {
-        succ.resize_with(states.len(), Vec::new);
+        succ.resize_with(table.len(), Vec::new);
     }
     let mut origin: Vec<Option<(u32, L)>> = if opts.record_origins {
-        (0..states.len()).map(|_| None).collect()
+        (0..table.len()).map(|_| None).collect()
     } else {
         Vec::new()
     };
     let mut expanded_count = expanded.iter().filter(|&&e| e).count();
 
-    let mut succs: Vec<(L, St)> = Vec::new();
+    let mut scratch: Option<St> = None;
     let mut exhausted = None;
     let mut head = 0;
     loop {
-        while head < states.len() && expanded[head] {
+        while head < table.len() && expanded[head] {
             head += 1;
         }
-        if head == states.len() {
+        if head == table.len() {
             break;
         }
-        if let Some(reason) = budget.exceeded(states.len(), bytes) {
+        if let Some(reason) = poll.exceeded(table.len(), bytes) {
             exhausted = Some(reason);
             break;
         }
         let sid = head;
         head += 1;
-        successors(&states[sid], &mut succs)?;
+        match &mut scratch {
+            Some(state) => table.load(sid, state),
+            None => scratch = Some(table.get(sid)),
+        }
+        let state = scratch.as_ref().expect("loaded above");
 
         let count_mark = edge_count;
-        for (label, next) in succs.drain(..) {
+        let mut overflow = false;
+        successors(state, &mut |label, next| {
+            if exhausted.is_some() || overflow {
+                return;
+            }
             // re-check between insertions: one huge fan-out must not blow
             // past the budget by more than a single successor
-            if let Some(reason) = budget.exceeded(states.len(), bytes) {
+            if let Some(reason) = poll.exceeded(table.len(), bytes) {
                 exhausted = Some(reason);
-                break;
+                return;
             }
-            let nid = match index.entry(next) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    // u32::MAX is reserved, as in the work-stealing allocator
-                    let nid = u32::try_from(states.len() + id_skip)
-                        .ok()
-                        .filter(|&id| id != u32::MAX)
-                        .ok_or(NetError::StateIdOverflow)?;
-                    bytes += e.key().approx_bytes() + STATE_OVERHEAD_BYTES;
-                    states.push(e.key().clone());
-                    expanded.push(false);
-                    if opts.record_edges {
-                        succ.push(Vec::new());
-                    }
-                    if opts.record_origins {
-                        origin.push(Some((sid as u32, label.clone())));
-                    }
-                    e.insert(nid);
-                    nid
+            let (idx, new) = table.insert(next);
+            // u32::MAX is reserved, as in the work-stealing allocator
+            let nid = idx + id_skip;
+            if nid >= u32::MAX as usize {
+                overflow = true;
+                return;
+            }
+            if new {
+                bytes += next.approx_bytes() + STATE_OVERHEAD_BYTES;
+                expanded.push(false);
+                if opts.record_edges {
+                    succ.push(Vec::new());
                 }
-            };
+                if opts.record_origins {
+                    origin.push(Some((sid as u32, label.clone())));
+                }
+            }
             edge_count += 1;
             if opts.record_edges {
                 bytes += EDGE_BYTES;
-                succ[sid].push((label, nid));
+                succ[sid].push((label, nid as u32));
             }
+        })?;
+        if overflow {
+            return Err(NetError::StateIdOverflow);
         }
         if exhausted.is_some() {
             // roll the expansion back so `sid` stays cleanly unexpanded;
@@ -526,7 +552,8 @@ where
         expanded_count += 1;
     }
 
-    drop(index);
+    drop(scratch);
+    let states = table.into_states();
     succ.resize_with(states.len(), Vec::new);
     let result = FrontierResult {
         states,
@@ -557,7 +584,7 @@ fn run_work_stealing<St, L, S>(
 where
     St: FrontierState,
     L: Clone + Send,
-    S: Fn(&St, &mut Vec<(L, St)>) -> Result<(), NetError> + Sync,
+    S: Fn(&St, &mut Emit<'_, L, St>) -> Result<(), NetError> + Sync,
 {
     let threads = opts.threads;
     let shard_count = (threads * 8).next_power_of_two();
@@ -856,7 +883,7 @@ fn worker<St, L, S>(shared: &Shared<'_, St, S>, wid: usize) -> WorkerOut<L>
 where
     St: FrontierState,
     L: Clone + Send,
-    S: Fn(&St, &mut Vec<(L, St)>) -> Result<(), NetError> + Sync,
+    S: Fn(&St, &mut Emit<'_, L, St>) -> Result<(), NetError> + Sync,
 {
     match catch_unwind(AssertUnwindSafe(|| worker_inner(shared, wid))) {
         Ok(out) => out,
@@ -943,7 +970,7 @@ fn worker_inner<St, L, S>(shared: &Shared<'_, St, S>, wid: usize) -> WorkerOut<L
 where
     St: FrontierState,
     L: Clone + Send,
-    S: Fn(&St, &mut Vec<(L, St)>) -> Result<(), NetError> + Sync,
+    S: Fn(&St, &mut Emit<'_, L, St>) -> Result<(), NetError> + Sync,
 {
     let mut out = WorkerOut::default();
     let mut succs: Vec<(L, St)> = Vec::new();
@@ -992,7 +1019,9 @@ where
         }
 
         succs.clear();
-        if let Err(e) = (shared.successors)(&state, &mut succs) {
+        if let Err(e) = (shared.successors)(&state, &mut |t, next: &St| {
+            succs.push((t, next.clone()));
+        }) {
             shared.in_flight.fetch_sub(1, Ordering::Relaxed);
             shared.pending.fetch_sub(1, Ordering::AcqRel);
             shared.record_error(e);
@@ -1137,12 +1166,12 @@ mod tests {
 
     fn net_successors(
         net: &PetriNet,
-    ) -> impl Fn(&Marking, &mut Vec<(TransitionId, Marking)>) -> Result<(), NetError> + Sync + '_
+    ) -> impl Fn(&Marking, &mut Emit<'_, TransitionId, Marking>) -> Result<(), NetError> + Sync + '_
     {
-        move |m, out| {
+        move |m, emit| {
             for t in net.transitions() {
                 if net.enabled(t, m) {
-                    out.push((t, net.fire(t, m)?));
+                    emit(t, &net.fire(t, m)?);
                 }
             }
             Ok(())
@@ -1496,6 +1525,71 @@ mod tests {
         }
     }
 
+    /// The one-thread loop reads the deadline clock on its first poll, so
+    /// a zero timeout stops it before the first expansion, as it does the
+    /// work-stealing engine.
+    #[test]
+    fn zero_deadline_stops_before_the_first_expansion() {
+        let net = concurrent(5);
+        for threads in [1, 2] {
+            let outcome = explore_frontier(
+                net.initial_marking().clone(),
+                &FrontierOptions {
+                    threads,
+                    budget: Budget::default().with_timeout(Duration::ZERO),
+                    ..Default::default()
+                },
+                net_successors(&net),
+            )
+            .unwrap();
+            assert_eq!(
+                outcome.reason(),
+                Some(ExhaustionReason::Time),
+                "threads={threads}"
+            );
+            assert_eq!(
+                outcome.coverage().unwrap().states_expanded,
+                0,
+                "threads={threads}"
+            );
+            assert_eq!(outcome.value().states.len(), 1, "threads={threads}");
+        }
+    }
+
+    /// Between clock reads the one-thread loop makes at most
+    /// `POLLS_PER_CLOCK_READ` polls, so a deadline that passes mid-run
+    /// stops it within that many insertions.
+    #[test]
+    fn deadline_passing_mid_run_stops_the_one_thread_loop() {
+        let net = concurrent(12);
+        let start = Instant::now();
+        let outcome = explore_frontier(
+            net.initial_marking().clone(),
+            &FrontierOptions {
+                threads: 1,
+                budget: Budget::default().with_timeout(Duration::from_millis(20)),
+                ..Default::default()
+            },
+            |m: &Marking, emit: &mut Emit<'_, TransitionId, Marking>| {
+                std::thread::sleep(Duration::from_micros(200));
+                for t in net.transitions() {
+                    if net.enabled(t, m) {
+                        emit(t, &net.fire(t, m)?);
+                    }
+                }
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(outcome.reason(), Some(ExhaustionReason::Time));
+        let expanded = outcome.coverage().unwrap().states_expanded;
+        // 4096 states at 200 µs each would take 0.8 s; polls come at least
+        // once per expansion, so the stop lands within 256 expansions of
+        // the deadline
+        assert!(expanded < 100 + 256, "{expanded} expansions");
+        assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
     #[test]
     fn cancellation_yields_partial() {
         let net = concurrent(5);
@@ -1550,7 +1644,7 @@ mod tests {
             let err = explore_frontier(
                 net.initial_marking().clone(),
                 &opts(threads),
-                |_m: &Marking, _out: &mut Vec<(TransitionId, Marking)>| {
+                |_m: &Marking, _emit: &mut Emit<'_, TransitionId, Marking>| {
                     Err(NetError::Reduction("boom".into()))
                 },
             )
@@ -1639,13 +1733,13 @@ mod tests {
                 inject_fault_on_steal: Some(1),
                 ..Default::default()
             },
-            |m: &Marking, out: &mut Vec<(TransitionId, Marking)>| {
+            |m: &Marking, emit: &mut Emit<'_, TransitionId, Marking>| {
                 // linger so expanded items sit in the owner's deque long
                 // enough that a thief is guaranteed to find them
                 std::thread::sleep(Duration::from_millis(5));
                 for t in net.transitions() {
                     if net.enabled(t, m) {
-                        out.push((t, net.fire(t, m)?));
+                        emit(t, &net.fire(t, m)?);
                     }
                 }
                 Ok(())
@@ -1669,13 +1763,13 @@ mod tests {
         let err = explore_frontier(
             net.initial_marking().clone(),
             &opts(3),
-            |m: &Marking, out: &mut Vec<(TransitionId, Marking)>| {
+            |m: &Marking, emit: &mut Emit<'_, TransitionId, Marking>| {
                 if calls.fetch_add(1, Ordering::Relaxed) == 3 {
                     panic!("callback exploded");
                 }
                 for t in net.transitions() {
                     if net.enabled(t, m) {
-                        out.push((t, net.fire(t, m)?));
+                        emit(t, &net.fire(t, m)?);
                     }
                 }
                 Ok(())
@@ -1849,7 +1943,10 @@ mod tests {
         let mut queue = VecDeque::from([0u32]);
         while let Some(sid) = queue.pop_front() {
             let mut out = Vec::new();
-            succ(&states[sid as usize], &mut out).unwrap();
+            succ(&states[sid as usize], &mut |t, next: &Marking| {
+                out.push((t, next.clone()))
+            })
+            .unwrap();
             if out.is_empty() {
                 deadlocks.push(sid);
             }

@@ -6,6 +6,7 @@
 //! paper's Table 1.
 
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use crate::budget::{Budget, Outcome};
@@ -17,7 +18,10 @@ use crate::error::NetError;
 use crate::ids::TransitionId;
 use crate::marking::Marking;
 use crate::net::PetriNet;
-use crate::parallel::{default_threads, explore_frontier_seeded, FrontierOptions, FrontierSeed};
+use crate::parallel::{
+    default_threads, explore_frontier_seeded, Emit, FrontierOptions, FrontierSeed,
+};
+use crate::state_table::{hash_words, IdIndex};
 
 /// Section tags of a [`EngineKind::Full`] snapshot, after the shared state
 /// table ([`push_state_table`] writes tags 1 and 2).
@@ -25,6 +29,7 @@ mod section {
     pub const EDGES: u32 = 3;
     pub const DEADLOCKS: u32 = 4;
     pub const COUNTERS: u32 = 5;
+    pub const ORIGINS: u32 = 6;
 }
 
 /// Identifier of a state (vertex) in a [`ReachabilityGraph`].
@@ -58,8 +63,10 @@ impl fmt::Display for StateId {
 /// Options controlling [`ReachabilityGraph::explore`].
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
-    /// Record the labelled edges (needed for path queries and DOT export);
-    /// disable to save memory when only the state count matters.
+    /// Record the labelled edges (needed for DOT export and
+    /// [`ReachabilityGraph::count_maximal_paths`]); disable to save memory.
+    /// Witness paths do not need them: every state's origin is always
+    /// recorded.
     pub record_edges: bool,
     /// Worker threads for the frontier exploration. The default is the
     /// machine's available parallelism; `1` runs the frontier loop's
@@ -113,6 +120,11 @@ pub struct ReachabilityGraph {
     expanded: Vec<bool>,
     /// Per-state outgoing labelled edges; empty if `record_edges` was off.
     succ: Vec<Vec<(TransitionId, StateId)>>,
+    /// Per state, the `(parent, transition)` that first reached it; `None`
+    /// for the initial state only.
+    origin: Vec<Option<(StateId, TransitionId)>>,
+    /// Marking → id, built on the first [`find`](Self::find).
+    index: OnceLock<IdIndex>,
     initial: StateId,
     deadlocks: Vec<StateId>,
     edge_count: usize,
@@ -177,7 +189,7 @@ impl ReachabilityGraph {
         prior: Option<Self>,
     ) -> Result<Outcome<Self>, NetError> {
         let start = Instant::now();
-        let (seed, base_elapsed) = match prior {
+        let (seed, mut origin, base_elapsed) = match prior {
             Some(g) => (
                 FrontierSeed {
                     states: g.states,
@@ -190,13 +202,16 @@ impl ReachabilityGraph {
                     deadlocks: g.deadlocks.into_iter().map(|d| d.0).collect(),
                     edge_count: g.edge_count,
                 },
+                g.origin,
                 g.elapsed,
             ),
             None => (
                 FrontierSeed::initial(net.initial_marking().clone()),
+                vec![None],
                 Duration::ZERO,
             ),
         };
+        let prior_count = origin.len();
         // the spread fills the cfg-gated fault-injection field in test builds
         #[allow(clippy::needless_update)]
         let outcome = explore_frontier_seeded(
@@ -204,13 +219,16 @@ impl ReachabilityGraph {
             &FrontierOptions {
                 threads: opts.threads,
                 record_edges: opts.record_edges,
+                record_origins: true,
                 budget: budget.clone(),
                 ..Default::default()
             },
-            |m, out| {
+            |m: &Marking, emit: &mut Emit<'_, TransitionId, Marking>| {
+                let mut next = m.clone();
                 for t in net.transitions() {
                     if net.enabled(t, m) {
-                        out.push((t, net.fire(t, m)?));
+                        net.fire_into(t, m, &mut next)?;
+                        emit(t, &next);
                     }
                 }
                 Ok(())
@@ -220,24 +238,39 @@ impl ReachabilityGraph {
         // the conversions below reuse each vector's allocation in place
         // (same element layout), so the graph never holds a second copy
         Ok(outcome
-            .map(|result| ReachabilityGraph {
-                states: result.states,
-                expanded: result.expanded,
-                succ: result
-                    .succ
-                    .into_iter()
-                    .map(|edges| {
-                        edges
+            .map(|result| {
+                // the loop leaves the seeded states' origins to the caller:
+                // the prior graph's come first, the new states' follow
+                origin.extend(
+                    result.origin[prior_count..]
+                        .iter()
+                        .map(|o| o.map(|(parent, t)| (StateId(parent), t))),
+                );
+                ReachabilityGraph {
+                    states: result.states,
+                    expanded: result.expanded,
+                    succ: if opts.record_edges {
+                        result
+                            .succ
                             .into_iter()
-                            .map(|(t, dst)| (t, StateId(dst)))
+                            .map(|edges| {
+                                edges
+                                    .into_iter()
+                                    .map(|(t, dst)| (t, StateId(dst)))
+                                    .collect()
+                            })
                             .collect()
-                    })
-                    .collect(),
-                initial: StateId::new(0),
-                deadlocks: result.deadlocks.into_iter().map(StateId).collect(),
-                edge_count: result.edge_count,
-                elapsed,
-                threads_used: opts.threads.max(1),
+                    } else {
+                        Vec::new()
+                    },
+                    origin,
+                    index: OnceLock::new(),
+                    initial: StateId::new(0),
+                    deadlocks: result.deadlocks.into_iter().map(StateId).collect(),
+                    edge_count: result.edge_count,
+                    elapsed,
+                    threads_used: opts.threads.max(1),
+                }
             })
             .with_elapsed(elapsed))
     }
@@ -274,7 +307,24 @@ impl ReachabilityGraph {
         w.u64(self.elapsed.as_nanos() as u64);
         snap.push_section(section::COUNTERS, w.into_bytes());
 
+        let mut w = ByteWriter::new();
+        for o in &self.origin {
+            let (parent, t) = o.map_or((u32::MAX, 0), |(p, t)| (p.0, t.index() as u32));
+            w.u32(parent);
+            w.u32(t);
+        }
+        snap.push_section(section::ORIGINS, w.into_bytes());
+
         snap
+    }
+
+    /// `true` for a full snapshot this build refuses to resume: one
+    /// written by an older build, which has an edge section but no state
+    /// origins, so its witness paths cannot be rebuilt exactly.
+    pub fn is_outdated_snapshot(snap: &Snapshot) -> bool {
+        snap.engine == EngineKind::Full
+            && snap.section(section::EDGES).is_some()
+            && snap.section(section::ORIGINS).is_none()
     }
 
     /// Rebuilds a (typically partial) graph from a snapshot, validating
@@ -292,6 +342,14 @@ impl ReachabilityGraph {
         record_edges: bool,
     ) -> Result<Self, CheckpointError> {
         snap.validate(EngineKind::Full, net.fingerprint())?;
+        if Self::is_outdated_snapshot(snap) {
+            return Err(CheckpointError::Malformed {
+                section: section::ORIGINS,
+                detail: "the snapshot has no state origins: an older build wrote it, \
+                         recording edges instead; restart without --resume"
+                    .into(),
+            });
+        }
         let (states, expanded) = read_state_table(snap, net)?;
         let count = states.len();
 
@@ -302,9 +360,10 @@ impl ReachabilityGraph {
                 "snapshot was taken with record_edges={snap_recorded}, run uses {record_edges}"
             )));
         }
-        let mut succ = Vec::with_capacity(count);
+        let lists = if record_edges { count } else { 0 };
+        let mut succ = Vec::with_capacity(lists);
         let mut recorded = 0usize;
-        for _ in 0..count {
+        for _ in 0..lists {
             let n = r.u32()? as usize;
             let mut edges = Vec::with_capacity(n);
             for _ in 0..n {
@@ -346,10 +405,32 @@ impl ReachabilityGraph {
             });
         }
 
+        let mut r = ByteReader::new(snap.require_section(section::ORIGINS)?, section::ORIGINS);
+        let mut origin = Vec::with_capacity(count);
+        for id in 0..count {
+            let parent = r.u32()?;
+            let t = r.u32()? as usize;
+            if id == 0 {
+                if parent != u32::MAX {
+                    return Err(r.malformed("the initial state has an origin"));
+                }
+                origin.push(None);
+            } else if (parent as usize) < id && t < net.transition_count() {
+                // a parent is stored before its children, so walking
+                // origins always ends at the initial state
+                origin.push(Some((StateId(parent), TransitionId::new(t))));
+            } else {
+                return Err(r.malformed("origin out of range or not before its state"));
+            }
+        }
+        r.finish()?;
+
         Ok(ReachabilityGraph {
             states,
             expanded,
             succ,
+            origin,
+            index: OnceLock::new(),
             initial: StateId::new(0),
             deadlocks,
             edge_count,
@@ -406,7 +487,7 @@ impl ReachabilityGraph {
 
     /// Outgoing labelled edges of `s` (empty if edges were not recorded).
     pub fn successors(&self, s: StateId) -> &[(TransitionId, StateId)] {
-        &self.succ[s.index()]
+        self.succ.get(s.index()).map_or(&[], Vec::as_slice)
     }
 
     /// States with no enabled transition (deadlock / termination states).
@@ -419,11 +500,17 @@ impl ReachabilityGraph {
         !self.deadlocks.is_empty()
     }
 
-    /// Looks up the state id of a marking, if it is reachable.
+    /// Looks up the state id of a marking, if it is reachable: one hash
+    /// lookup in an index of the states, built on the first call.
     pub fn find(&self, m: &Marking) -> Option<StateId> {
-        // Linear scan is acceptable for test-sized graphs; exploration keeps
-        // its own hash index internally.
-        self.states.iter().position(|s| s == m).map(StateId::new)
+        let words = |id: u32| self.states[id as usize].words();
+        let index = self
+            .index
+            .get_or_init(|| IdIndex::of_distinct(self.states.len(), |id| hash_words(words(id))));
+        index
+            .probe(hash_words(m.words()), |id| words(id) == m.words())
+            .ok()
+            .map(StateId)
     }
 
     /// Checks whether a marking is reachable.
@@ -431,37 +518,22 @@ impl ReachabilityGraph {
         self.find(m).is_some()
     }
 
-    /// A shortest firing sequence from the initial state to `target`.
+    /// A firing sequence from the initial state to `target`, read off the
+    /// origins: the transitions that first reached each state on the way.
+    /// At one thread states are reached breadth-first, so it is a
+    /// shortest one.
     ///
-    /// Returns `None` if `target` is unreachable or edges were not recorded.
+    /// Returns `None` if `target` is not a state of this graph.
     pub fn path_to(&self, target: StateId) -> Option<Vec<TransitionId>> {
-        if target == self.initial {
-            return Some(Vec::new());
+        let mut path = Vec::new();
+        let mut cur = target;
+        while cur != self.initial {
+            let (parent, t) = (*self.origin.get(cur.index())?)?;
+            path.push(t);
+            cur = parent;
         }
-        let mut pred: Vec<Option<(StateId, TransitionId)>> = vec![None; self.states.len()];
-        let mut queue = std::collections::VecDeque::from([self.initial]);
-        let mut seen = vec![false; self.states.len()];
-        seen[self.initial.index()] = true;
-        while let Some(s) = queue.pop_front() {
-            for &(t, n) in self.successors(s) {
-                if !seen[n.index()] {
-                    seen[n.index()] = true;
-                    pred[n.index()] = Some((s, t));
-                    if n == target {
-                        let mut path = Vec::new();
-                        let mut cur = n;
-                        while let Some((p, tr)) = pred[cur.index()] {
-                            path.push(tr);
-                            cur = p;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(n);
-                }
-            }
-        }
-        None
+        path.reverse();
+        Some(path)
     }
 
     /// Counts the distinct maximal firing sequences (interleavings) of an
@@ -643,6 +715,144 @@ mod tests {
         assert_eq!(rg.find(net.initial_marking()), Some(rg.initial()));
         let absent = Marking::empty(net.place_count());
         assert!(!rg.contains(&absent));
+    }
+
+    #[test]
+    fn find_is_one_lookup_at_every_thread_count() {
+        let net = concurrent(7);
+        for threads in [1, 2] {
+            let opts = ExploreOptions {
+                record_edges: false,
+                threads,
+            };
+            let rg = ReachabilityGraph::explore(
+                &net,
+                &opts,
+                &Budget::default(),
+                &CheckpointConfig::default(),
+                None,
+            )
+            .unwrap()
+            .into_value();
+            for s in rg.states() {
+                assert_eq!(rg.find(rg.marking(s)), Some(s), "threads={threads}");
+            }
+            assert!(!rg.contains(&Marking::empty(net.place_count())));
+            // a marking of another net is simply absent
+            assert!(!rg.contains(&Marking::empty(net.place_count() + 64)));
+        }
+    }
+
+    /// Witness paths walk the origins. At one thread they are the paths a
+    /// breadth-first search over the recorded edges finds; at two they
+    /// still replay to their markings.
+    #[test]
+    fn witness_paths_walk_the_origins() {
+        fn bfs_path(rg: &ReachabilityGraph, target: StateId) -> Vec<TransitionId> {
+            let mut pred: Vec<Option<(StateId, TransitionId)>> = vec![None; rg.state_count()];
+            let mut seen = vec![false; rg.state_count()];
+            let mut queue = std::collections::VecDeque::from([rg.initial()]);
+            seen[0] = true;
+            while let Some(s) = queue.pop_front() {
+                for &(t, n) in rg.successors(s) {
+                    if !seen[n.index()] {
+                        seen[n.index()] = true;
+                        pred[n.index()] = Some((s, t));
+                        queue.push_back(n);
+                    }
+                }
+            }
+            let mut path = Vec::new();
+            let mut cur = target;
+            while let Some((p, t)) = pred[cur.index()] {
+                path.push(t);
+                cur = p;
+            }
+            path.reverse();
+            path
+        }
+        let net = crate::parse_net(
+            "net diamond\npl a *\npl b *\npl c\npl d\npl e\n\
+             tr ab : a -> c\ntr ba : b -> d\ntr cd : c d -> e\ntr back : e -> a b\n",
+        )
+        .unwrap();
+        for net in [net, concurrent(5)] {
+            let explore = |record_edges, threads| {
+                ReachabilityGraph::explore(
+                    &net,
+                    &ExploreOptions {
+                        record_edges,
+                        threads,
+                    },
+                    &Budget::default(),
+                    &CheckpointConfig::default(),
+                    None,
+                )
+                .unwrap()
+                .into_value()
+            };
+            let with_edges = explore(true, 1);
+            let without = explore(false, 1);
+            assert!(without.successors(without.initial()).is_empty());
+            for s in with_edges.states() {
+                assert_eq!(without.path_to(s), Some(bfs_path(&with_edges, s)));
+            }
+            let parallel = explore(false, 2);
+            for s in parallel.states() {
+                let path = parallel.path_to(s).unwrap();
+                let m = net.fire_sequence(net.initial_marking(), path).unwrap();
+                assert_eq!(m.as_ref(), Some(parallel.marking(s)));
+            }
+        }
+    }
+
+    #[test]
+    fn resumed_snapshots_keep_every_witness_path() {
+        let net = concurrent(6);
+        let opts = ExploreOptions {
+            record_edges: false,
+            threads: 1,
+        };
+        let explore = |budget: &Budget, resume: Option<&Snapshot>| {
+            ReachabilityGraph::explore(&net, &opts, budget, &CheckpointConfig::default(), resume)
+                .unwrap()
+        };
+        let reference = explore(&Budget::default(), None).into_value();
+        let partial = explore(&Budget::default().cap_states(20), None);
+        assert!(!partial.is_complete());
+        let snap = partial.value().to_snapshot(&net, false);
+        let decoded = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        let resumed = explore(&Budget::default(), Some(&decoded)).into_value();
+        assert_eq!(resumed.state_count(), reference.state_count());
+        for s in reference.states() {
+            assert_eq!(resumed.marking(s), reference.marking(s), "ids");
+            assert_eq!(resumed.path_to(s), reference.path_to(s), "{s}");
+        }
+    }
+
+    /// The build before the packed state table wrote full snapshots with
+    /// edges and without origins: resuming one fails closed and says why.
+    #[test]
+    fn snapshots_without_origins_are_refused() {
+        let net = concurrent(3);
+        let rg = explore_full(&net).unwrap();
+        let current = rg.to_snapshot(&net, true);
+        let mut outdated = Snapshot::new(EngineKind::Full, &net);
+        for tag in [1, 2, section::EDGES, section::DEADLOCKS, section::COUNTERS] {
+            outdated.push_section(tag, current.section(tag).unwrap().to_vec());
+        }
+        assert!(!ReachabilityGraph::is_outdated_snapshot(&current));
+        assert!(ReachabilityGraph::is_outdated_snapshot(&outdated));
+        let err = ReachabilityGraph::from_snapshot(&net, &outdated, true).unwrap_err();
+        assert!(
+            err.to_string().contains("no state origins")
+                && err.to_string().contains("restart without --resume"),
+            "{err}"
+        );
+        let back = ReachabilityGraph::from_snapshot(&net, &current, true).unwrap();
+        for s in rg.states() {
+            assert_eq!(back.path_to(s), rg.path_to(s));
+        }
     }
 
     #[test]

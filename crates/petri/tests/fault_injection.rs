@@ -7,7 +7,7 @@
 
 use std::time::{Duration, Instant};
 
-use petri::parallel::{explore_frontier, FrontierOptions};
+use petri::parallel::{explore_frontier, Emit, FrontierOptions};
 use petri::{Budget, Marking, NetBuilder, NetError, PetriNet, PlaceId};
 
 /// A deep chain net: enough states that every worker gets to dequeue.
@@ -41,12 +41,12 @@ fn fan(strands: usize, len: usize) -> PetriNet {
 
 fn net_successors(
     net: &PetriNet,
-) -> impl Fn(&Marking, &mut Vec<(petri::TransitionId, Marking)>) -> Result<(), NetError> + Sync + '_
+) -> impl Fn(&Marking, &mut Emit<'_, petri::TransitionId, Marking>) -> Result<(), NetError> + Sync + '_
 {
-    move |m, out| {
+    move |m, emit| {
         for t in net.transitions() {
             if net.enabled(t, m) {
-                out.push((t, net.fire(t, m)?));
+                emit(t, &net.fire(t, m)?);
             }
         }
         Ok(())
@@ -155,13 +155,13 @@ fn panic_mid_steal_surfaces_within_bounded_time() {
             inject_fault_on_steal: Some(1),
             ..Default::default()
         },
-        |m: &Marking, out: &mut Vec<(petri::TransitionId, Marking)>| {
+        |m: &Marking, emit: &mut Emit<'_, petri::TransitionId, Marking>| {
             // linger so expanded items sit in the owner's deque long
             // enough that an idle worker is guaranteed to steal
             std::thread::sleep(Duration::from_millis(5));
             for t in net.transitions() {
                 if net.enabled(t, m) {
-                    out.push((t, net.fire(t, m)?));
+                    emit(t, &net.fire(t, m)?);
                 }
             }
             Ok(())
