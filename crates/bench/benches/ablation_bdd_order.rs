@@ -1,8 +1,12 @@
-//! Ablation C (DESIGN.md): BDD variable ordering. The interleaved
-//! current/next order keeps transition relations linear; the naive
-//! all-current-then-all-next order blows the frame conditions up — the
-//! effect §2.4 alludes to when noting that symbolic analysis lives or dies
-//! by the encoding.
+//! Ablation C (DESIGN.md): BDD variable ordering. Both orders rank the
+//! places by the same structural rank, and each transition's relation
+//! spans its own places only. Interleaved, a place's current and next
+//! variables are neighbours, so a relation is a short chain and the
+//! next → current rename keeps the order. All-current-then-all-next puts
+//! |P| variables between them: relations span the whole order, and every
+//! rename lifts next variables above current ones, rebuilding each node
+//! it touches through ITE — the effect §2.4 alludes to when noting that
+//! symbolic analysis lives or dies by the encoding.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use petri::{Budget, Property};

@@ -442,6 +442,28 @@ fn unfold_engine_honours_its_deadline() {
     assert!(elapsed.as_secs() < 10, "took {elapsed:?}");
 }
 
+#[test]
+fn bdd_engine_stops_within_an_image_of_its_deadline() {
+    // bdd's fixpoint on RW(18) runs far past one second: once polled per
+    // breadth-first iteration, the deadline stopped it only after several
+    // seconds. Polled before every transition image, it stops the run
+    // within one image (a fraction of a second, even in a debug build)
+    let net = stdout(&julie(&["model", "rw", "18"]));
+    let start = std::time::Instant::now();
+    let out = julie_stdin(
+        &["check", "-", "--engine=bdd", "--threads=1", "--timeout=1"],
+        &net,
+    );
+    let elapsed = start.elapsed();
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("budget: deadline exceeded"),
+        "{}",
+        stdout(&out)
+    );
+    assert!(elapsed.as_millis() < 3000, "took {elapsed:?}");
+}
+
 fn temp_dir(label: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("julie-cli-{label}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -93,6 +93,7 @@ pub use siphons::{
     empty_places_siphon, is_siphon, is_trap, max_trap_within, minimal_siphons,
     siphon_trap_certificate,
 };
+pub use state_table::hash_words;
 
 /// Test shorthand: the complete reachability graph of `net`.
 #[cfg(test)]

@@ -288,7 +288,7 @@ impl<St, L> FrontierSeed<St, L> {
         FrontierSeed {
             states: vec![initial],
             expanded: vec![false],
-            succ: vec![Vec::new()],
+            succ: Vec::new(),
             deadlocks: Vec::new(),
             edge_count: 0,
         }
@@ -554,7 +554,9 @@ where
 
     drop(scratch);
     let states = table.into_states();
-    succ.resize_with(states.len(), Vec::new);
+    if opts.record_edges {
+        succ.resize_with(states.len(), Vec::new);
+    }
     let result = FrontierResult {
         states,
         expanded,
@@ -694,7 +696,9 @@ where
         .map(|s| s.expect("every allocated id has a state in some shard"))
         .collect();
     let mut succ = seed_succ;
-    succ.resize_with(state_count, Vec::new);
+    if opts.record_edges {
+        succ.resize_with(state_count, Vec::new);
+    }
     let mut origin: Vec<Option<(u32, L)>> = if opts.record_origins {
         (0..state_count).map(|_| None).collect()
     } else {
@@ -2015,6 +2019,6 @@ mod tests {
         assert_eq!(r.states, full.states, "no new states");
         assert_eq!(r.deadlocks, vec![2, 1]);
         assert_eq!(r.edge_count, 2);
-        assert_eq!(r.succ.len(), r.states.len(), "one (empty) list per state");
+        assert!(r.succ.is_empty(), "no edge lists without edges");
     }
 }

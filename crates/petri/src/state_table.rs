@@ -27,9 +27,11 @@ fn mix(h: u64, word: u64) -> u64 {
 }
 
 /// The multiply-rotate hash of a word slice. The final multiply leaves
-/// its best bits at the top, which is where [`IdIndex`] takes its slot
-/// from.
-pub(crate) fn hash_words(words: &[u64]) -> u64 {
+/// its best bits at the top, which is where the state table's id index
+/// takes its slot from: a table of 2^k slots should index by the hash's
+/// top k bits.
+#[inline]
+pub fn hash_words(words: &[u64]) -> u64 {
     words.iter().fold(0, |h, &w| mix(h, w))
 }
 

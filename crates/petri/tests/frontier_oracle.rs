@@ -129,7 +129,9 @@ fn oracle(
         }
         expanded[sid] = true;
     }
-    succ.resize_with(states.len(), Vec::new);
+    if record_edges {
+        succ.resize_with(states.len(), Vec::new);
+    }
     let result = FrontierResult {
         states,
         expanded,

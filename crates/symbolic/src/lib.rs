@@ -6,8 +6,10 @@
 //! can use:
 //!
 //! * [`Bdd`] — a reduced ordered BDD manager (Bryant [2]): hash-consed
-//!   nodes, memoized ITE, quantification, relational product, renaming,
-//!   model counting;
+//!   nodes, ITE, quantification, the relational product over a cube,
+//!   renaming (also against the order) and model counting, with ITE,
+//!   product and rename results kept in persistent, bounded computed
+//!   tables;
 //! * [`ConcurrentZdd`] — the zero-suppressed DD manager (set families)
 //!   with union / intersection / difference / onset / offset / join, used
 //!   as the shared representation behind large valid-set relations. It is
@@ -15,8 +17,10 @@
 //!   worker threads of a parallel exploration share one canonical node
 //!   store;
 //! * [`SymbolicReachability`] — BDD-based breadth-first reachability and
-//!   deadlock detection with peak-node tracking, in either an interleaved
-//!   or a deliberately bad variable order (for the ablation bench).
+//!   deadlock detection with peak-node tracking. Each transition's
+//!   relation ranges over its own places only, and the places are ordered
+//!   by one structural rank, with current and next variables either
+//!   interleaved or, for the ablation bench, in two halves.
 //!
 //! # Example
 //!
@@ -40,7 +44,7 @@ mod bdd;
 mod czdd;
 mod reach;
 
-pub use bdd::{Bdd, BddRef, BDD_FALSE, BDD_TRUE};
+pub use bdd::{Bdd, BddRef, Renaming, BDD_FALSE, BDD_TRUE};
 pub use czdd::{ConcurrentZdd, ZddRef, ZDD_EMPTY, ZDD_UNIT};
 pub use reach::{SymbolicOptions, SymbolicReachability, VariableOrder, BDD_NODE_BYTES};
 

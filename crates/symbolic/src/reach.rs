@@ -1,11 +1,20 @@
 //! Symbolic reachability analysis of safe Petri nets (the SMV stand-in).
 //!
-//! Each place gets a current-state variable and a next-state variable,
-//! interleaved in the order (`x_p ↦ 2p`, `x'_p ↦ 2p+1`) — the standard
-//! encoding that keeps the transition relation small. The transition
-//! relation is kept *partitioned* (one BDD per Petri net transition, each
-//! with full frame conditions); images are computed per partition with
-//! `and_exists` and united.
+//! Each place gets a current-state variable and a next-state variable.
+//! The places are ranked once, from the net's structure: a place's rank is
+//! its first appearance over each transition's pre- then post-places, in
+//! transition order, and places on no arc come last, by index. So the
+//! places one transition touches sit close together in the order. The
+//! default order interleaves the two copies by rank (`x_p ↦ 2·rank(p)`,
+//! `x'_p ↦ 2·rank(p)+1`), the standard encoding that keeps the transition
+//! relation small.
+//!
+//! The transition relation is kept *partitioned*: one BDD per Petri net
+//! transition t, over its own places `supp_t = pre(t) ∪ post(t)` only
+//! (Burch, Clarke and Long, VLSI 1991). An image is `∃supp_t. (S ∧ R_t)`,
+//! one relational product, renamed from next to current on `supp_t`; the
+//! places t does not touch pass through unquantified. Each breadth-first
+//! iteration unites the images of every transition.
 //!
 //! The paper's Table 1 reports **peak BDD size** for SMV; we report the
 //! high-water mark of live nodes (reached set + frontier + relation
@@ -14,9 +23,9 @@
 use std::time::{Duration, Instant};
 
 use petri::property::{CompiledAtom, CompiledFormula, CompiledProperty};
-use petri::{Budget, CoverageStats, Marking, Outcome, PetriNet, PlaceId};
+use petri::{Budget, CoverageStats, ExhaustionReason, Marking, Outcome, PetriNet, PlaceId};
 
-use crate::bdd::{Bdd, BddRef, BDD_FALSE, BDD_TRUE};
+use crate::bdd::{Bdd, BddRef, Renaming, BDD_FALSE, BDD_TRUE};
 
 /// Approximate bytes per allocated BDD node (node record plus its share of
 /// the unique-table and cache entries) — the unit of budget byte accounting.
@@ -25,12 +34,13 @@ pub const BDD_NODE_BYTES: usize = 32;
 /// How place indices map to BDD variables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VariableOrder {
-    /// Current and next variables interleaved per place (`x_p = 2p`,
-    /// `x'_p = 2p+1`) — the standard, usually good order.
+    /// Current and next variables interleaved per place, in the structural
+    /// rank (`x_p = 2·rank(p)`, `x'_p = 2·rank(p)+1`) — the standard,
+    /// usually good order.
     #[default]
     Interleaved,
-    /// All current variables first, then all next variables — a known-bad
-    /// order kept for the ablation benchmark.
+    /// All current variables first, then all next variables, each in the
+    /// structural rank — a known-bad order kept for the ablation benchmark.
     CurrentThenNext,
 }
 
@@ -75,35 +85,52 @@ struct Encoding {
     cur: Vec<usize>,
     /// next-state variable per place
     nxt: Vec<usize>,
-    /// rename map next → current
-    rename_map: Vec<usize>,
-    /// sorted list of current variables (quantified in images)
-    cur_sorted: Vec<usize>,
+}
+
+/// One transition's part of the partitioned transition relation.
+struct Part {
+    /// `R_t`, over the current and next variables of `supp_t` only
+    relation: BddRef,
+    /// the cube of `supp_t`'s current variables, which an image quantifies
+    support: BddRef,
+    /// next → current on `supp_t`
+    back: Renaming,
+}
+
+/// The structural rank of each place: its first appearance over each
+/// transition's pre- then post-places, in transition order. Places on no
+/// arc come last, by index. The rank depends on the net alone.
+fn place_ranks(net: &PetriNet) -> Vec<usize> {
+    let mut rank = vec![usize::MAX; net.place_count()];
+    let mut next = 0;
+    let on_arcs = net
+        .transitions()
+        .flat_map(|t| net.pre_places(t).iter().chain(net.post_places(t)))
+        .map(|p| p.index());
+    for i in on_arcs.chain(0..net.place_count()) {
+        if rank[i] == usize::MAX {
+            rank[i] = next;
+            next += 1;
+        }
+    }
+    rank
 }
 
 impl Encoding {
     fn new(net: &PetriNet, order: VariableOrder) -> Self {
         let p = net.place_count();
-        let bdd = Bdd::new(2 * p);
-        let (cur, nxt): (Vec<usize>, Vec<usize>) = match order {
+        let rank = place_ranks(net);
+        let (cur, nxt) = match order {
             VariableOrder::Interleaved => (
-                (0..p).map(|i| 2 * i).collect(),
-                (0..p).map(|i| 2 * i + 1).collect(),
+                rank.iter().map(|&r| 2 * r).collect(),
+                rank.iter().map(|&r| 2 * r + 1).collect(),
             ),
-            VariableOrder::CurrentThenNext => ((0..p).collect(), (0..p).map(|i| p + i).collect()),
+            VariableOrder::CurrentThenNext => (rank.clone(), rank.iter().map(|&r| p + r).collect()),
         };
-        let mut rename_map = vec![0usize; 2 * p];
-        for i in 0..p {
-            rename_map[nxt[i]] = cur[i];
-        }
-        let mut cur_sorted = cur.clone();
-        cur_sorted.sort_unstable();
         Encoding {
-            bdd,
+            bdd: Bdd::new(2 * p),
             cur,
             nxt,
-            rename_map,
-            cur_sorted,
         }
     }
 
@@ -125,37 +152,48 @@ impl Encoding {
         f
     }
 
-    /// Transition relation of one Petri net transition, with frame
-    /// conditions for untouched places.
-    fn relation(&mut self, net: &PetriNet, t: petri::TransitionId) -> BddRef {
-        let p = net.place_count();
+    /// The part of the transition relation that belongs to `t`: on each
+    /// place of `supp_t`, the current literal is positive iff the place is
+    /// in the preset and the next literal iff it is in the postset. So a
+    /// token stays, leaves, or arrives at an empty place (safeness); no
+    /// other place is constrained.
+    fn part(&mut self, net: &PetriNet, t: petri::TransitionId) -> Part {
         let pre = net.pre_place_set(t);
         let post = net.post_place_set(t);
-        // conjoin per-place constraints from the highest place index down —
-        // with the interleaved order this builds bottom-up, keeping
-        // intermediate BDDs small
-        let mut f = BDD_TRUE;
-        for i in (0..p).rev() {
-            let xc = self.bdd.var(self.cur[i]);
-            let xn = self.bdd.var(self.nxt[i]);
-            let in_pre = pre.contains(i);
-            let in_post = post.contains(i);
-            let g = match (in_pre, in_post) {
-                (true, true) => self.bdd.and(xc, xn), // marked and stays marked
-                (true, false) => {
-                    let nn = self.bdd.not(xn);
-                    self.bdd.and(xc, nn)
-                }
-                (false, true) => {
-                    // safeness: the target place must be empty before
-                    let nc = self.bdd.not(xc);
-                    self.bdd.and(nc, xn)
-                }
-                (false, false) => self.bdd.iff(xc, xn),
+        let mut places: Vec<usize> = net
+            .pre_places(t)
+            .iter()
+            .chain(net.post_places(t))
+            .map(|p| p.index())
+            .collect();
+        // conjoin from the deepest variable up: the relation builds
+        // bottom-up, keeping intermediate BDDs small
+        places.sort_unstable_by_key(|&i| std::cmp::Reverse(self.cur[i]));
+        places.dedup();
+        let mut relation = BDD_TRUE;
+        let mut back = Vec::with_capacity(places.len());
+        for &i in &places {
+            let (xc, xn) = (self.cur[i], self.nxt[i]);
+            let now = if pre.contains(i) {
+                self.bdd.var(xc)
+            } else {
+                self.bdd.nvar(xc)
             };
-            f = self.bdd.and(g, f);
+            let then = if post.contains(i) {
+                self.bdd.var(xn)
+            } else {
+                self.bdd.nvar(xn)
+            };
+            let lits = self.bdd.and(now, then);
+            relation = self.bdd.and(lits, relation);
+            back.push((xn, xc));
         }
-        f
+        let current: Vec<usize> = places.iter().map(|&i| self.cur[i]).collect();
+        Part {
+            relation,
+            support: self.bdd.cube(&current),
+            back: self.bdd.renaming(&back),
+        }
     }
 
     /// Extracts one satisfying assignment of `f` over the current-state
@@ -170,75 +208,105 @@ impl Encoding {
         ))
     }
 
-    fn image(&mut self, rel: BddRef, from: BddRef) -> BddRef {
-        let cur_vars = self.cur_sorted.clone();
-        let next_only = self.bdd.and_exists(rel, from, &cur_vars);
-        self.bdd.rename(next_only, &self.rename_map)
+    /// The successors of `from` under one transition: `∃supp_t. (from ∧
+    /// R_t)`, renamed from next to current on `supp_t`.
+    fn image(&mut self, part: &Part, from: BddRef) -> BddRef {
+        let next_only = self.bdd.and_exists(from, part.relation, part.support);
+        self.bdd.rename(next_only, part.back)
     }
 
-    /// Characteristic function of "no transition enabled" over the
-    /// current-state variables.
-    fn no_enabled_bdd(&mut self, net: &PetriNet) -> BddRef {
-        let mut no_enabled = BDD_TRUE;
-        for t in net.transitions() {
-            let mut en = BDD_TRUE;
-            for &pl in net.pre_places(t) {
-                let v = self.bdd.var(self.cur[pl.index()]);
-                en = self.bdd.and(en, v);
+    /// One breadth-first step: the union of every part's image of
+    /// `frontier`. `stop` is polled before each image; once it names a
+    /// reason, the step ends with the images united so far, each a set of
+    /// real successors.
+    fn step(
+        &mut self,
+        parts: &[Part],
+        frontier: BddRef,
+        mut stop: impl FnMut() -> Option<ExhaustionReason>,
+    ) -> (BddRef, Option<ExhaustionReason>) {
+        let mut next = BDD_FALSE;
+        for part in parts {
+            if let Some(reason) = stop() {
+                return (next, Some(reason));
             }
-            let nen = self.bdd.not(en);
-            no_enabled = self.bdd.and(no_enabled, nen);
+            let img = self.image(part, frontier);
+            next = self.bdd.or(next, img);
         }
-        no_enabled
+        (next, None)
     }
 
-    /// Characteristic function of a compiled property formula over the
-    /// current-state variables. On a safe net every `m(p) <op> k` atom
-    /// collapses to a constant or a (negated) place literal, since a
-    /// place holds zero or one tokens.
-    fn formula_bdd(&mut self, net: &PetriNet, f: &CompiledFormula) -> BddRef {
+    /// "`t` is enabled": the cube of its preset's current variables.
+    fn enabled_bdd(&mut self, net: &PetriNet, t: petri::TransitionId) -> BddRef {
+        let vars: Vec<usize> = net
+            .pre_places(t)
+            .iter()
+            .map(|p| self.cur[p.index()])
+            .collect();
+        self.bdd.cube(&vars)
+    }
+
+    /// The markings of `within` that enable no transition: `within` minus
+    /// each transition's enabling cube in turn.
+    fn dead_within(&mut self, net: &PetriNet, within: BddRef) -> BddRef {
+        net.transitions().fold(within, |dead, t| {
+            let en = self.enabled_bdd(net, t);
+            self.bdd.diff(dead, en)
+        })
+    }
+
+    /// The markings of `within` that satisfy a compiled property formula.
+    /// Each subformula is evaluated inside what its context leaves of
+    /// `within`, so no intermediate BDD describes markings outside it: the
+    /// reached set keeps the goal small even where the formula alone is
+    /// large in the variable order ("no transition enabled" takes 2^n
+    /// nodes on RW(n)). On a safe net every `m(p) <op> k` atom collapses
+    /// to a constant or a (negated) place literal, since a place holds
+    /// zero or one tokens.
+    fn formula_within(&mut self, net: &PetriNet, f: &CompiledFormula, within: BddRef) -> BddRef {
         match f {
-            CompiledFormula::Atom(CompiledAtom::Deadlock) => self.no_enabled_bdd(net),
+            CompiledFormula::Atom(CompiledAtom::Deadlock) => self.dead_within(net, within),
             CompiledFormula::Atom(CompiledAtom::Fireable(t)) => {
-                let mut en = BDD_TRUE;
-                for &pl in net.pre_places(*t) {
-                    let v = self.bdd.var(self.cur[pl.index()]);
-                    en = self.bdd.and(en, v);
-                }
-                en
+                let en = self.enabled_bdd(net, *t);
+                self.bdd.and(within, en)
             }
             CompiledFormula::Atom(CompiledAtom::Count { place, op, k }) => {
-                match (op.eval(0, *k), op.eval(1, *k)) {
+                let holds = match (op.eval(0, *k), op.eval(1, *k)) {
                     (true, true) => BDD_TRUE,
                     (false, false) => BDD_FALSE,
                     (false, true) => self.bdd.var(self.cur[place.index()]),
                     (true, false) => self.bdd.nvar(self.cur[place.index()]),
-                }
+                };
+                self.bdd.and(within, holds)
             }
             CompiledFormula::Not(x) => {
-                let g = self.formula_bdd(net, x);
-                self.bdd.not(g)
+                let inner = self.formula_within(net, x, within);
+                self.bdd.diff(within, inner)
             }
             CompiledFormula::And(a, b) => {
-                let fa = self.formula_bdd(net, a);
-                let fb = self.formula_bdd(net, b);
-                self.bdd.and(fa, fb)
+                let fa = self.formula_within(net, a, within);
+                self.formula_within(net, b, fa)
             }
             CompiledFormula::Or(a, b) => {
-                let fa = self.formula_bdd(net, a);
-                let fb = self.formula_bdd(net, b);
+                let fa = self.formula_within(net, a, within);
+                let fb = self.formula_within(net, b, within);
                 self.bdd.or(fa, fb)
             }
         }
     }
 
-    /// Characteristic function of the **goal predicate** of `property`
-    /// (φ under `EF`, ¬φ under `AG`) over the current-state variables.
-    fn goal_bdd(&mut self, net: &PetriNet, property: &CompiledProperty) -> BddRef {
-        let phi = self.formula_bdd(net, &property.formula);
+    /// The markings of `within` that satisfy the **goal predicate** of
+    /// `property` (φ under `EF`, ¬φ under `AG`).
+    fn goal_within(
+        &mut self,
+        net: &PetriNet,
+        property: &CompiledProperty,
+        within: BddRef,
+    ) -> BddRef {
+        let phi = self.formula_within(net, &property.formula, within);
         match property.quantifier {
             petri::property::Quantifier::Ef => phi,
-            petri::property::Quantifier::Ag => self.bdd.not(phi),
+            petri::property::Quantifier::Ag => self.bdd.diff(within, phi),
         }
     }
 }
@@ -262,13 +330,16 @@ impl SymbolicReachability {
     /// [`deadlock_witness`](Self::deadlock_witness)) describe goal markings;
     /// under the default property (`EF deadlock`) those are the dead ones.
     ///
-    /// Budget checks run once per breadth-first iteration: the state axis
-    /// compares the satisfying-assignment count of the reached set, the
-    /// byte axis the number of allocated BDD nodes ([`BDD_NODE_BYTES`]
-    /// each). On exhaustion the fixpoint stops early and the result, a
-    /// lower bound, is wrapped in [`Outcome::Partial`]. Every state in a
-    /// partial reached set is genuinely reachable, so a goal marking found
-    /// there is a real one.
+    /// The state and byte axes of the budget are checked once per
+    /// breadth-first iteration: the state axis compares the
+    /// satisfying-assignment count of the reached set, the byte axis the
+    /// number of allocated BDD nodes ([`BDD_NODE_BYTES`] each).
+    /// Cancellation and the deadline are checked before every transition's
+    /// image as well, so a run stops within one image of either. On
+    /// exhaustion the fixpoint stops early and the result, a lower bound,
+    /// is wrapped in [`Outcome::Partial`]; a stop in mid-iteration keeps
+    /// the images already computed. Every state in a partial reached set is
+    /// genuinely reachable, so a goal marking found there is a real one.
     ///
     /// Unlike the explicit engines this never errors — an unsafe net
     /// simply has its unsafe successors suppressed by the encoding (token
@@ -284,8 +355,8 @@ impl SymbolicReachability {
         let mut enc = Encoding::new(net, opts.order);
         let p = net.place_count();
 
-        let relations: Vec<BddRef> = net.transitions().map(|t| enc.relation(net, t)).collect();
-        let rel_nodes: usize = relations.iter().map(|&r| enc.bdd.size(r)).sum();
+        let parts: Vec<Part> = net.transitions().map(|t| enc.part(net, t)).collect();
+        let rel_nodes: usize = parts.iter().map(|part| enc.bdd.size(part.relation)).sum();
 
         let init = enc.marking_bdd(net.initial_marking(), p);
         let mut reached = init;
@@ -294,29 +365,32 @@ impl SymbolicReachability {
         let mut iterations = 0;
         let mut exhausted = None;
 
-        while frontier != BDD_FALSE {
+        while frontier != BDD_FALSE && exhausted.is_none() {
             let states_so_far = sat_count_usize(enc.bdd.sat_count_over(reached, p));
-            if let Some(reason) =
-                budget.exceeded(states_so_far, enc.bdd.allocated_nodes() * BDD_NODE_BYTES)
-            {
-                exhausted = Some(reason);
+            exhausted = budget.exceeded(states_so_far, enc.bdd.allocated_nodes() * BDD_NODE_BYTES);
+            if exhausted.is_some() {
                 break;
             }
             iterations += 1;
-            let mut next = BDD_FALSE;
-            for &r in &relations {
-                let img = enc.image(r, frontier);
-                next = enc.bdd.or(next, img);
-            }
-            frontier = enc.bdd.diff(next, reached);
-            reached = enc.bdd.or(reached, frontier);
+            // zero states and bytes: between images only cancellation and
+            // the deadline can stop the run
+            let (next, stop) = enc.step(&parts, frontier, || budget.exceeded(0, 0));
+            exhausted = stop;
+            let new = enc.bdd.diff(next, reached);
+            reached = enc.bdd.or(reached, new);
+            // after a stop in mid-iteration the old frontier is only partly
+            // expanded, so it stays on the frontier with the new states
+            frontier = if exhausted.is_some() {
+                enc.bdd.or(frontier, new)
+            } else {
+                new
+            };
             peak = peak.max(rel_nodes + enc.bdd.size(reached) + enc.bdd.size(frontier));
         }
 
         // goal states: reached ∧ goal predicate (default: no transition
         // enabled, i.e. dead)
-        let target = enc.goal_bdd(net, property);
-        let dead = enc.bdd.and(reached, target);
+        let dead = enc.goal_within(net, property, reached);
         let deadlock_witness = enc.witness_marking(dead, net);
 
         let elapsed = start.elapsed();
@@ -521,6 +595,32 @@ mod tests {
     }
 
     #[test]
+    fn a_stop_between_images_keeps_the_images_before_it() {
+        // strands(4): each transition's image of m0 is one new marking
+        let net = strands(4);
+        let mut enc = Encoding::new(&net, VariableOrder::Interleaved);
+        let parts: Vec<Part> = net.transitions().map(|t| enc.part(&net, t)).collect();
+        let init = enc.marking_bdd(net.initial_marking(), net.place_count());
+        for k in 0..=parts.len() {
+            let mut polls = 0;
+            let (next, stop) = enc.step(&parts, init, || {
+                polls += 1;
+                (polls > k).then_some(ExhaustionReason::Time)
+            });
+            // polled before every image, and stopped right at the (k+1)-th
+            assert_eq!(polls, (k + 1).min(parts.len()), "k={k}");
+            assert_eq!(stop.is_some(), k < parts.len(), "k={k}");
+            let mut first_k = BDD_FALSE;
+            for part in &parts[..k] {
+                let img = enc.image(part, init);
+                first_k = enc.bdd.or(first_k, img);
+            }
+            assert_eq!(next, first_k, "k={k}");
+            assert_eq!(enc.bdd.sat_count_over(next, net.place_count()), k as f64);
+        }
+    }
+
+    #[test]
     fn goal_search_matches_explicit_evaluation() {
         use petri::Property;
         let net = strands(3);
@@ -561,8 +661,53 @@ mod tests {
         // `EF deadlock` compiles to the very "no transition enabled" BDD
         let net = strands(4);
         let mut enc = Encoding::new(&net, VariableOrder::Interleaved);
-        let goal = enc.goal_bdd(&net, &deadlock_goal(&net));
-        assert_eq!(goal, enc.no_enabled_bdd(&net));
+        let goal = enc.goal_within(&net, &deadlock_goal(&net), BDD_TRUE);
+        let mut no_enabled = BDD_TRUE;
+        for t in net.transitions() {
+            let en = enc.enabled_bdd(&net, t);
+            let nen = enc.bdd.not(en);
+            no_enabled = enc.bdd.and(no_enabled, nen);
+        }
+        assert_eq!(goal, no_enabled);
+    }
+
+    #[test]
+    fn structural_rank_is_a_permutation_of_the_net_alone() {
+        // first appearance over each transition's pre- then post-places,
+        // in transition order; the place on no arc comes last
+        let mut b = NetBuilder::new("ranked");
+        let a = b.place_marked("a");
+        let _idle = b.place("idle");
+        let c = b.place("c");
+        let d = b.place("d");
+        b.transition("t1", [c], [a]);
+        b.transition("t2", [d, a], [c]);
+        let ranked = b.build().unwrap();
+        assert_eq!(place_ranks(&ranked), vec![1, 3, 0, 2]);
+
+        for net in [
+            ranked,
+            strands(5),
+            models::nsdp(4),
+            models::readers_writers(5),
+            models::asat(4),
+        ] {
+            let p = net.place_count();
+            let rank = place_ranks(&net);
+            let mut sorted = rank.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..p).collect::<Vec<_>>(), "{}", net.name());
+            // a copy of the net read back from its text ranks the same
+            let copy = petri::parse_net(&petri::to_text(&net)).unwrap();
+            assert_eq!(place_ranks(&copy), rank, "{}", net.name());
+            // both orders lay their variables out by the one rank
+            let inter = Encoding::new(&net, VariableOrder::Interleaved);
+            let split = Encoding::new(&net, VariableOrder::CurrentThenNext);
+            for (i, &r) in rank.iter().enumerate() {
+                assert_eq!((inter.cur[i], inter.nxt[i]), (2 * r, 2 * r + 1));
+                assert_eq!((split.cur[i], split.nxt[i]), (r, p + r));
+            }
+        }
     }
 
     #[test]
