@@ -792,6 +792,7 @@ fn reduce_and_resume_mismatches_fail_closed_with_precise_diagnostics() {
         "check",
         net,
         "--engine=full",
+        "--threads=1",
         "--max-states=50",
         &format!("--checkpoint={plain_ckpt}"),
     ]);
@@ -817,6 +818,7 @@ fn reduce_and_resume_mismatches_fail_closed_with_precise_diagnostics() {
         "check",
         net,
         "--engine=full",
+        "--threads=1",
         "--reduce",
         "--max-states=50",
         &format!("--checkpoint={red_ckpt}"),

@@ -51,91 +51,56 @@ fn farkas(m: &[Vec<i64>], rows: usize, cols: usize) -> Vec<Vec<i64>> {
 /// capping only makes the enumeration *incomplete*, never unsound. This
 /// bounds the classical exponential blow-up of Farkas elimination.
 fn farkas_capped(m: &[Vec<i64>], rows: usize, cols: usize, max_rows: usize) -> Vec<Vec<i64>> {
-    // Work matrix: [ M | I ]; each row tracks its combination of originals.
-    let mut work: Vec<(Vec<i64>, Vec<i64>)> = (0..rows)
-        .map(|i| {
-            let mut id = vec![0i64; rows];
-            id[i] = 1;
-            (m[i].clone(), id)
-        })
-        .collect();
+    let mut work = Work::identity(m, rows, cols);
 
     // eliminate the cheapest column first (fewest pos×neg combinations):
     // the classical heuristic that keeps the intermediate basis small
     let mut remaining: Vec<usize> = (0..cols).collect();
     while let Some((ri, &col)) = remaining.iter().enumerate().min_by_key(|(_, &c)| {
-        let pos = work.iter().filter(|r| r.0[c] > 0).count();
-        let neg = work.iter().filter(|r| r.0[c] < 0).count();
+        let (mut pos, mut neg) = (0usize, 0usize);
+        for i in 0..work.len() {
+            let v = work.row(i)[c];
+            pos += usize::from(v > 0);
+            neg += usize::from(v < 0);
+        }
         pos * neg
     }) {
         remaining.swap_remove(ri);
-        let mut next: Vec<(Vec<i64>, Vec<i64>)> = Vec::new();
+        let mut next = Work::empty(&work);
         // rows already zero in this column survive
-        for row in &work {
-            if row.0[col] == 0 {
-                next.push(row.clone());
+        for i in 0..work.len() {
+            if work.row(i)[col] == 0 {
+                next.push_copy(&work, i);
             }
         }
         // combine every positive with every negative row; under a cap,
         // stop well past it — the kept rows get pruned below anyway
         let growth_cap = max_rows.saturating_mul(8);
-        let pos: Vec<&(Vec<i64>, Vec<i64>)> = work.iter().filter(|r| r.0[col] > 0).collect();
-        let neg: Vec<&(Vec<i64>, Vec<i64>)> = work.iter().filter(|r| r.0[col] < 0).collect();
-        'combine: for p in &pos {
-            for n in &neg {
+        let pos: Vec<usize> = (0..work.len()).filter(|&i| work.row(i)[col] > 0).collect();
+        let neg: Vec<usize> = (0..work.len()).filter(|&i| work.row(i)[col] < 0).collect();
+        'combine: for &p in &pos {
+            for &n in &neg {
                 if next.len() >= growth_cap {
                     break 'combine;
                 }
-                let a = p.0[col];
-                // Farkas coefficients blow up exponentially across
-                // elimination steps; every arithmetic step is checked and
-                // an overflowing combination is *dropped*, like a capped
-                // row — incomplete, never unsound (a wrapped product would
-                // fabricate a vector that is not an invariant)
-                let Some(b) = n.0[col].checked_neg() else {
-                    continue;
-                };
-                let g = gcd(a, b);
-                let (fp, fn_) = (b / g, a / g);
-                let combine = |xs: &[i64], ys: &[i64]| -> Option<Vec<i64>> {
-                    xs.iter()
-                        .zip(ys)
-                        .map(|(&x, &y)| fp.checked_mul(x)?.checked_add(fn_.checked_mul(y)?))
-                        .collect()
-                };
-                let Some(mut vec_part) = combine(&p.0, &n.0) else {
-                    continue;
-                };
-                let Some(mut comb) = combine(&p.1, &n.1) else {
-                    continue;
-                };
-                let g2 = vec_part
-                    .iter()
-                    .chain(comb.iter())
-                    .fold(0i64, |acc, &v| gcd(acc, v));
-                if g2 > 1 {
-                    for v in vec_part.iter_mut().chain(comb.iter_mut()) {
-                        *v /= g2;
-                    }
-                }
-                next.push((vec_part, comb));
+                next.push_combination(&work, p, n, col);
             }
         }
-        // prune non-minimal supports to keep the basis small
-        next = minimal_support(next);
-        if next.len() > max_rows {
-            // keep the smallest-support rows: those are the invariants
-            // the structural analyses (reduction guards, safeness
-            // certificates) actually consume
-            next.sort_by_key(|r| r.1.iter().filter(|&&v| v != 0).count());
-            next.truncate(max_rows);
+        // prune non-minimal supports to keep the basis small; under the
+        // cap keep the smallest-support rows: those are the invariants
+        // the structural analyses (reduction guards, safeness
+        // certificates) actually consume
+        let mut kept = next.minimal_rows();
+        if kept.len() > max_rows {
+            kept.truncate(max_rows);
+        } else {
+            kept.sort_unstable();
         }
-        work = next;
+        work = next.gather(&kept);
     }
 
-    let mut out: Vec<Vec<i64>> = work
-        .into_iter()
-        .map(|(_, comb)| comb)
+    let mut out: Vec<Vec<i64>> = (0..work.len())
+        .map(|i| work.row(i)[cols..].to_vec())
         .filter(|c| c.iter().any(|&v| v != 0))
         .collect();
     out.sort();
@@ -143,44 +108,161 @@ fn farkas_capped(m: &[Vec<i64>], rows: usize, cols: usize, max_rows: usize) -> V
     out
 }
 
-fn minimal_support(rows: Vec<(Vec<i64>, Vec<i64>)>) -> Vec<(Vec<i64>, Vec<i64>)> {
-    let supports: Vec<Vec<usize>> = rows
-        .iter()
-        .map(|r| {
-            r.1.iter()
-                .enumerate()
-                .filter(|(_, &v)| v != 0)
-                .map(|(i, _)| i)
-                .collect()
-        })
-        .collect();
-    let mut keep = vec![true; rows.len()];
-    for i in 0..rows.len() {
-        if !keep[i] {
-            continue;
+/// The Farkas work matrix `[ M | I ]`, one flat row `[x·M | x]` per
+/// combination `x` of the original rows, beside the support of each `x`
+/// as a bitset and its size. Every `x` is non-negative (a positive
+/// combination of non-negative rows), so a combined row's support is the
+/// union of its parents' supports.
+struct Work {
+    /// Entries per row: the `x·M` columns, then the `x` weights.
+    width: usize,
+    /// Support words per row.
+    words: usize,
+    data: Vec<i64>,
+    support: Vec<u64>,
+    /// Support size of each row.
+    sizes: Vec<u32>,
+}
+
+impl Work {
+    fn identity(m: &[Vec<i64>], rows: usize, cols: usize) -> Self {
+        let mut work = Work {
+            width: cols + rows,
+            words: rows.div_ceil(64),
+            data: Vec::with_capacity(rows * (cols + rows)),
+            support: vec![0; rows * rows.div_ceil(64)],
+            sizes: vec![1; rows],
+        };
+        for (i, row) in m[..rows].iter().enumerate() {
+            work.data.extend_from_slice(&row[..cols]);
+            work.data.extend((0..rows).map(|j| i64::from(i == j)));
+            work.support[i * work.words + i / 64] = 1 << (i % 64);
         }
-        for j in 0..rows.len() {
-            if i == j || !keep[j] {
-                continue;
+        work
+    }
+
+    fn empty(shape: &Work) -> Self {
+        Work {
+            width: shape.width,
+            words: shape.words,
+            data: Vec::new(),
+            support: Vec::new(),
+            sizes: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.sizes.len()
+    }
+
+    fn row(&self, i: usize) -> &[i64] {
+        &self.data[i * self.width..(i + 1) * self.width]
+    }
+
+    fn support(&self, i: usize) -> &[u64] {
+        &self.support[i * self.words..(i + 1) * self.words]
+    }
+
+    fn push_copy(&mut self, from: &Work, i: usize) {
+        self.data.extend_from_slice(from.row(i));
+        self.support.extend_from_slice(from.support(i));
+        self.sizes.push(from.sizes[i]);
+    }
+
+    /// Appends the combination of `from`'s rows `p` (positive in `col`)
+    /// and `n` (negative in `col`) that is zero in `col`, divided by the
+    /// gcd of its nonzero entries.
+    fn push_combination(&mut self, from: &Work, p: usize, n: usize, col: usize) {
+        let (xs, ys) = (from.row(p), from.row(n));
+        // Farkas coefficients blow up exponentially across elimination
+        // steps; every arithmetic step is checked and an overflowing
+        // combination is *dropped*, like a capped row — incomplete, never
+        // unsound (a wrapped product would fabricate a vector that is not
+        // an invariant)
+        let Some(b) = ys[col].checked_neg() else {
+            return;
+        };
+        let a = xs[col];
+        let g = gcd(a, b);
+        let (fp, fn_) = (b / g, a / g);
+        let start = self.data.len();
+        let mut overflow = false;
+        self.data.extend(xs.iter().zip(ys).map(|(&x, &y)| {
+            let (u, o1) = fp.overflowing_mul(x);
+            let (v, o2) = fn_.overflowing_mul(y);
+            let (s, o3) = u.overflowing_add(v);
+            overflow |= o1 | o2 | o3;
+            s
+        }));
+        if overflow {
+            self.data.truncate(start);
+            return;
+        }
+        let row = &mut self.data[start..];
+        let g2 = nonzero_gcd(row);
+        if g2 > 1 {
+            for v in row {
+                *v /= g2;
             }
-            // drop i if j's support is a strict subset of i's
-            if supports[j].len() < supports[i].len()
-                && supports[j].iter().all(|x| supports[i].contains(x))
-            {
-                keep[i] = false;
-                break;
+        }
+        let mut size = 0;
+        for (&s, &t) in from.support(p).iter().zip(from.support(n)) {
+            self.support.push(s | t);
+            size += (s | t).count_ones();
+        }
+        self.sizes.push(size);
+    }
+
+    /// The rows of minimal support, in order of (support size, index):
+    /// row `i` is kept iff no row's support is a strict subset of `i`'s
+    /// and no earlier row has the same support. That rule does not
+    /// depend on the order rows are examined in — the first row of each
+    /// minimal support is never dropped, so a kept witness always exists
+    /// — so each row needs testing only against the smaller or earlier
+    /// rows already kept.
+    fn minimal_rows(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_by_key(|&i| self.sizes[i]);
+        let mut kept: Vec<usize> = Vec::new();
+        for i in order {
+            let s = self.support(i);
+            let covered = kept.iter().any(|&k| {
+                self.support(k)
+                    .iter()
+                    .zip(s)
+                    .all(|(&sub, &sup)| sub & !sup == 0)
+            });
+            if !covered {
+                kept.push(i);
             }
-            if supports[j] == supports[i] && j < i {
-                keep[i] = false;
+        }
+        kept
+    }
+
+    /// The rows `idx`, in that order.
+    fn gather(&self, idx: &[usize]) -> Self {
+        let mut out = Work::empty(self);
+        out.data.reserve(idx.len() * self.width);
+        for &i in idx {
+            out.push_copy(self, i);
+        }
+        out
+    }
+}
+
+/// The gcd of the nonzero entries of `xs` (0 if there are none); stops
+/// at 1.
+fn nonzero_gcd(xs: &[i64]) -> i64 {
+    let mut g = 0;
+    for &x in xs {
+        if x != 0 {
+            g = gcd(g, x);
+            if g == 1 {
                 break;
             }
         }
     }
-    rows.into_iter()
-        .zip(keep)
-        .filter(|(_, k)| *k)
-        .map(|(r, _)| r)
-        .collect()
+    g
 }
 
 /// Total gcd: widens through `unsigned_abs`, so `i64::MIN` neither panics
@@ -380,6 +462,24 @@ mod tests {
         let out = farkas_capped(&m, 3, 2, usize::MAX);
         assert_exact_invariants(&m, 3, 2, &out);
         assert!(out.is_empty(), "no exact invariant exists: {out:?}");
+    }
+
+    #[test]
+    fn every_combined_row_is_normalised() {
+        // column 0 is eliminated first; the rows combined on column 1
+        // start with a zero, which once kept the gcd fold at 1 and
+        // returned [2,2,0,2] and [22,14,2,0]
+        let m = vec![vec![-2, 1], vec![3, -2], vec![1, 3], vec![-1, 1]];
+        let out = farkas_capped(&m, 4, 2, usize::MAX);
+        assert_exact_invariants(&m, 4, 2, &out);
+        assert_eq!(out, vec![vec![1, 1, 0, 1], vec![11, 7, 1, 0]]);
+    }
+
+    #[test]
+    fn nonzero_gcd_skips_zeros_and_stops_at_one() {
+        assert_eq!(nonzero_gcd(&[0, 4, 0, 6]), 2);
+        assert_eq!(nonzero_gcd(&[0, 0]), 0);
+        assert_eq!(nonzero_gcd(&[3, 2, i64::MIN]), 1);
     }
 
     #[test]
