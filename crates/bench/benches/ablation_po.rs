@@ -3,7 +3,7 @@
 //! paper's conflict-cluster anticipation seeding (§2.3).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use partial_order::{ReducedOptions, ReducedReachability, SeedStrategy};
+use partial_order::{ReducedOptions, SeedStrategy};
 use petri::{Budget, CheckpointConfig};
 
 fn bench_po_strategies(c: &mut Criterion) {
@@ -28,7 +28,7 @@ fn bench_po_strategies(c: &mut Criterion) {
             };
             group.bench_with_input(BenchmarkId::new(name, label), &net, |b, net| {
                 b.iter(|| {
-                    ReducedReachability::explore(
+                    partial_order::explore(
                         net,
                         &opts,
                         &Budget::default(),

@@ -13,7 +13,6 @@
 use gpo_core::{
     analyze, m_enabled, multiple_update, s_enabled, single_update, GpnState, SetFamily, ZddFamily,
 };
-use partial_order::ReducedReachability;
 use petri::{Budget, CheckpointConfig, PetriNet, ReachabilityGraph, TransitionId};
 
 fn family_to_string(net: &PetriNet, f: &ZddFamily) -> String {
@@ -83,7 +82,7 @@ fn fig2() {
         } else {
             "-".to_string()
         };
-        let po = ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)
+        let po = partial_order::explore(&net, &Default::default(), &budget, &ckpt, None)
             .expect("fig2 is safe")
             .into_value()
             .state_count();

@@ -14,7 +14,7 @@
 use std::time::{Duration, Instant};
 
 use gpo_core::{analyze, GpoOptions, ZddFamily};
-use partial_order::{ReducedOptions, ReducedReachability};
+use partial_order::ReducedOptions;
 use petri::{
     reduce, Budget, CheckpointConfig, ExploreOptions, NetBuilder, PetriNet, ReachabilityGraph,
     ReduceOptions,
@@ -78,7 +78,7 @@ fn main() {
         };
         let mut red_states = 0usize;
         let red = median_of_3(|| {
-            let red = ReducedReachability::explore(net, &red_opts, &budget, &ckpt, None)
+            let red = partial_order::explore(net, &red_opts, &budget, &ckpt, None)
                 .expect("safe")
                 .into_value();
             red_states = red.state_count();

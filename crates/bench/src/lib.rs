@@ -20,7 +20,7 @@
 use std::time::{Duration, Instant};
 
 use gpo_core::{analyze, GpoOptions, ZddFamily};
-use partial_order::{ReducedOptions, ReducedReachability, SeedStrategy};
+use partial_order::{ReducedOptions, SeedStrategy};
 use petri::{
     Budget, CheckpointConfig, ExploreOptions, Outcome, PetriNet, Property, ReachabilityGraph,
 };
@@ -158,7 +158,7 @@ pub fn run_po(net: &PetriNet, max_states: usize) -> EngineResult {
         ..Default::default()
     };
     let budget = Budget::default().cap_states(max_states);
-    match ReducedReachability::explore(net, &opts, &budget, &CheckpointConfig::default(), None) {
+    match partial_order::explore(net, &opts, &budget, &CheckpointConfig::default(), None) {
         Ok(Outcome::Complete(rg)) => EngineResult {
             states: rg.state_count() as f64,
             aux: 0.0,

@@ -347,8 +347,9 @@ impl Counters {
 struct Explored<F: SetFamily> {
     /// Every discovered GPN state, dense ids with the initial state at 0.
     states: Vec<GpnState<F>>,
-    /// How each state was first reached (for counterexample projection).
-    pred: Vec<Option<(usize, Firing)>>,
+    /// How each state was first reached (for counterexample projection):
+    /// the frontier loop's origins.
+    pred: Vec<Option<(u32, Firing)>>,
     /// Ids of expanded states whose deadlock-possibility check fired.
     blocked: Vec<usize>,
     /// Per-state "successors computed" flag; `false` entries are the
@@ -374,27 +375,20 @@ fn explore<F: SetFamily>(
     let fopts = FrontierOptions {
         threads: opts.threads,
         record_edges: false,
-        // the reach tree: origins survive budget-aborted expansions, so it
-        // covers every stored state even when its discovering expansion
-        // was rolled back
-        record_origins: true,
         budget: budget.clone(),
         ..FrontierOptions::default()
     };
-    let (seed, prior_pred) = match prior {
-        Some(p) => (
-            FrontierSeed {
-                states: p.states,
-                expanded: p.expanded,
-                // the snapshot stores the reach tree, not the edge lists:
-                // prior parent pointers re-enter through `prior_pred`
-                succ: Vec::new(),
-                deadlocks: p.blocked.iter().map(|&b| b as u32).collect(),
-                edge_count: 0,
-            },
-            p.pred,
-        ),
-        None => (FrontierSeed::initial(s0), vec![None]),
+    let seed = match prior {
+        Some(p) => FrontierSeed {
+            states: p.states,
+            expanded: p.expanded,
+            // the snapshot stores the reach tree, not the edge lists
+            succ: Vec::new(),
+            origin: p.pred,
+            deadlocks: p.blocked.iter().map(|&b| b as u32).collect(),
+            edge_count: 0,
+        },
+        None => FrontierSeed::initial(s0),
     };
     let outcome = explore_frontier_seeded(
         seed,
@@ -408,22 +402,14 @@ fn explore<F: SetFamily>(
         },
     )
     .map_err(GpoError::Engine)?;
-    Ok(outcome.map(|result| {
-        // the loop leaves the seeded states' provenance to the caller: the
-        // prior tree's parent pointers come first, the new states' origins
-        // follow
-        let mut pred = prior_pred;
-        let known = pred.len();
-        pred.extend(result.origin[known..].iter().map(|o| {
-            o.as_ref()
-                .map(|(parent, firing)| (*parent as usize, firing.clone()))
-        }));
-        Explored {
-            pred,
-            blocked: result.deadlocks.iter().map(|&d| d as usize).collect(),
-            expanded: result.expanded,
-            states: result.states,
-        }
+    // the reach tree is the loop's origins: they survive budget-aborted
+    // expansions, so it covers every stored state even when its
+    // discovering expansion was rolled back
+    Ok(outcome.map(|result| Explored {
+        pred: result.origin,
+        blocked: result.deadlocks.iter().map(|&d| d as usize).collect(),
+        expanded: result.expanded,
+        states: result.states,
     }))
 }
 
@@ -469,7 +455,7 @@ fn to_snapshot<F: SetFamily>(
             None => w.u8(0),
             Some((parent, Firing::Multiple(ts))) => {
                 w.u8(1);
-                w.usize(*parent);
+                w.usize(*parent as usize);
                 w.u32(ts.len() as u32);
                 for t in ts {
                     w.u32(t.index() as u32);
@@ -477,7 +463,7 @@ fn to_snapshot<F: SetFamily>(
             }
             Some((parent, Firing::Single(t))) => {
                 w.u8(2);
-                w.usize(*parent);
+                w.usize(*parent as usize);
                 w.u32(t.index() as u32);
             }
         }
@@ -583,7 +569,7 @@ fn from_snapshot<F: SetFamily>(
     if count != n {
         return Err(r.malformed(format!("{count} parent entries for {n} states")));
     }
-    let mut pred: Vec<Option<(usize, Firing)>> = Vec::with_capacity(n);
+    let mut pred: Vec<Option<(u32, Firing)>> = Vec::with_capacity(n);
     for i in 0..n {
         let tag = r.u8()?;
         if tag == 0 {
@@ -616,7 +602,8 @@ fn from_snapshot<F: SetFamily>(
             2 => Firing::Single(transition(&mut r)?),
             other => return Err(r.malformed(format!("unknown firing tag {other}"))),
         };
-        pred.push(Some((parent, firing)));
+        // `parent < n`, and state ids fit in a u32
+        pred.push(Some((parent as u32, firing)));
     }
     r.finish()?;
     if pred[0].is_some() {
@@ -723,14 +710,14 @@ enum Firing {
 fn project_trace<F: SetFamily>(
     net: &PetriNet,
     states: &[GpnState<F>],
-    provenance: &[Option<(usize, Firing)>],
+    provenance: &[Option<(u32, Firing)>],
     end: usize,
     v: &petri::BitSet,
 ) -> Vec<TransitionId> {
     let mut segments: Vec<Vec<TransitionId>> = Vec::new();
     let mut cur = end;
     while let Some((parent, firing)) = &provenance[cur] {
-        let parent_state = &states[*parent];
+        let parent_state = &states[*parent as usize];
         let fired: Vec<TransitionId> = match firing {
             Firing::Multiple(ts) => ts
                 .iter()
@@ -746,7 +733,7 @@ fn project_trace<F: SetFamily>(
             }
         };
         segments.push(fired);
-        cur = *parent;
+        cur = *parent as usize;
     }
     segments.reverse();
     segments.into_iter().flatten().collect()

@@ -29,13 +29,12 @@
 //!
 //! ```
 //! use gpo_core::{analyze, ZddFamily};
-//! use partial_order::ReducedReachability;
 //! use petri::{Budget, CheckpointConfig};
 //!
 //! // Figure 2 of the paper with N = 8 concurrently marked conflict places
 //! let net = models::figures::fig2(8);
 //! let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
-//! let po = ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?;
+//! let po = partial_order::explore(&net, &Default::default(), &budget, &ckpt, None)?;
 //! let gpo = analyze::<ZddFamily>(&net, &Default::default(), &budget, &ckpt, None)?;
 //! assert_eq!(po.value().state_count(), (1 << 9) - 1); // 511: reduction is powerless
 //! assert_eq!(gpo.value().state_count, 2);             // the generalized analysis

@@ -9,7 +9,7 @@
 //! read it, so adding an engine is adding one row.
 
 use gpo_core::{analyze, GpoOptions, ZddFamily};
-use partial_order::{ReducedOptions, ReducedReachability, SeedStrategy};
+use partial_order::{ReducedOptions, SeedStrategy};
 use petri::{
     Budget, CheckpointConfig, CompiledProperty, ExploreOptions, Marking, Outcome, PetriNet,
     Property, ReachabilityGraph, Reduction, Snapshot, TransitionId, Verdict,
@@ -275,27 +275,57 @@ pub fn run_engine(
 }
 
 fn run_full(run: &Run) -> Result<CheckReport, String> {
-    // witness paths come from the origins the graph always records
-    let opts = ExploreOptions {
-        record_edges: false,
-        threads: run.spec.threads,
-    };
-    let outcome = ReachabilityGraph::explore(run.net, &opts, run.budget, run.ckpt, run.resume)
-        .map_err(|e| e.to_string())?;
-    let (mut report, rg) = run.open("exhaustive reachability", outcome);
+    run_explicit(run, "exhaustive reachability", false)
+}
+
+fn run_po(run: &Run) -> Result<CheckReport, String> {
+    run_explicit(run, "stubborn-set partial-order reduction", true)
+}
+
+/// The explicit engines: the full reachability graph, or with `stubborn`
+/// the stubborn-set graph (po, and gpo for non-default properties), whose
+/// closures a non-default property seeds with its visible transitions.
+/// Both record every state's origin, so each witness, a deadlock or for a
+/// property one of the goal states smallest marking first, carries the
+/// trace that first reached it.
+fn run_explicit(
+    run: &Run,
+    engine_desc: &'static str,
+    stubborn: bool,
+) -> Result<CheckReport, String> {
+    let threads = run.spec.threads;
+    let visible = stubborn
+        .then(|| run.compiled.visible_transitions(run.net))
+        .flatten();
+    let visible_count = visible.as_ref().map(Vec::len);
+    let outcome = if stubborn {
+        let opts = ReducedOptions {
+            strategy: SeedStrategy::BestOfEnabled,
+            threads,
+            visible,
+        };
+        partial_order::explore(run.net, &opts, run.budget, run.ckpt, run.resume)
+    } else {
+        let opts = ExploreOptions {
+            record_edges: false,
+            threads,
+        };
+        ReachabilityGraph::explore(run.net, &opts, run.budget, run.ckpt, run.resume)
+    }
+    .map_err(|e| e.to_string())?;
+    let (mut report, rg) = run.open(engine_desc, outcome);
     report.states = rg.state_count();
     report.states_line = format!("states: {}", rg.state_count());
+    if let Some(n) = visible_count {
+        report
+            .detail_lines
+            .push(format!("visible transitions: {n}"));
+        report.details.push(("visible_transitions", n as u64));
+    }
     let goals = if run.spec.property.is_default() {
         rg.deadlocks().to_vec()
     } else {
-        // post-hoc goal scan; smallest goal markings first so the
-        // reported witness is deterministic across thread counts
-        let mut goals: Vec<_> = rg
-            .states()
-            .filter(|&s| run.compiled.goal(run.net, rg.marking(s)))
-            .collect();
-        goals.sort_by(|&a, &b| rg.marking(a).cmp(rg.marking(b)));
-        goals
+        rg.goal_states(|m| run.compiled.goal(run.net, m))
     };
     settle(&mut report, !goals.is_empty());
     report.witnesses = goals
@@ -306,36 +336,16 @@ fn run_full(run: &Run) -> Result<CheckReport, String> {
     Ok(report)
 }
 
-const PO_DESC: &str = "stubborn-set partial-order reduction";
-
-fn run_po(run: &Run) -> Result<CheckReport, String> {
-    if !run.spec.property.is_default() {
-        return run_visible_po(run, PO_DESC);
-    }
-    let opts = ReducedOptions {
-        strategy: SeedStrategy::BestOfEnabled,
-        threads: run.spec.threads,
-        visible: None,
-    };
-    let outcome = ReducedReachability::explore(run.net, &opts, run.budget, run.ckpt, run.resume)
-        .map_err(|e| e.to_string())?;
-    let (mut report, red) = run.open(PO_DESC, outcome);
-    report.states = red.state_count();
-    report.states_line = format!("states: {}", red.state_count());
-    settle(&mut report, red.has_deadlock());
-    report.witnesses = run.witnesses(red.deadlock_markings().take(run.spec.witnesses))?;
-    Ok(report)
-}
-
 fn run_gpo(run: &Run) -> Result<CheckReport, String> {
     // the GPN exploration only decides the default `EF deadlock` (its
     // states are whole firing families, blind to individual marking
     // predicates), so for any other property the gpo engine honestly
     // runs the property-preserving stubborn-set search instead
     if !run.spec.property.is_default() {
-        return run_visible_po(
+        return run_explicit(
             run,
             "generalized partial order analysis (via property-preserving stubborn sets)",
+            true,
         );
     }
     let opts = GpoOptions {
@@ -494,43 +504,6 @@ fn run_pdr(run: &Run) -> Result<CheckReport, String> {
             })
             .collect();
     }
-    Ok(report)
-}
-
-/// The property-preserving stubborn-set search shared by the `po` engine
-/// (non-default properties) and the `gpo` engine's fallback: explores with
-/// the property's visible transitions seeded into every stubborn set, then
-/// scans the stored markings for goal states.
-fn run_visible_po(run: &Run, engine_desc: &'static str) -> Result<CheckReport, String> {
-    let visible = run
-        .compiled
-        .visible_transitions(run.net)
-        .expect("non-default properties always have a visible-transition set");
-    let visible_count = visible.len();
-    let opts = ReducedOptions {
-        strategy: SeedStrategy::BestOfEnabled,
-        threads: run.spec.threads,
-        visible: Some(visible),
-    };
-    let outcome = ReducedReachability::explore(run.net, &opts, run.budget, run.ckpt, run.resume)
-        .map_err(|e| e.to_string())?;
-    let (mut report, red) = run.open(engine_desc, outcome);
-    report.states = red.state_count();
-    report.states_line = format!("states: {}", red.state_count());
-    report
-        .detail_lines
-        .push(format!("visible transitions: {visible_count}"));
-    report
-        .details
-        .push(("visible_transitions", visible_count as u64));
-    // smallest goal markings first, for a deterministic witness choice
-    let mut goals: Vec<&Marking> = red
-        .markings()
-        .filter(|m| run.compiled.goal(run.net, m))
-        .collect();
-    goals.sort();
-    settle(&mut report, !goals.is_empty());
-    report.witnesses = run.witnesses(goals.into_iter().take(run.spec.witnesses))?;
     Ok(report)
 }
 

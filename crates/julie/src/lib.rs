@@ -29,3 +29,8 @@ pub fn option<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
 pub fn flag(args: &[String], key: &str) -> bool {
     args.iter().any(|a| a == &format!("--{key}"))
 }
+
+/// The message of a failed write to a command's output.
+pub fn write_error(e: std::io::Error) -> String {
+    format!("cannot write output: {e}")
+}

@@ -38,7 +38,7 @@
 //! and SIGTERM trip the run's budget, so an interrupted `--checkpoint`
 //! run writes its final snapshot and exits 2 instead of dying mid-write.
 
-use std::io::Read;
+use std::io::{self, Read, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -55,14 +55,18 @@ use unfolding::Unfolding;
 
 use julie::engine::{self, RunSpec, DEFAULT_ENGINE, ENGINES};
 use julie::portfolio::{self, PortfolioOptions, AUTO};
-use julie::{flag, option, positional, serve, signals};
+use julie::{flag, option, positional, serve, signals, write_error};
 
 /// Exit code for usage, I/O, parse and engine errors (0–2 are verdicts).
 const EXIT_ERROR: u8 = 3;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = Stdout {
+        inner: io::stdout().lock(),
+        closed: false,
+    };
+    match run(&args, &mut out).and_then(|code| out.flush().map_err(write_error).map(|()| code)) {
         Ok(code) => ExitCode::from(code),
         Err(msg) => {
             eprintln!("julie: {msg}");
@@ -71,7 +75,38 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<u8, String> {
+/// Standard output, the one writer every command prints through. When the
+/// reader goes away early (`julie info net | head -1`), the rest of the
+/// output is dropped and the command ends with the exit code it would
+/// have returned; any other write error is returned to the caller.
+struct Stdout {
+    inner: io::StdoutLock<'static>,
+    closed: bool,
+}
+
+impl Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if !self.closed {
+            match self.inner.write(buf) {
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
+                other => return other,
+            }
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if !self.closed {
+            match self.inner.flush() {
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
+                other => return other,
+            }
+        }
+        Ok(())
+    }
+}
+
+fn run(args: &[String], out: &mut dyn Write) -> Result<u8, String> {
     let command = args.first().map(String::as_str).unwrap_or("help");
     let allowed: &[&str] = match command {
         "check" => &[
@@ -109,16 +144,16 @@ fn run(args: &[String]) -> Result<u8, String> {
     };
     reject_unknown_flags(args, allowed)?;
     match command {
-        "info" => info(&load_net(args)?).map(|()| 0),
-        "check" => check(&load_net(args)?, args),
-        "dot" => dot(&load_net(args)?, args).map(|()| 0),
-        "unfold" => unfold(&load_net(args)?, args).map(|()| 0),
-        "model" => model(args).map(|()| 0),
-        "serve" => serve::serve(args),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(0)
-        }
+        "info" => info(&load_net(args)?, out).map_err(write_error).map(|()| 0),
+        "check" => check(&load_net(args)?, args, out),
+        "dot" => dot(&load_net(args)?, args, out).map(|()| 0),
+        "unfold" => unfold(&load_net(args)?, args, out).map(|()| 0),
+        "model" => model(args, out).map(|()| 0),
+        "serve" => serve::serve(args, out),
+        "help" | "--help" | "-h" => out
+            .write_all(USAGE.as_bytes())
+            .map_err(write_error)
+            .map(|()| 0),
         other => Err(format!("unknown command `{other}`; try `julie help`")),
     }
 }
@@ -266,18 +301,20 @@ fn load_net(args: &[String]) -> Result<PetriNet, String> {
     }
 }
 
-fn info(net: &PetriNet) -> Result<(), String> {
-    println!(
+fn info(net: &PetriNet, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
         "net `{}`: {} places, {} transitions, {} arcs",
         net.name(),
         net.place_count(),
         net.transition_count(),
         net.arc_count()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "initial marking: {}",
         net.display_marking(net.initial_marking())
-    );
+    )?;
     let conflicts = ConflictInfo::new(net);
     let choices: Vec<String> = conflicts
         .choice_clusters()
@@ -286,7 +323,8 @@ fn info(net: &PetriNet) -> Result<(), String> {
             format!("{{{}}}", names.join(","))
         })
         .collect();
-    println!(
+    writeln!(
+        out,
         "conflict clusters with a choice: {}{}",
         choices.len(),
         if choices.is_empty() {
@@ -294,7 +332,7 @@ fn info(net: &PetriNet) -> Result<(), String> {
         } else {
             format!(" — {}", choices.join(" "))
         }
-    );
+    )?;
     // the same ZDD build `--engine=gpo` starts from, never a listing
     let universe = net.transition_count();
     let r0 = ZddFamily::from_conflicts(
@@ -304,14 +342,19 @@ fn info(net: &PetriNet) -> Result<(), String> {
         &Budget::default(),
     )
     .expect("an unlimited budget never stops the r0 build");
-    println!("maximal conflict-free transition sets |r0|: {}", r0.count());
-    match petri::siphon_trap_certificate(net, 100_000) {
-        Some(true) => println!("siphon-trap certificate: deadlock-free (structural proof)"),
-        Some(false) => println!("siphon-trap certificate: inconclusive"),
-        None => println!("siphon-trap certificate: skipped (siphon enumeration too large)"),
-    }
+    writeln!(
+        out,
+        "maximal conflict-free transition sets |r0|: {}",
+        r0.count()
+    )?;
+    let siphons = match petri::siphon_trap_certificate(net, 100_000) {
+        Some(true) => "deadlock-free (structural proof)",
+        Some(false) => "inconclusive",
+        None => "skipped (siphon enumeration too large)",
+    };
+    writeln!(out, "siphon-trap certificate: {siphons}")?;
     let invs = place_invariants(net);
-    println!("minimal place invariants: {}", invs.len());
+    writeln!(out, "minimal place invariants: {}", invs.len())?;
     for inv in invs.iter().take(8) {
         let terms: Vec<String> = net
             .places()
@@ -325,10 +368,10 @@ fn info(net: &PetriNet) -> Result<(), String> {
                 }
             })
             .collect();
-        println!("  {} = const", terms.join(" + "));
+        writeln!(out, "  {} = const", terms.join(" + "))?;
     }
     if invs.len() > 8 {
-        println!("  … and {} more", invs.len() - 8);
+        writeln!(out, "  … and {} more", invs.len() - 8)?;
     }
     Ok(())
 }
@@ -500,7 +543,7 @@ fn portfolio_options_from_args(args: &[String]) -> Result<PortfolioOptions, Stri
     Ok(opts)
 }
 
-fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
+fn check(net: &PetriNet, args: &[String], out: &mut dyn Write) -> Result<u8, String> {
     // an unknown engine fails before any property or reduction work
     let engine = option(args, "engine").unwrap_or(DEFAULT_ENGINE);
     engine::check_selector(engine)?;
@@ -579,15 +622,17 @@ fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
     if let Some(r) = &reduction {
         let target = &r.net;
         if !json_mode {
-            println!(
-                "net `{}`: {} places, {} transitions (reduced from {}/{})",
+            writeln!(
+                out,
+                "net `{}`: {} places, {} transitions (reduced from {}/{})\nreduction[{rules}]: {}",
                 original.name(),
                 target.place_count(),
                 target.transition_count(),
                 r.report.places_before,
-                r.report.transitions_before
-            );
-            println!("reduction[{rules}]: {}", r.report);
+                r.report.transitions_before,
+                r.report
+            )
+            .map_err(write_error)?;
         }
         // stamp every snapshot this run writes, so a later --resume with
         // different reduction flags fails with a precise diagnostic
@@ -636,18 +681,19 @@ fn check(net: &PetriNet, args: &[String]) -> Result<u8, String> {
             resume.as_ref(),
         )?
     };
-    if json_mode {
-        println!("{}", report.to_json().render());
+    let text = if json_mode {
+        format!("{}\n", report.to_json().render())
     } else {
-        print!("{}", report.render_text());
-    }
+        report.render_text()
+    };
+    out.write_all(text.as_bytes()).map_err(write_error)?;
     Ok(report.verdict.exit_code())
 }
 
 /// The event cap of `julie unfold`, which always builds a complete prefix.
 const UNFOLD_EVENTS: usize = 1_000_000;
 
-fn unfold(net: &PetriNet, args: &[String]) -> Result<(), String> {
+fn unfold(net: &PetriNet, args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let Outcome::Complete(unf) =
         Unfolding::build(net, &Budget::default().cap_states(UNFOLD_EVENTS))
     else {
@@ -656,27 +702,26 @@ fn unfold(net: &PetriNet, args: &[String]) -> Result<(), String> {
         ));
     };
     if flag(args, "dot") {
-        print!("{}", unf.prefix().to_dot(net));
-    } else {
-        println!(
-            "prefix of `{}`: {} events, {} conditions, {} cut-offs",
-            net.name(),
-            unf.prefix().event_count(),
-            unf.prefix().condition_count(),
-            unf.prefix().cutoff_count()
-        );
-        let deadlock = unf.has_deadlock(net, &Budget::default()).into_value();
-        report_verdict(Verdict::from_observation(deadlock, true, 0));
+        return out
+            .write_all(unf.prefix().to_dot(net).as_bytes())
+            .map_err(write_error);
     }
-    Ok(())
+    writeln!(
+        out,
+        "prefix of `{}`: {} events, {} conditions, {} cut-offs",
+        net.name(),
+        unf.prefix().event_count(),
+        unf.prefix().condition_count(),
+        unf.prefix().cutoff_count()
+    )
+    .map_err(write_error)?;
+    let deadlock = unf.has_deadlock(net, &Budget::default()).into_value();
+    let verdict = Verdict::from_observation(deadlock, true, 0);
+    writeln!(out, "verdict: {verdict}").map_err(write_error)
 }
 
-fn report_verdict(verdict: Verdict) {
-    println!("verdict: {verdict}");
-}
-
-fn dot(net: &PetriNet, args: &[String]) -> Result<(), String> {
-    if flag(args, "rg") {
+fn dot(net: &PetriNet, args: &[String], out: &mut dyn Write) -> Result<(), String> {
+    let text = if flag(args, "rg") {
         let rg = ReachabilityGraph::explore(
             net,
             &ExploreOptions::default(),
@@ -685,14 +730,14 @@ fn dot(net: &PetriNet, args: &[String]) -> Result<(), String> {
             None,
         )
         .map_err(|e| e.to_string())?;
-        print!("{}", reachability_to_dot(net, rg.value()));
+        reachability_to_dot(net, rg.value())
     } else {
-        print!("{}", net_to_dot(net));
-    }
-    Ok(())
+        net_to_dot(net)
+    };
+    out.write_all(text.as_bytes()).map_err(write_error)
 }
 
-fn model(args: &[String]) -> Result<(), String> {
+fn model(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let pos = positional(args);
     let name = pos.first().ok_or_else(|| {
         "missing model name (nsdp|asat|over|rw|cyclic|fig1|fig2|fig3|fig7)".to_string()
@@ -714,6 +759,5 @@ fn model(args: &[String]) -> Result<(), String> {
         "fig7" => models::figures::fig7(),
         other => return Err(format!("unknown model `{other}`")),
     };
-    print!("{}", to_text(&net));
-    Ok(())
+    out.write_all(to_text(&net).as_bytes()).map_err(write_error)
 }

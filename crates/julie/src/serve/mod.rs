@@ -40,7 +40,7 @@ pub mod metrics;
 pub mod scheduler;
 pub mod store;
 
-use std::io;
+use std::io::{self, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -89,8 +89,9 @@ fn config_from_args(args: &[String]) -> Result<ServeConfig, String> {
     Ok(cfg)
 }
 
-/// Runs the server until SIGTERM/SIGINT. Returns the process exit code.
-pub fn serve(args: &[String]) -> Result<u8, String> {
+/// Runs the server until SIGTERM/SIGINT, printing its progress lines to
+/// `out`. Returns the process exit code.
+pub fn serve(args: &[String], out: &mut dyn Write) -> Result<u8, String> {
     let cfg = config_from_args(args)?;
     std::fs::create_dir_all(cfg.data_dir.join("jobs"))
         .map_err(|e| format!("cannot create `{}`: {e}", cfg.data_dir.display()))?;
@@ -100,7 +101,11 @@ pub fn serve(args: &[String]) -> Result<u8, String> {
         cfg.workers,
     ));
     let (terminal, requeued) = store.recover()?;
-    println!("recovered {terminal} finished and {requeued} in-flight jobs from the journal");
+    writeln!(
+        out,
+        "recovered {terminal} finished and {requeued} in-flight jobs from the journal"
+    )
+    .map_err(crate::write_error)?;
 
     let listener =
         TcpListener::bind(&cfg.addr).map_err(|e| format!("cannot bind `{}`: {e}", cfg.addr))?;
@@ -139,7 +144,7 @@ pub fn serve(args: &[String]) -> Result<u8, String> {
         }
     });
     // the startup line scripts and tests parse to find the bound port
-    println!("listening on {local}");
+    writeln!(out, "listening on {local}").map_err(crate::write_error)?;
 
     for stream in listener.incoming() {
         if signals::termination_requested() {
@@ -156,7 +161,7 @@ pub fn serve(args: &[String]) -> Result<u8, String> {
 
     // graceful drain: no new admissions, every running budget tripped;
     // workers exit after their current job checkpoints
-    println!("shutdown requested, draining");
+    writeln!(out, "shutdown requested, draining").map_err(crate::write_error)?;
     drop(listener);
     store.begin_drain();
     let within = Duration::from_secs(cfg.drain_secs);
@@ -170,7 +175,7 @@ pub fn serve(args: &[String]) -> Result<u8, String> {
     if workers.into_iter().any(|w| w.join().is_err()) {
         return Err("a worker thread panicked".into());
     }
-    println!("drained, all jobs checkpointed or finished");
+    writeln!(out, "drained, all jobs checkpointed or finished").map_err(crate::write_error)?;
     Ok(0)
 }
 

@@ -360,4 +360,48 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// A po snapshot of the build before po recorded origins has the state
+    /// table and its deadlock, counter and strategy sections (tags 3 to 5)
+    /// and no origins: the job restarts instead of failing.
+    #[test]
+    fn load_resume_restarts_po_snapshots_without_origins() {
+        let dir = std::env::temp_dir().join(format!("julie-load-po-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let body = Json::parse(
+            r#"{"net": "net n\npl p *\npl q\ntr go : p -> q\n", "engine": "po", "max_states": 1}"#,
+        )
+        .unwrap();
+        let (spec, net) = JobSpec::from_submission(&body, "j000008".into(), 100).unwrap();
+        let opts = partial_order::ReducedOptions {
+            threads: 1,
+            ..Default::default()
+        };
+        let budget = petri::Budget::default().cap_states(1);
+        let ckpt = CheckpointConfig::default();
+        let partial = partial_order::explore(&net, &opts, &budget, &ckpt, None)
+            .unwrap()
+            .into_value();
+        let mut current = partial.to_snapshot(&net, false);
+        current.stamp = RunStamp {
+            job: Some(spec.stamp()),
+            ..RunStamp::default()
+        };
+        let mut outdated = Snapshot::new(EngineKind::Reduced, &net);
+        outdated.stamp = current.stamp.clone();
+        for tag in [1, 2] {
+            outdated.push_section(tag, current.section(tag).unwrap().to_vec());
+        }
+        // no deadlocks, zero counters, the best-of-enabled strategy tag
+        outdated.push_section(3, vec![0; 8]);
+        outdated.push_section(4, vec![0; 16]);
+        outdated.push_section(5, vec![1]);
+        assert!(ReachabilityGraph::is_outdated_snapshot(&outdated));
+        assert!(!ReachabilityGraph::is_outdated_snapshot(&current));
+        for (snap, resumes) in [(&current, true), (&outdated, false)] {
+            std::fs::write(job::ckpt_path(&dir), snap.to_bytes()).unwrap();
+            assert_eq!(load_resume(&spec, &dir).is_some(), resumes);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

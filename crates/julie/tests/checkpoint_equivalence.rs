@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 
 use gpo_core::{analyze, ExplicitFamily, GpoOptions, SetFamily, ZddFamily};
-use partial_order::{ReducedOptions, ReducedReachability, SeedStrategy};
+use partial_order::{ReducedOptions, SeedStrategy};
 use petri::checkpoint::read_checkpoint;
 use petri::{Budget, CheckpointConfig, ExploreOptions, NetBuilder, PetriNet, ReachabilityGraph};
 
@@ -111,7 +111,7 @@ fn reduced_engine_kill_and_resume_is_equivalent() {
                 threads,
                 visible: None,
             };
-            let reference = ReducedReachability::explore(
+            let reference = partial_order::explore(
                 &net,
                 &opts,
                 &Budget::default(),
@@ -121,7 +121,7 @@ fn reduced_engine_kill_and_resume_is_equivalent() {
             .unwrap()
             .into_value();
             let path = ckpt_path(&format!("po-{tag}").replace(' ', "-"));
-            let partial = ReducedReachability::explore(
+            let partial = partial_order::explore(
                 &net,
                 &opts,
                 &Budget::default().cap_states(5),
@@ -131,7 +131,7 @@ fn reduced_engine_kill_and_resume_is_equivalent() {
             .unwrap();
             assert!(!partial.is_complete(), "{tag}");
             let snap = read_checkpoint(&path).unwrap();
-            let resumed = ReducedReachability::explore(
+            let resumed = partial_order::explore(
                 &net,
                 &opts,
                 &Budget::default(),
@@ -143,12 +143,22 @@ fn reduced_engine_kill_and_resume_is_equivalent() {
             let resumed = resumed.into_value();
             assert_eq!(resumed.state_count(), reference.state_count(), "{tag}");
             assert_eq!(resumed.has_deadlock(), reference.has_deadlock(), "{tag}");
-            let dead = |red: &ReducedReachability| {
-                let mut ms: Vec<String> = red.deadlock_markings().map(|m| m.to_string()).collect();
+            let dead = |red: &ReachabilityGraph| {
+                let mut ms: Vec<String> = red
+                    .deadlocks()
+                    .iter()
+                    .map(|&d| red.marking(d).to_string())
+                    .collect();
                 ms.sort();
                 ms
             };
             assert_eq!(dead(&resumed), dead(&reference), "{tag}");
+            // every witness trace of the resumed graph replays
+            for &d in resumed.deadlocks() {
+                let trace = resumed.path_to(d).expect("every state has an origin");
+                let end = net.fire_sequence(net.initial_marking(), trace).unwrap();
+                assert_eq!(end.as_ref(), Some(resumed.marking(d)), "{tag}");
+            }
         }
     }
 }

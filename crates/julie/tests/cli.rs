@@ -747,16 +747,37 @@ fn check_reduce_verdicts_match_plain_for_every_engine() {
 }
 
 #[test]
-fn check_reduce_po_prints_statically_lifted_marking() {
-    // the po engine stores markings only, so the dead marking is lifted
-    // statically and labelled as such
-    let out = julie_stdin(&["check", "-", "--engine=po", "--reduce"], PIPE);
+fn check_reduce_bdd_prints_statically_lifted_marking() {
+    // the bdd engine finds a goal marking but no trace, so the marking is
+    // lifted statically and labelled as such
+    let out = julie_stdin(
+        &[
+            "check",
+            "-",
+            "--engine=bdd",
+            "--reduce",
+            "--property=EF m(p3) >= 1",
+        ],
+        PIPE,
+    );
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     assert!(
-        stdout(&out).contains("dead marking (lifted):"),
+        stdout(&out).contains("goal marking (lifted): {p3}"),
         "{}",
         stdout(&out)
     );
+}
+
+#[test]
+fn check_reduce_po_prints_exactly_lifted_marking() {
+    // po witnesses carry the trace that first reached them: it lifts to
+    // the original net and replays there, so the marking is exact
+    let out = julie_stdin(&["check", "-", "--engine=po", "--reduce"], PIPE);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("dead marking: {p3}\n"), "{text}");
+    assert!(text.contains("witness trace: a b c\n"), "{text}");
+    assert!(!text.contains("(lifted)"), "{text}");
 }
 
 #[test]
@@ -1441,9 +1462,10 @@ fn bad_legs_schedules_are_rejected() {
 
 /// `tests/fixtures/pre-origins-snapshots` holds NSDP(4) snapshots that the
 /// build before the packed state table wrote at one thread, each stopped
-/// by `--max-states`. Its full snapshot recorded edges and no origins:
-/// resuming it fails closed, naming the cause. Its po and gpo snapshots
-/// are in today's format and resume to the uninterrupted report.
+/// by `--max-states`. Its full snapshot recorded edges and no origins, and
+/// its po snapshot no provenance at all: resuming either fails closed,
+/// naming the cause. Its gpo snapshot is in today's format and resumes to
+/// the uninterrupted report.
 #[test]
 fn snapshots_of_the_previous_build_resume_or_fail_closed() {
     let net = fixture("pre-origins-snapshots/nsdp4.net");
@@ -1459,27 +1481,50 @@ fn snapshots_of_the_previous_build_resume_or_fail_closed() {
             ),
         ])
     };
-    let full = resume("full");
-    assert_eq!(full.status.code(), Some(3), "{}", stdout(&full));
-    let err = stderr(&full);
-    assert!(
-        err.contains("no state origins") && err.contains("restart without --resume"),
-        "{err}"
-    );
+    for engine in ["full", "po"] {
+        let refused = resume(engine);
+        assert_eq!(refused.status.code(), Some(3), "{}", stdout(&refused));
+        let err = stderr(&refused);
+        assert!(
+            err.contains("no state origins") && err.contains("restart without --resume"),
+            "{engine}: {err}"
+        );
+    }
     let without_zdd = |s: String| -> String {
         s.lines()
             .filter(|l| !l.starts_with("zdd:"))
             .map(|l| format!("{l}\n"))
             .collect()
     };
-    for engine in ["po", "gpo"] {
-        let resumed = resume(engine);
-        assert_eq!(resumed.status.code(), Some(1), "{}", stderr(&resumed));
-        let fresh = julie(&["check", &net, &format!("--engine={engine}"), "--threads=1"]);
-        assert_eq!(
-            without_zdd(stdout(&resumed)),
-            without_zdd(stdout(&fresh)),
-            "{engine}"
-        );
-    }
+    let resumed = resume("gpo");
+    assert_eq!(resumed.status.code(), Some(1), "{}", stderr(&resumed));
+    let fresh = julie(&["check", &net, "--engine=gpo", "--threads=1"]);
+    assert_eq!(without_zdd(stdout(&resumed)), without_zdd(stdout(&fresh)));
+}
+
+// ---------------------------------------------------------------------
+// A reader that closes standard output early
+// ---------------------------------------------------------------------
+
+/// `julie info asat8.net | head -1`: once the reader has gone, the rest of
+/// the output is dropped and the command still exits 0, without a panic.
+#[test]
+fn a_closed_stdout_ends_quietly() {
+    let dir = temp_dir("closed-stdout");
+    let net = dir.join("asat8.net");
+    std::fs::write(&net, petri::to_text(&models::asat(8))).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_julie"))
+        .args(["info", net.to_str().unwrap()])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    // drop the read end before julie prints: every write then hits a
+    // closed pipe
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary finishes");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -103,6 +103,27 @@ proptest! {
     }
 }
 
+/// Replays every `witness trace:` line of `text` on `net`: each must fire
+/// from the initial marking and end in a goal marking of `property`.
+fn assert_traces_replay(net: &petri::PetriNet, property: &str, text: &str, tag: &str) {
+    let compiled = petri::Property::parse(property)
+        .unwrap()
+        .compile(net)
+        .unwrap();
+    for trace in text
+        .lines()
+        .filter_map(|l| l.strip_prefix("witness trace:"))
+    {
+        let seq: Vec<_> = trace
+            .split_whitespace()
+            .map(|name| net.transition_by_name(name).unwrap())
+            .collect();
+        let end = net.fire_sequence(net.initial_marking(), seq).unwrap();
+        let end = end.unwrap_or_else(|| panic!("{tag}: the trace does not replay"));
+        assert!(compiled.goal(net, &end), "{tag}: not a goal marking");
+    }
+}
+
 /// One zoo model plus the properties to check on it, with the expected
 /// exit code of the complete (`full`) reference run.
 struct Case {
@@ -162,16 +183,15 @@ fn zoo_engines_and_threads_agree_on_non_deadlock_properties() {
                 for threads in THREADS {
                     let thr = format!("--threads={threads}");
                     let run = julie(&["check", file, &eng, &thr, &prop]);
+                    let tag = format!("{}: `{property}` on {engine} x{threads}", case.label);
                     assert_eq!(
                         run.status.code(),
                         Some(*expected),
-                        "{}: `{property}` on {} x{}: {}\n{}",
-                        case.label,
-                        engine,
-                        threads,
+                        "{tag}: {}\n{}",
                         stderr(&run),
                         stdout(&run)
                     );
+                    assert_traces_replay(&case.net, property, &stdout(&run), &tag);
                 }
             }
         }
@@ -188,15 +208,13 @@ fn zoo_reduce_keeps_observed_places_and_verdicts() {
     let file = path.to_str().unwrap();
     for engine in ["full", "po"] {
         let eng = format!("--engine={engine}");
-        let out = julie(&[
-            "check",
-            file,
-            &eng,
-            "--reduce",
-            "--property=EF m(writing0) >= 1",
-        ]);
+        let property = "EF m(writing0) >= 1";
+        let prop = format!("--property={property}");
+        let out = julie(&["check", file, &eng, "--reduce", &prop]);
         assert_eq!(out.status.code(), Some(1), "{engine}: {}", stderr(&out));
         let text = stdout(&out);
+        assert!(text.contains("witness trace:"), "{engine}: {text}");
+        assert_traces_replay(&net, property, &text, engine);
         let goal = text
             .lines()
             .find(|l| l.contains("goal marking"))

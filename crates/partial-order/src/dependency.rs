@@ -84,80 +84,6 @@ impl Dependencies {
         }
     }
 
-    /// Computes the dependency matrices of `net` with `threads` workers.
-    ///
-    /// Each worker derives a contiguous chunk of per-transition rows from
-    /// the flow relation alone (no shared mutable state), so the result is
-    /// bit-for-bit identical to [`Dependencies::new`] for every thread
-    /// count. Values of `threads` below 2 fall back to the serial builder.
-    pub fn new_with_threads(net: &PetriNet, threads: usize) -> Self {
-        let n = net.transition_count();
-        let threads = threads.min(n.max(1));
-        if threads <= 1 {
-            return Self::new(net);
-        }
-        let ids: Vec<TransitionId> = net.transitions().collect();
-        let chunk = n.div_ceil(threads);
-        let mut rows: Vec<(BitSet, BitSet, BitSet)> = Vec::with_capacity(n);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ids
-                .chunks(chunk)
-                .map(|ts| {
-                    scope
-                        .spawn(move || ts.iter().map(|&t| Self::row(net, t, n)).collect::<Vec<_>>())
-                })
-                .collect();
-            for h in handles {
-                rows.extend(h.join().expect("dependency worker panicked"));
-            }
-        });
-        let mut conflicts = Vec::with_capacity(n);
-        let mut enables = Vec::with_capacity(n);
-        let mut dependent = Vec::with_capacity(n);
-        for (c, e, d) in rows {
-            conflicts.push(c);
-            enables.push(e);
-            dependent.push(d);
-        }
-        Dependencies {
-            conflicts,
-            enables,
-            dependent,
-        }
-    }
-
-    /// One transition's rows of the three matrices, read off the flow
-    /// relation: conflicts are the other consumers of `•t`, enablees the
-    /// consumers of `t•`, and dependency adds the producers of `•t` (the
-    /// transitions that enable `t`).
-    fn row(net: &PetriNet, t: TransitionId, n: usize) -> (BitSet, BitSet, BitSet) {
-        let mut conflicts = BitSet::new(n);
-        for &p in net.pre_places(t) {
-            for &u in net.post_transitions(p) {
-                if u != t {
-                    conflicts.insert(u.index());
-                }
-            }
-        }
-        let mut enables = BitSet::new(n);
-        for &p in net.post_places(t) {
-            for &u in net.post_transitions(p) {
-                if u != t {
-                    enables.insert(u.index());
-                }
-            }
-        }
-        let mut dependent = conflicts.union(&enables);
-        for &p in net.pre_places(t) {
-            for &u in net.pre_transitions(p) {
-                if u != t {
-                    dependent.insert(u.index());
-                }
-            }
-        }
-        (conflicts, enables, dependent)
-    }
-
     /// `true` if `t` and `u` share an input place.
     pub fn conflicts(&self, t: TransitionId, u: TransitionId) -> bool {
         self.conflicts[t.index()].contains(u.index())
@@ -260,31 +186,6 @@ mod tests {
         let dep = Dependencies::new(&net);
         assert!(dep.enables(a, c));
         assert!(!dep.enables(a, a), "no self-enabling recorded");
-    }
-
-    #[test]
-    fn threaded_builder_matches_serial() {
-        // the per-row formulas must agree bit-for-bit with the per-place
-        // serial sweep, for any worker count (including more workers than
-        // transitions)
-        for net in [
-            models::figures::fig2(4),
-            models::figures::fig7(),
-            models::nsdp(4),
-            models::readers_writers(3),
-            models::overtake(3),
-            models::asat(4),
-        ] {
-            let serial = Dependencies::new(&net);
-            for threads in [1usize, 2, 3, 8, 64] {
-                assert_eq!(
-                    Dependencies::new_with_threads(&net, threads),
-                    serial,
-                    "{} threads={threads}",
-                    net.name()
-                );
-            }
-        }
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! * [`Dependencies`] — structural conflict / enabling / dependency
 //!   relations between transitions;
 //! * [`StubbornSets`] — the D1/D2 closure with three [`SeedStrategy`]
-//!   choices, including the paper's conflict-cluster *anticipation*;
-//! * [`ReducedReachability`] — deadlock-preserving reduced exploration.
+//!   choices, including the paper's conflict-cluster *anticipation*; it is
+//!   the [`FiringRule`](petri::FiringRule) of the reduced exploration;
+//! * [`explore`] — deadlock-preserving reduced exploration: a
+//!   [`ReachabilityGraph`](petri::ReachabilityGraph) explored under the
+//!   stubborn-set rule.
 //!
 //! # What reduction does — and what it cannot do
 //!
@@ -21,7 +24,6 @@
 //! exactly what the generalized analysis in the `gpo-core` crate adds.
 //!
 //! ```
-//! use partial_order::ReducedReachability;
 //! use petri::{Budget, CheckpointConfig, NetBuilder, ReachabilityGraph};
 //!
 //! // Figure 2 of the paper with N = 3 conflict pairs.
@@ -36,7 +38,7 @@
 //! let net = b.build()?;
 //! let (budget, ckpt) = (Budget::default(), CheckpointConfig::default());
 //! let full = ReachabilityGraph::explore(&net, &Default::default(), &budget, &ckpt, None)?;
-//! let red = ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?;
+//! let red = partial_order::explore(&net, &Default::default(), &budget, &ckpt, None)?;
 //! assert_eq!(full.value().state_count(), 27);
 //! assert_eq!(red.value().state_count(), 15); // 2^4 - 1
 //! # Ok::<(), petri::NetError>(())
@@ -50,7 +52,7 @@ mod reduced;
 mod stubborn;
 
 pub use dependency::Dependencies;
-pub use reduced::{ReducedOptions, ReducedReachability};
+pub use reduced::{explore, ReducedOptions};
 pub use stubborn::{SeedStrategy, StubbornSets};
 
 /// Test shorthand: the complete reachability graph of `net`.
@@ -68,7 +70,7 @@ fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri
 
 /// Test shorthand: the complete reduced graph of `net`.
 #[cfg(test)]
-fn explore_reduced(net: &petri::PetriNet) -> Result<ReducedReachability, petri::NetError> {
+fn explore_reduced(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
     explore_reduced_with(net, &ReducedOptions::default())
 }
 
@@ -77,8 +79,8 @@ fn explore_reduced(net: &petri::PetriNet) -> Result<ReducedReachability, petri::
 fn explore_reduced_with(
     net: &petri::PetriNet,
     opts: &ReducedOptions,
-) -> Result<ReducedReachability, petri::NetError> {
-    ReducedReachability::explore(
+) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    explore(
         net,
         opts,
         &petri::Budget::default(),

@@ -28,7 +28,8 @@
 //! pruned. See DESIGN.md "Property-preserving stubborn sets" for the
 //! induction argument.
 
-use petri::{BitSet, ConflictInfo, Marking, PetriNet, TransitionId};
+use petri::checkpoint::ByteWriter;
+use petri::{BitSet, ConflictInfo, FiringRule, Marking, PetriNet, TransitionId};
 
 use crate::dependency::Dependencies;
 
@@ -86,19 +87,6 @@ impl<'net> StubbornSets<'net> {
         StubbornSets {
             net,
             deps: Dependencies::new(net),
-            conflicts: ConflictInfo::new(net),
-            strategy,
-            visible: Vec::new(),
-        }
-    }
-
-    /// Like [`StubbornSets::new`], but precomputes the dependency tables
-    /// with `threads` workers (see [`Dependencies::new_with_threads`]);
-    /// the resulting closures are identical for every thread count.
-    pub fn new_with_threads(net: &'net PetriNet, strategy: SeedStrategy, threads: usize) -> Self {
-        StubbornSets {
-            net,
-            deps: Dependencies::new_with_threads(net, threads),
             conflicts: ConflictInfo::new(net),
             strategy,
             visible: Vec::new(),
@@ -231,6 +219,32 @@ impl<'net> StubbornSets<'net> {
             .copied()
             .filter(|t| set.contains(t.index()))
             .collect()
+    }
+}
+
+/// The stubborn-set selection is the rule of the reduced exploration
+/// (`crate::explore`).
+impl FiringRule for StubbornSets<'_> {
+    fn fire_from(&self, m: &Marking) -> Vec<TransitionId> {
+        self.enabled_stubborn(m)
+    }
+
+    /// The strategy's tag, then, for a property run, the visible set: its
+    /// length and transition ids.
+    fn identity(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u8(match self.strategy {
+            SeedStrategy::FirstEnabled => 0,
+            SeedStrategy::BestOfEnabled => 1,
+            SeedStrategy::ConflictCluster => 2,
+        });
+        if !self.visible.is_empty() {
+            w.usize(self.visible.len());
+            for &t in &self.visible {
+                w.u32(t.index() as u32);
+            }
+        }
+        w.into_bytes()
     }
 }
 

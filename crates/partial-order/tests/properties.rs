@@ -52,8 +52,8 @@ proptest! {
         for strategy in STRATEGIES {
             let red = explore_reduced_with(&net, &ReducedOptions { strategy, ..Default::default() }).expect("validated safe");
             prop_assert!(red.state_count() <= full.state_count(), "{:?}", strategy);
-            for m in red.markings() {
-                prop_assert!(full.contains(m), "{:?}: unreachable marking visited", strategy);
+            for s in red.states() {
+                prop_assert!(full.contains(red.marking(s)), "{:?}: unreachable marking visited", strategy);
             }
         }
     }
@@ -63,8 +63,8 @@ proptest! {
     fn reduced_deadlocks_are_real(seed in 0u64..100_000) {
         let Some(net) = random_safe_net(seed, &cfg()) else { return Ok(()); };
         let red = explore_reduced(&net).expect("validated safe");
-        for m in red.deadlock_markings() {
-            prop_assert!(net.is_dead(m));
+        for &d in red.deadlocks() {
+            prop_assert!(net.is_dead(red.marking(d)));
         }
     }
 
@@ -93,7 +93,7 @@ proptest! {
                         visible: Some(visible.clone()),
                         ..Default::default()
                     }).expect("validated safe");
-                let red_goal = red.markings().any(|m| compiled.goal(&net, m));
+                let red_goal = red.states().any(|s| compiled.goal(&net, red.marking(s)));
                 prop_assert_eq!(
                     red_goal,
                     full_goal,
@@ -155,9 +155,7 @@ fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri
 }
 
 /// The complete stubborn-set reduced graph of `net`.
-fn explore_reduced(
-    net: &petri::PetriNet,
-) -> Result<partial_order::ReducedReachability, petri::NetError> {
+fn explore_reduced(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
     explore_reduced_with(net, &partial_order::ReducedOptions::default())
 }
 
@@ -165,8 +163,8 @@ fn explore_reduced(
 fn explore_reduced_with(
     net: &petri::PetriNet,
     opts: &partial_order::ReducedOptions,
-) -> Result<partial_order::ReducedReachability, petri::NetError> {
-    partial_order::ReducedReachability::explore(
+) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    partial_order::explore(
         net,
         opts,
         &petri::Budget::default(),

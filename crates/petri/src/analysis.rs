@@ -13,7 +13,7 @@ use crate::ids::TransitionId;
 use crate::marking::Marking;
 use crate::net::PetriNet;
 use crate::property::Property;
-use crate::reachability::{ExploreOptions, ReachabilityGraph, StateId};
+use crate::reachability::{ExploreOptions, ReachabilityGraph};
 
 /// Deadlock and liveness facts derived from an explored reachability
 /// graph (the `report` of a [`BoundedReport`]).
@@ -147,11 +147,7 @@ pub fn verify(
     let rg = outcome.value();
     let mut report = derive_report(net, rg, start.elapsed());
     if !property.is_default() {
-        let mut goals: Vec<StateId> = rg
-            .states()
-            .filter(|&s| compiled.goal(net, rg.marking(s)))
-            .collect();
-        goals.sort_by(|&a, &b| rg.marking(a).cmp(rg.marking(b)));
+        let goals = rg.goal_states(|m| compiled.goal(net, m));
         report.has_deadlock = !goals.is_empty();
         report.deadlock_count = goals.len();
         report.deadlock_witness = goals.first().and_then(|&g| rg.path_to(g));

@@ -52,7 +52,9 @@ pub const FORMAT_VERSION: u32 = 2;
 pub enum EngineKind {
     /// Exhaustive reachability ([`ReachabilityGraph`](crate::ReachabilityGraph)).
     Full,
-    /// Stubborn-set reduced reachability (`partial-order` crate).
+    /// Reachability under a reduction rule
+    /// ([`ReachabilityGraph::explore_under`](crate::ReachabilityGraph::explore_under)):
+    /// the stubborn-set graph of the `partial-order` crate.
     Reduced,
     /// Generalized partial-order analysis, explicit families. The test
     /// reference representation writes it, as `--engine=gpo` did in older

@@ -85,7 +85,7 @@ pub use net::{NetBuilder, PetriNet};
 pub use parser::{parse_net, to_text};
 pub use pnml::parse_pnml;
 pub use property::{CompiledProperty, Property};
-pub use reachability::{ExploreOptions, ReachabilityGraph, StateId};
+pub use reachability::{ExploreOptions, FiringRule, ReachabilityGraph, StateId};
 pub use reduce::{
     reduce, reduce_observed, Observed, ReduceOptions, Reduction, ReductionMap, ReductionReport,
 };

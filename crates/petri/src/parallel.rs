@@ -63,10 +63,11 @@
 //! if `expanded[id]`, which is what keeps edge counts exact across
 //! interrupt/resume cycles. Because a rolled-back expansion's successors
 //! keep no incoming edge, the loop also records an **origin sidecar**
-//! (see [`FrontierOptions::record_origins`]): the `(parent, label)` pair
-//! of the expansion that first inserted each state, never rolled back, so
-//! provenance-hungry callers (the GPO reach tree) stay complete even
-//! through aborted expansions.
+//! (see [`FrontierResult::origin`]): the `(parent, label)` pair of the
+//! expansion that first inserted each state, never rolled back, so every
+//! witness path (full, po and the GPO reach tree) stays complete even
+//! through aborted expansions. A seed carries its states' origins, so a
+//! resumed run returns the whole vector.
 //!
 //! # Panic safety
 //!
@@ -175,13 +176,6 @@ pub struct FrontierOptions {
     pub threads: usize,
     /// Collect the labelled `(source, transition, target)` edges.
     pub record_edges: bool,
-    /// Record, for every newly discovered state, the `(parent, label)` of
-    /// the expansion that first inserted it. Unlike recorded edges, origins
-    /// are **not** rolled back when a budget trips mid-expansion, so they
-    /// give callers complete discovery provenance even for states whose
-    /// incoming edge was rolled back (the GPO engine builds witness traces
-    /// from them).
-    pub record_origins: bool,
     /// Resource budget checked cooperatively before every dequeue and
     /// every successor insertion; exhausting it yields [`Outcome::Partial`]
     /// instead of an error.
@@ -217,7 +211,6 @@ impl Default for FrontierOptions {
         FrontierOptions {
             threads: default_threads(),
             record_edges: true,
-            record_origins: false,
             budget: Budget::default(),
             #[cfg(any(test, feature = "fault-injection"))]
             inject_fault_after: None,
@@ -247,9 +240,10 @@ pub struct FrontierResult<St = Marking, L = TransitionId> {
     /// rolls its edges back so a resume re-records them exactly once.
     pub succ: Vec<Vec<(L, u32)>>,
     /// Per state id, the `(parent, label)` of the expansion that first
-    /// inserted it — `None` for id 0 and for seeded states (their
-    /// provenance belongs to the caller). Empty unless
-    /// [`FrontierOptions::record_origins`] was set. Never rolled back.
+    /// inserted it: the seed's origins, then the new states'. `None` for
+    /// id 0 only. Unlike recorded edges, origins are **not** rolled back
+    /// when a budget trips mid-expansion, so they cover every stored
+    /// state even when its incoming edge was rolled back.
     pub origin: Vec<Option<(u32, L)>>,
     /// Ids of expanded states with no successors: the seed's, then the
     /// ones found in this run. The work-stealing engine sorts them by id;
@@ -275,6 +269,9 @@ pub struct FrontierSeed<St = Marking, L = TransitionId> {
     /// Previously recorded edges per state id: one list per state, or no
     /// lists at all when the prior run did not record edges.
     pub succ: Vec<Vec<(L, u32)>>,
+    /// Per state id, the `(parent, label)` that first reached it (same
+    /// length as `states`; `None` for id 0).
+    pub origin: Vec<Option<(u32, L)>>,
     /// Previously classified deadlock ids.
     pub deadlocks: Vec<u32>,
     /// Previously fired transition count.
@@ -289,6 +286,7 @@ impl<St, L> FrontierSeed<St, L> {
             states: vec![initial],
             expanded: vec![false],
             succ: Vec::new(),
+            origin: vec![None],
             deadlocks: Vec::new(),
             edge_count: 0,
         }
@@ -366,6 +364,7 @@ where
 {
     let start = Instant::now();
     assert_eq!(seed.states.len(), seed.expanded.len(), "inconsistent seed");
+    assert_eq!(seed.states.len(), seed.origin.len(), "inconsistent seed");
     assert!(
         seed.succ.is_empty() || seed.succ.len() == seed.states.len(),
         "inconsistent seed"
@@ -458,6 +457,7 @@ where
         states,
         mut expanded,
         mut succ,
+        mut origin,
         mut deadlocks,
         mut edge_count,
     } = seed;
@@ -465,11 +465,6 @@ where
     if opts.record_edges {
         succ.resize_with(table.len(), Vec::new);
     }
-    let mut origin: Vec<Option<(u32, L)>> = if opts.record_origins {
-        (0..table.len()).map(|_| None).collect()
-    } else {
-        Vec::new()
-    };
     let mut expanded_count = expanded.iter().filter(|&&e| e).count();
 
     let mut scratch: Option<St> = None;
@@ -519,9 +514,7 @@ where
                 if opts.record_edges {
                     succ.push(Vec::new());
                 }
-                if opts.record_origins {
-                    origin.push(Some((sid as u32, label.clone())));
-                }
+                origin.push(Some((sid as u32, label.clone())));
             }
             edge_count += 1;
             if opts.record_edges {
@@ -597,6 +590,7 @@ where
         states: seed_states,
         expanded: seed_expanded,
         succ: seed_succ,
+        origin: seed_origin,
         deadlocks: seed_deadlocks,
         edge_count: seed_edge_count,
     } = seed;
@@ -629,7 +623,6 @@ where
         pending: AtomicUsize::new(pending),
         budget: &opts.budget,
         record_edges: opts.record_edges,
-        record_origins: opts.record_origins,
         injector: Mutex::new(injector),
         locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
         halt: AtomicBool::new(false),
@@ -699,11 +692,8 @@ where
     if opts.record_edges {
         succ.resize_with(state_count, Vec::new);
     }
-    let mut origin: Vec<Option<(u32, L)>> = if opts.record_origins {
-        (0..state_count).map(|_| None).collect()
-    } else {
-        Vec::new()
-    };
+    let mut origin = seed_origin;
+    origin.resize_with(state_count, || None);
     let mut expanded_flags = seed_expanded;
     expanded_flags.resize(state_count, false);
     let mut deadlocks = seed_deadlocks;
@@ -764,7 +754,6 @@ struct Shared<'a, St, S> {
     pending: AtomicUsize,
     budget: &'a Budget,
     record_edges: bool,
-    record_origins: bool,
     /// Seed/resume frontier in increasing id order; drained before steals.
     injector: Mutex<VecDeque<(u32, St)>>,
     /// Per-worker deques: the owner pushes and pops at the back, thieves
@@ -1058,9 +1047,7 @@ where
                         e.key().approx_bytes() + STATE_OVERHEAD_BYTES,
                         Ordering::Relaxed,
                     );
-                    if shared.record_origins {
-                        out.origins.push((nid, sid, t.clone()));
-                    }
+                    out.origins.push((nid, sid, t.clone()));
                     newly.push((nid, e.key().clone()));
                     e.insert(nid);
                     nid
@@ -1444,7 +1431,6 @@ mod tests {
                 net.initial_marking().clone(),
                 &FrontierOptions {
                     threads,
-                    record_origins: true,
                     ..Default::default()
                 },
                 net_successors(&net),
@@ -1475,7 +1461,6 @@ mod tests {
                 net.initial_marking().clone(),
                 &FrontierOptions {
                     threads,
-                    record_origins: true,
                     budget: Budget::default().cap_states(10),
                     ..Default::default()
                 },
@@ -1843,6 +1828,7 @@ mod tests {
                 states: p.states,
                 expanded: p.expanded,
                 succ: p.succ,
+                origin: p.origin,
                 deadlocks: p.deadlocks,
                 edge_count: p.edge_count,
             };
@@ -1879,6 +1865,15 @@ mod tests {
                 }
             }
             assert_eq!(total, resumed.edge_count, "threads={threads}");
+            // so does every origin, the seed's and the new states'
+            assert_eq!(resumed.origin.len(), resumed.states.len());
+            for (id, o) in resumed.origin.iter().enumerate().skip(1) {
+                let (parent, t) = o.expect("every stored state has an origin");
+                assert_eq!(
+                    net.fire(t, &resumed.states[parent as usize]).unwrap(),
+                    resumed.states[id]
+                );
+            }
         }
     }
 
@@ -1897,6 +1892,7 @@ mod tests {
                 states: full.states.clone(),
                 expanded: full.expanded.clone(),
                 succ: full.succ,
+                origin: full.origin.clone(),
                 deadlocks: full.deadlocks.clone(),
                 edge_count: full.edge_count,
             };
@@ -1905,6 +1901,7 @@ mod tests {
             assert!(again.is_complete(), "threads={threads}");
             let r = again.into_value();
             assert_eq!(r.states, full.states, "ids are preserved exactly");
+            assert_eq!(r.origin, full.origin, "the seed's origins come back");
             assert_eq!(r.deadlocks, full.deadlocks);
             assert_eq!(r.edge_count, full.edge_count);
         }
@@ -1970,7 +1967,6 @@ mod tests {
             net.initial_marking().clone(),
             &FrontierOptions {
                 threads: 1,
-                record_origins: true,
                 ..Default::default()
             },
             succ,
@@ -2002,6 +1998,7 @@ mod tests {
             states: full.states.clone(),
             expanded: vec![true, false, true],
             succ: Vec::new(),
+            origin: full.origin.clone(),
             deadlocks: vec![2],
             edge_count: 2,
         };

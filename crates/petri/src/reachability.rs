@@ -3,7 +3,9 @@
 //! Builds the full reachability graph `RG(N)` of a safe net by breadth-first
 //! exploration with hashed visited states. This is the ground truth the
 //! reduced analyses are compared against, and the "States" column of the
-//! paper's Table 1.
+//! paper's Table 1. The same graph type, explored under a [`FiringRule`]
+//! that fires only some of the enabled transitions, is the stubborn-set
+//! graph of the `partial-order` crate (the "SPIN+PO" column).
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -24,12 +26,39 @@ use crate::parallel::{
 use crate::state_table::{hash_words, IdIndex};
 
 /// Section tags of a [`EngineKind::Full`] snapshot, after the shared state
-/// table ([`push_state_table`] writes tags 1 and 2).
+/// table ([`push_state_table`] writes tags 1 and 2). An
+/// [`EngineKind::Reduced`] snapshot has the same sections plus the rule's.
 mod section {
     pub const EDGES: u32 = 3;
     pub const DEADLOCKS: u32 = 4;
     pub const COUNTERS: u32 = 5;
     pub const ORIGINS: u32 = 6;
+    pub const RULE: u32 = 7;
+}
+
+/// A reduction rule for [`ReachabilityGraph::explore_under`]: which of a
+/// marking's enabled transitions the exploration fires, for example the
+/// enabled members of a stubborn set.
+pub trait FiringRule: Sync {
+    /// The transitions to fire from `m`, each enabled there, in firing
+    /// order. Empty exactly when `m` is dead, so the graph's deadlocks are
+    /// dead markings of the net.
+    fn fire_from(&self, m: &Marking) -> Vec<TransitionId>;
+
+    /// The bytes that name this rule in a snapshot. A snapshot resumes
+    /// only under a rule with the same bytes: a reduced graph is a sound
+    /// prefix only for the rule it was explored under.
+    fn identity(&self) -> Vec<u8>;
+}
+
+/// The snapshot kind of a graph explored under the rule whose identity is
+/// `rule` (`None`: the full graph).
+fn engine_kind(rule: Option<&[u8]>) -> EngineKind {
+    if rule.is_some() {
+        EngineKind::Reduced
+    } else {
+        EngineKind::Full
+    }
 }
 
 /// Identifier of a state (vertex) in a [`ReachabilityGraph`].
@@ -85,7 +114,8 @@ impl Default for ExploreOptions {
     }
 }
 
-/// The full reachability graph of a safe Petri net.
+/// The reachability graph of a safe Petri net: the full graph, or the
+/// part of it a [`FiringRule`] explores.
 ///
 /// # Examples
 ///
@@ -120,9 +150,9 @@ pub struct ReachabilityGraph {
     expanded: Vec<bool>,
     /// Per-state outgoing labelled edges; empty if `record_edges` was off.
     succ: Vec<Vec<(TransitionId, StateId)>>,
-    /// Per state, the `(parent, transition)` that first reached it; `None`
-    /// for the initial state only.
-    origin: Vec<Option<(StateId, TransitionId)>>,
+    /// Per state, the `(parent id, transition)` that first reached it;
+    /// `None` for the initial state only.
+    origin: Vec<Option<(u32, TransitionId)>>,
     /// Marking → id, built on the first [`find`](Self::find).
     index: OnceLock<IdIndex>,
     initial: StateId,
@@ -130,6 +160,9 @@ pub struct ReachabilityGraph {
     edge_count: usize,
     elapsed: Duration,
     threads_used: usize,
+    /// The [`FiringRule::identity`] of the rule the graph was explored
+    /// under; `None` for the full graph.
+    rule: Option<Vec<u8>>,
 }
 
 impl ReachabilityGraph {
@@ -166,8 +199,47 @@ impl ReachabilityGraph {
         ckpt: &CheckpointConfig,
         resume: Option<&Snapshot>,
     ) -> Result<Outcome<Self>, NetError> {
+        Self::explore_with(net, opts, None, budget, ckpt, resume)
+    }
+
+    /// Like [`explore`](Self::explore), but fires at each marking only the
+    /// transitions `rule` picks: a reduced graph, such as the stubborn-set
+    /// graph of the `partial-order` crate. Its snapshots are
+    /// [`EngineKind::Reduced`] ones that carry the rule's
+    /// [`identity`](FiringRule::identity), and `resume` must carry the
+    /// same bytes.
+    ///
+    /// # Errors
+    ///
+    /// As for [`explore`](Self::explore), plus [`NetError::Checkpoint`]
+    /// when `resume` was explored under another rule.
+    pub fn explore_under(
+        net: &PetriNet,
+        opts: &ExploreOptions,
+        rule: &dyn FiringRule,
+        budget: &Budget,
+        ckpt: &CheckpointConfig,
+        resume: Option<&Snapshot>,
+    ) -> Result<Outcome<Self>, NetError> {
+        Self::explore_with(net, opts, Some(rule), budget, ckpt, resume)
+    }
+
+    fn explore_with(
+        net: &PetriNet,
+        opts: &ExploreOptions,
+        rule: Option<&dyn FiringRule>,
+        budget: &Budget,
+        ckpt: &CheckpointConfig,
+        resume: Option<&Snapshot>,
+    ) -> Result<Outcome<Self>, NetError> {
+        let identity = rule.map(FiringRule::identity);
         let prior = match resume {
-            Some(snap) => Some(Self::from_snapshot(net, snap, opts.record_edges)?),
+            Some(snap) => Some(Self::from_snapshot(
+                net,
+                snap,
+                opts.record_edges,
+                identity.as_deref(),
+            )?),
             None => None,
         };
         explore_segmented(
@@ -175,7 +247,9 @@ impl ReachabilityGraph {
             ckpt,
             prior,
             ReachabilityGraph::state_count,
-            |segment, prior| Self::explore_resumed(net, opts, segment, prior),
+            |segment, prior| {
+                Self::explore_resumed(net, opts, rule, identity.as_deref(), segment, prior)
+            },
             |g| g.to_snapshot(net, opts.record_edges),
         )
     }
@@ -185,11 +259,13 @@ impl ReachabilityGraph {
     fn explore_resumed(
         net: &PetriNet,
         opts: &ExploreOptions,
+        rule: Option<&dyn FiringRule>,
+        identity: Option<&[u8]>,
         budget: &Budget,
         prior: Option<Self>,
     ) -> Result<Outcome<Self>, NetError> {
         let start = Instant::now();
-        let (seed, mut origin, base_elapsed) = match prior {
+        let (seed, base_elapsed) = match prior {
             Some(g) => (
                 FrontierSeed {
                     states: g.states,
@@ -199,19 +275,17 @@ impl ReachabilityGraph {
                         .into_iter()
                         .map(|edges| edges.into_iter().map(|(t, dst)| (t, dst.0)).collect())
                         .collect(),
+                    origin: g.origin,
                     deadlocks: g.deadlocks.into_iter().map(|d| d.0).collect(),
                     edge_count: g.edge_count,
                 },
-                g.origin,
                 g.elapsed,
             ),
             None => (
                 FrontierSeed::initial(net.initial_marking().clone()),
-                vec![None],
                 Duration::ZERO,
             ),
         };
-        let prior_count = origin.len();
         // the spread fills the cfg-gated fault-injection field in test builds
         #[allow(clippy::needless_update)]
         let outcome = explore_frontier_seeded(
@@ -219,16 +293,25 @@ impl ReachabilityGraph {
             &FrontierOptions {
                 threads: opts.threads,
                 record_edges: opts.record_edges,
-                record_origins: true,
                 budget: budget.clone(),
                 ..Default::default()
             },
             |m: &Marking, emit: &mut Emit<'_, TransitionId, Marking>| {
                 let mut next = m.clone();
-                for t in net.transitions() {
-                    if net.enabled(t, m) {
-                        net.fire_into(t, m, &mut next)?;
-                        emit(t, &next);
+                match rule {
+                    None => {
+                        for t in net.transitions() {
+                            if net.enabled(t, m) {
+                                net.fire_into(t, m, &mut next)?;
+                                emit(t, &next);
+                            }
+                        }
+                    }
+                    Some(rule) => {
+                        for t in rule.fire_from(m) {
+                            net.fire_into(t, m, &mut next)?;
+                            emit(t, &next);
+                        }
                     }
                 }
                 Ok(())
@@ -238,50 +321,45 @@ impl ReachabilityGraph {
         // the conversions below reuse each vector's allocation in place
         // (same element layout), so the graph never holds a second copy
         Ok(outcome
-            .map(|result| {
-                // the loop leaves the seeded states' origins to the caller:
-                // the prior graph's come first, the new states' follow
-                origin.extend(
-                    result.origin[prior_count..]
-                        .iter()
-                        .map(|o| o.map(|(parent, t)| (StateId(parent), t))),
-                );
-                ReachabilityGraph {
-                    states: result.states,
-                    expanded: result.expanded,
-                    succ: if opts.record_edges {
-                        result
-                            .succ
-                            .into_iter()
-                            .map(|edges| {
-                                edges
-                                    .into_iter()
-                                    .map(|(t, dst)| (t, StateId(dst)))
-                                    .collect()
-                            })
-                            .collect()
-                    } else {
-                        Vec::new()
-                    },
-                    origin,
-                    index: OnceLock::new(),
-                    initial: StateId::new(0),
-                    deadlocks: result.deadlocks.into_iter().map(StateId).collect(),
-                    edge_count: result.edge_count,
-                    elapsed,
-                    threads_used: opts.threads.max(1),
-                }
+            .map(|result| ReachabilityGraph {
+                states: result.states,
+                expanded: result.expanded,
+                succ: if opts.record_edges {
+                    result
+                        .succ
+                        .into_iter()
+                        .map(|edges| {
+                            edges
+                                .into_iter()
+                                .map(|(t, dst)| (t, StateId(dst)))
+                                .collect()
+                        })
+                        .collect()
+                } else {
+                    Vec::new()
+                },
+                origin: result.origin,
+                index: OnceLock::new(),
+                initial: StateId::new(0),
+                deadlocks: result.deadlocks.into_iter().map(StateId).collect(),
+                edge_count: result.edge_count,
+                elapsed,
+                threads_used: opts.threads.max(1),
+                rule: identity.map(<[u8]>::to_vec),
             })
             .with_elapsed(elapsed))
     }
 
-    /// Serializes this (typically partial) graph as a checkpoint snapshot.
+    /// Serializes this (typically partial) graph as a checkpoint snapshot:
+    /// an [`EngineKind::Full`] one, or for a graph explored under a
+    /// [`FiringRule`] an [`EngineKind::Reduced`] one with the same
+    /// sections plus the rule's identity.
     ///
     /// `record_edges` must match the [`ExploreOptions::record_edges`] the
     /// graph was explored with; it is stored and re-checked on load so a
     /// resumed run cannot silently end up with half-recorded edges.
     pub fn to_snapshot(&self, net: &PetriNet, record_edges: bool) -> Snapshot {
-        let mut snap = Snapshot::new(EngineKind::Full, net);
+        let mut snap = Snapshot::new(engine_kind(self.rule.as_deref()), net);
         push_state_table(&mut snap, net, &self.states, &self.expanded);
 
         let mut w = ByteWriter::new();
@@ -309,46 +387,63 @@ impl ReachabilityGraph {
 
         let mut w = ByteWriter::new();
         for o in &self.origin {
-            let (parent, t) = o.map_or((u32::MAX, 0), |(p, t)| (p.0, t.index() as u32));
+            let (parent, t) = o.map_or((u32::MAX, 0), |(p, t)| (p, t.index() as u32));
             w.u32(parent);
             w.u32(t);
         }
         snap.push_section(section::ORIGINS, w.into_bytes());
 
+        if let Some(rule) = &self.rule {
+            snap.push_section(section::RULE, rule.clone());
+        }
         snap
     }
 
-    /// `true` for a full snapshot this build refuses to resume: one
-    /// written by an older build, which has an edge section but no state
-    /// origins, so its witness paths cannot be rebuilt exactly.
+    /// `true` for a full or reduced snapshot this build refuses to resume:
+    /// one written by an older build, which has no state origins (full
+    /// recorded edges instead, po no provenance at all), so its witness
+    /// paths cannot be rebuilt.
     pub fn is_outdated_snapshot(snap: &Snapshot) -> bool {
-        snap.engine == EngineKind::Full
+        matches!(snap.engine, EngineKind::Full | EngineKind::Reduced)
             && snap.section(section::EDGES).is_some()
             && snap.section(section::ORIGINS).is_none()
     }
 
-    /// Rebuilds a (typically partial) graph from a snapshot, validating
-    /// the engine kind, net fingerprint, and every structural invariant of
-    /// the payload.
+    /// Rebuilds a (typically partial) graph from a snapshot: the full
+    /// graph, or with `rule` the graph of the rule with that
+    /// [`identity`](FiringRule::identity). Validates the engine kind, net
+    /// fingerprint, rule, and every structural invariant of the payload.
     ///
     /// # Errors
     ///
     /// Returns a typed [`CheckpointError`] when the snapshot belongs to a
-    /// different engine/net, was taken with a different `record_edges`
-    /// setting, or is internally inconsistent.
-    pub fn from_snapshot(
+    /// different engine/net/rule, was taken with a different
+    /// `record_edges` setting, has no state origins (an older build wrote
+    /// it), or is internally inconsistent.
+    fn from_snapshot(
         net: &PetriNet,
         snap: &Snapshot,
         record_edges: bool,
+        rule: Option<&[u8]>,
     ) -> Result<Self, CheckpointError> {
-        snap.validate(EngineKind::Full, net.fingerprint())?;
+        snap.validate(engine_kind(rule), net.fingerprint())?;
         if Self::is_outdated_snapshot(snap) {
             return Err(CheckpointError::Malformed {
                 section: section::ORIGINS,
                 detail: "the snapshot has no state origins: an older build wrote it, \
-                         recording edges instead; restart without --resume"
+                         so its witness paths cannot be rebuilt; restart without --resume"
                     .into(),
             });
+        }
+        if let Some(rule) = rule {
+            if snap.require_section(section::RULE)? != rule {
+                return Err(CheckpointError::Malformed {
+                    section: section::RULE,
+                    detail: "the snapshot was explored under another reduction rule \
+                             (explorations under different rules cannot be mixed)"
+                        .into(),
+                });
+            }
         }
         let (states, expanded) = read_state_table(snap, net)?;
         let count = states.len();
@@ -418,7 +513,7 @@ impl ReachabilityGraph {
             } else if (parent as usize) < id && t < net.transition_count() {
                 // a parent is stored before its children, so walking
                 // origins always ends at the initial state
-                origin.push(Some((StateId(parent), TransitionId::new(t))));
+                origin.push(Some((parent, TransitionId::new(t))));
             } else {
                 return Err(r.malformed("origin out of range or not before its state"));
             }
@@ -436,6 +531,7 @@ impl ReachabilityGraph {
             edge_count,
             elapsed,
             threads_used: 1,
+            rule: rule.map(<[u8]>::to_vec),
         })
     }
 
@@ -530,10 +626,19 @@ impl ReachabilityGraph {
         while cur != self.initial {
             let (parent, t) = (*self.origin.get(cur.index())?)?;
             path.push(t);
-            cur = parent;
+            cur = StateId(parent);
         }
         path.reverse();
         Some(path)
+    }
+
+    /// The states whose marking is a `goal`, smallest marking first: the
+    /// order goal witnesses are reported in, the same at every thread
+    /// count.
+    pub fn goal_states(&self, goal: impl Fn(&Marking) -> bool) -> Vec<StateId> {
+        let mut goals: Vec<StateId> = self.states().filter(|&s| goal(self.marking(s))).collect();
+        goals.sort_by(|&a, &b| self.marking(a).cmp(self.marking(b)));
+        goals
     }
 
     /// Counts the distinct maximal firing sequences (interleavings) of an
@@ -843,13 +948,13 @@ mod tests {
         }
         assert!(!ReachabilityGraph::is_outdated_snapshot(&current));
         assert!(ReachabilityGraph::is_outdated_snapshot(&outdated));
-        let err = ReachabilityGraph::from_snapshot(&net, &outdated, true).unwrap_err();
+        let err = ReachabilityGraph::from_snapshot(&net, &outdated, true, None).unwrap_err();
         assert!(
             err.to_string().contains("no state origins")
                 && err.to_string().contains("restart without --resume"),
             "{err}"
         );
-        let back = ReachabilityGraph::from_snapshot(&net, &current, true).unwrap();
+        let back = ReachabilityGraph::from_snapshot(&net, &current, true, None).unwrap();
         for s in rg.states() {
             assert_eq!(back.path_to(s), rg.path_to(s));
         }
@@ -964,9 +1069,9 @@ mod tests {
         let other = concurrent(4);
         let rg = explore_full(&net).unwrap();
         let snap = rg.to_snapshot(&net, true);
-        let err = ReachabilityGraph::from_snapshot(&other, &snap, true).unwrap_err();
+        let err = ReachabilityGraph::from_snapshot(&other, &snap, true, None).unwrap_err();
         assert!(matches!(err, CheckpointError::FingerprintMismatch { .. }));
-        let err = ReachabilityGraph::from_snapshot(&net, &snap, false).unwrap_err();
+        let err = ReachabilityGraph::from_snapshot(&net, &snap, false, None).unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed { .. }));
     }
 

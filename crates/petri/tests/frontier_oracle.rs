@@ -38,7 +38,7 @@ fn successors(
     }
 }
 
-/// The replaced one-thread loop, origins always on.
+/// The replaced one-thread loop.
 fn oracle(
     seed: FrontierSeed<Marking, TransitionId>,
     record_edges: bool,
@@ -56,6 +56,7 @@ fn oracle(
         mut states,
         mut expanded,
         mut succ,
+        mut origin,
         mut deadlocks,
         mut edge_count,
     } = seed;
@@ -66,7 +67,6 @@ fn oracle(
     if record_edges {
         succ.resize_with(states.len(), Vec::new);
     }
-    let mut origin: Vec<Option<(u32, TransitionId)>> = vec![None; states.len()];
     let succ_fn = successors(net);
     let mut exhausted = None;
     let mut head = 0;
@@ -155,7 +155,6 @@ fn table_loop(
     let opts = FrontierOptions {
         threads: 1,
         record_edges,
-        record_origins: true,
         budget: budget.clone(),
         ..Default::default()
     };
@@ -185,6 +184,7 @@ fn seed_of(r: &FrontierResult<Marking, TransitionId>) -> FrontierSeed<Marking, T
         states: r.states.clone(),
         expanded: r.expanded.clone(),
         succ: r.succ.clone(),
+        origin: r.origin.clone(),
         deadlocks: r.deadlocks.clone(),
         edge_count: r.edge_count,
     }

@@ -26,8 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let net = models::nsdp(k);
         let full = ReachabilityGraph::explore(&net, &Default::default(), &budget, &ckpt, None)?
             .into_value();
-        let po = ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?
-            .into_value();
+        let po =
+            partial_order::explore(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
         let gpo = analyze::<ZddFamily>(
             &net,
             &GpoOptions {

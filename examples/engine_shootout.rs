@@ -32,8 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t_full = t0.elapsed();
 
     let t0 = Instant::now();
-    let po =
-        ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
+    let po = partial_order::explore(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
     let t_po = t0.elapsed();
 
     let t0 = Instant::now();

@@ -25,8 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let net = models::overtake(k);
         let full = ReachabilityGraph::explore(&net, &Default::default(), &budget, &ckpt, None)?
             .into_value();
-        let po = ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?
-            .into_value();
+        let po =
+            partial_order::explore(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
         let gpo =
             analyze::<ZddFamily>(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
         // terminal states = one of 3 resolved outcomes per car

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Engine 2: stubborn-set partial-order reduction.
     let reduced =
-        ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
+        partial_order::explore(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
     println!(
         "stubborn   : {} states, deadlock = {}",
         reduced.state_count(),

@@ -26,8 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         full.state_count()
     );
 
-    let po =
-        ReducedReachability::explore(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
+    let po = partial_order::explore(&net, &Default::default(), &budget, &ckpt, None)?.into_value();
     println!(
         "stubborn reduction    : {:>6} states   (2^(N+1)-1 — choices survive)",
         po.state_count()

@@ -49,7 +49,7 @@ pub use unfolding;
 pub mod prelude {
     pub use gpo_core::{analyze, GpnState, GpoOptions, GpoReport, SetFamily, ZddFamily};
     pub use models;
-    pub use partial_order::{ReducedOptions, ReducedReachability, SeedStrategy};
+    pub use partial_order::{ReducedOptions, SeedStrategy};
     pub use petri::{
         parse_net, reduce, to_text, verify, Budget, CheckpointConfig, CoverageStats,
         ExhaustionReason, ExploreOptions, Marking, NetBuilder, Outcome, PetriNet, PlaceId,

@@ -139,7 +139,7 @@ fn every_engine_reports_a_state_cap_as_partial() {
         (
             "po",
             Box::new(|b| {
-                ReducedReachability::explore(&net, &ReducedOptions::default(), b, &ckpt, None)
+                partial_order::explore(&net, &ReducedOptions::default(), b, &ckpt, None)
                     .unwrap()
                     .map(drop)
             }),

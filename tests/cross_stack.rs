@@ -123,10 +123,8 @@ fn explore_full(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri
 }
 
 /// The complete stubborn-set reduced graph of `net`.
-fn explore_reduced(
-    net: &petri::PetriNet,
-) -> Result<partial_order::ReducedReachability, petri::NetError> {
-    partial_order::ReducedReachability::explore(
+fn explore_reduced(net: &petri::PetriNet) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    partial_order::explore(
         net,
         &Default::default(),
         &petri::Budget::default(),

@@ -82,8 +82,18 @@ fn reduced_graph_identical_across_thread_counts() {
                     },
                 )
                 .unwrap();
-                let states = marking_set(red.markings());
-                let deadlocks = marking_set(red.deadlock_markings());
+                let states = marking_set(red.states().map(|s| red.marking(s)));
+                let deadlocks = marking_set(red.deadlocks().iter().map(|&s| red.marking(s)));
+                // every state's trace replays, at every thread count
+                for s in red.states() {
+                    let trace = red.path_to(s).expect("every state has an origin");
+                    let end = net.fire_sequence(net.initial_marking(), trace).unwrap();
+                    assert_eq!(
+                        end.as_ref(),
+                        Some(red.marking(s)),
+                        "{name} threads={threads}"
+                    );
+                }
                 let obs = (states, deadlocks, red.edge_count());
                 match &baseline {
                     None => baseline = Some(obs),
@@ -260,8 +270,8 @@ fn explore_full_with(
 fn explore_reduced_with(
     net: &petri::PetriNet,
     opts: &partial_order::ReducedOptions,
-) -> Result<partial_order::ReducedReachability, petri::NetError> {
-    partial_order::ReducedReachability::explore(
+) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    partial_order::explore(
         net,
         opts,
         &petri::Budget::default(),

@@ -59,7 +59,7 @@ fn run_engine(engine: &str, net: &PetriNet, threads: usize) -> EngineRun {
             EngineRun {
                 deadlock: red.has_deadlock(),
                 stored: red.state_count() as f64,
-                trace: None, // the po engine stores markings only
+                trace: red.deadlocks().first().and_then(|&d| red.path_to(d)),
             }
         }
         "gpo" => {
@@ -245,8 +245,8 @@ fn explore_full_with(
 fn explore_reduced_with(
     net: &petri::PetriNet,
     opts: &partial_order::ReducedOptions,
-) -> Result<partial_order::ReducedReachability, petri::NetError> {
-    partial_order::ReducedReachability::explore(
+) -> Result<petri::ReachabilityGraph, petri::NetError> {
+    partial_order::explore(
         net,
         opts,
         &petri::Budget::default(),
